@@ -17,7 +17,7 @@ fock = TruncatedFock(60)
 print("generator matrices on the truncated space (dim 60)")
 print("  max interior residual of the defining relations:",
       f"{check_defining_relations(TruncatedFock(10), ctx):.2e}")
-gamma = pi0_matrix("gamma", TruncatedFock(4), ctx).matrix
+gamma = pi0_matrix("gamma", TruncatedFock(4), ctx)
 print("  gamma acts diagonally:", np.diag(gamma))
 
 print("\ncoupled eigenvectors of the positivized diagonal element")

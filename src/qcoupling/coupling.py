@@ -46,14 +46,12 @@ def sixj_closed(p1: int, r1: int, p2: int, r2: int, ctx: QContext) -> mp.mpf:
     """Closed-form recoupling coefficient; zero unless r1 == r2.
 
     Independent of the total eigenvalue label, so that label is not an
-    argument.  Base-q^2 q-Bessel evaluated at the lattice point p1-p2.
+    argument.  It is the tree-move weight at n1 = n2 = n3 = 0: a base-q^2
+    q-Bessel value at the lattice point p1-p2.
     """
     if r1 != r2:
         return mp.mpf(0)
-    ctx2 = ctx.base_squared()
-    e = p1 - p2
-    with ctx.workdps(5):
-        return (-ctx.q) ** e * qbessel_lattice(r1, e, ctx2)
+    return recoupling_R(r1, 0, 0, 0, p1, -p2, ctx)
 
 
 def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
@@ -112,25 +110,11 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
 
     rhsR = bilateral_sum(termR, policy)
     res_R = abs(lhsR - rhsR.value)
-    # J-form with A = p1p-n1, B = p2p-n3 in base q^2, scaled by the common prefactor
+    # J-form with p1 = p1p-n1, p2 = p2p-n3 in base q^2, scaled by the common prefactor
     e = p1p + p2p - n1 - n3
-    ctx2 = ctx.base_squared()
-    pol2 = policy
-    res_J = verify_backcoupling_base(p1p - n1, p2p - n3, x - n1 + n2 - n3,
-                                     x - n1 + n3 - n2, x - n3 + n1 - n2, ctx2, pol2)
+    res_J = verify_backcoupling(x, n1, n2, n3, p1p - n1, p2p - n3, ctx.base_squared(),
+                                policy).value
     return abs(res_R - abs((-ctx.q) ** e) * res_J)
-
-
-@at_working_precision
-def verify_backcoupling_base(A: int, B: int, nu: int, nu1: int, nu2: int,
-                             ctx: QContext, policy: Optional[TruncationPolicy] = None) -> mp.mpf:
-    """|J_nu(q^{A+B}) - sum_s J_nu1(q^{s+A}) J_nu2(q^{s+B}) q^s| in the given base."""
-    policy = policy or TruncationPolicy()
-    q = ctx.q
-    lhs = qbessel_lattice(nu, A + B, ctx)
-    rhs = bilateral_sum(lambda s: qbessel_lattice(nu1, s + A, ctx)
-                        * qbessel_lattice(nu2, s + B, ctx) * q ** s, policy)
-    return abs(lhs - rhs.value)
 
 
 @at_working_precision
@@ -157,6 +141,22 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
     return SeriesResult(abs(lhs - rhs.value), rhs.est_error, rhs.terms_used, rhs.converged)
 
 
+def _hexagon_weight_terms(x: int, n1: int, n2: int, n3: int, n4: int,
+                          p1: int, p2: int, p3: int, p4: int, ctx: QContext):
+    """Summands over the internal label of the hexagon's two sides, weight form."""
+    def lhs_term(r):
+        return recoupling_R(x, p1, n3, n4, p2, r, ctx) \
+            * recoupling_R(r, n2, n1, n3, p3, p1, ctx) \
+            * recoupling_R(x, p3, n2, n4, p4, r, ctx)
+
+    def rhs_term(r):
+        return recoupling_R(x, n1, n2, p2, r, p1, ctx) \
+            * recoupling_R(r, n2, n4, n3, p2, p4, ctx) \
+            * recoupling_R(x, n1, n3, p4, r, p3, ctx)
+
+    return lhs_term, rhs_term
+
+
 @at_working_precision
 def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
                    p1: int, p2: int, p3: int, p4: int, ctx: QContext,
@@ -168,17 +168,7 @@ def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
     fixed points; the residual is faithful.
     """
     policy = policy or TruncationPolicy()
-
-    def lhs_term(r):
-        return recoupling_R(x, p1, n3, n4, p2, r, ctx) \
-            * recoupling_R(r, n2, n1, n3, p3, p1, ctx) \
-            * recoupling_R(x, p3, n2, n4, p4, r, ctx)
-
-    def rhs_term(r):
-        return recoupling_R(x, n1, n2, p2, r, p1, ctx) \
-            * recoupling_R(r, n2, n4, n3, p2, p4, ctx) \
-            * recoupling_R(x, n1, n3, p4, r, p3, ctx)
-
+    lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
     lhs = bilateral_sum(lhs_term, policy)
     rhs = bilateral_sum(rhs_term, policy)
     est = lhs.est_error + rhs.est_error
@@ -212,22 +202,12 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
                 * qbessel_lattice(x - q3 + m2 - m4, r + q4 - q3 - m4, ctx2)
         return bilateral_sum(term, policy).value
 
-    def r_side(swap):
-        if not swap:
-            def term(r):
-                return recoupling_R(x, p1, n3, n4, p2, r, ctx) \
-                    * recoupling_R(r, n2, n1, n3, p3, p1, ctx) \
-                    * recoupling_R(x, p3, n2, n4, p4, r, ctx)
-        else:
-            def term(r):
-                return recoupling_R(x, n1, n2, p2, r, p1, ctx) \
-                    * recoupling_R(r, n2, n4, n3, p2, p4, ctx) \
-                    * recoupling_R(x, n1, n3, p4, r, p3, ctx)
-        return bilateral_sum(term, policy).value
-
+    lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
     restore = (-q) ** (n2 + n3)
-    gap_lhs = abs(j_side(n1, n2, n3, n4, p1, p2, p3, p4) - r_side(False) * restore)
-    gap_rhs = abs(j_side(n4, n3, n2, n1, p2, p1, p4, p3) - r_side(True) * restore)
+    gap_lhs = abs(j_side(n1, n2, n3, n4, p1, p2, p3, p4)
+                  - bilateral_sum(lhs_term, policy).value * restore)
+    gap_rhs = abs(j_side(n4, n3, n2, n1, p2, p1, p4, p3)
+                  - bilateral_sum(rhs_term, policy).value * restore)
     return gap_lhs, gap_rhs
 
 
@@ -332,6 +312,10 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     of basis index triples) only those input columns are compared, which is
     much cheaper for sweeps.  The identity fails as stated; the defect is
     O(1) and reported faithfully.
+
+    The operator is float64 whatever ctx.working_precision is: the kernel
+    values are rounded to doubles when the sparse matrices are built, so a
+    higher working precision only makes the J evaluations dearer.
     """
     lo, hi = window
     npts = hi - lo + 1

@@ -74,16 +74,9 @@ class QContext:
         """mpmath context manager pinning the working precision."""
         return mp.workdps(self.working_precision + extra)
 
-    def mpf(self, x) -> mp.mpf:
-        return mp.mpf(x)
-
     def base_squared(self) -> "QContext":
         """Context for the same computation carried out in base q^2."""
         return QContext(self.q ** 2, self.working_precision, self.default_tol)
-
-    def qpow(self, e) -> mp.mpf:
-        """q**e for integer or half-integer e."""
-        return self.q ** mp.mpf(e)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .errors import DomainError, NonConvergent
 from .qcore import QContext, SeriesResult, TruncationPolicy, qpoch_finite, qpoch_infinite, rphis
 
 __all__ = [
-    "BesselOrder",
     "WallParams",
     "wall_poly",
     "wall_poly_alt",
@@ -27,11 +26,6 @@ __all__ = [
     "genfun_check",
     "wall_genfun_check",
 ]
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    nu: int
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,7 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
     Negative orders route through the reflection J_{-n}(x) = (-1)^n q^{n/2}
     J_n(x q^n) exactly once.
     """
-    nu = nu.nu if isinstance(nu, BesselOrder) else int(nu)
+    nu = int(nu)
     q = ctx.q
     if _lattice_y is None:
         x = mp.mpf(x)
@@ -215,6 +209,32 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
         return +val
 
 
+def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy, name: str):
+    """(sum_m q^{-nu m/2} J_nu(x q^m) z^m/(q;q)_m, terms used), truncated.
+
+    Stops after three consecutive terms below the policy's tail tolerance.
+    """
+    q = ctx.q
+    tol = mp.mpf(policy.tail_tol)
+    total = mp.mpf(0)
+    coef = mp.mpf(1)  # z^m / (q;q)_m
+    m = 0
+    small = 0
+    while True:
+        term = q ** (-mp.mpf(nu) * m / 2) * qbessel(nu, x * q ** m, ctx, policy) * coef
+        total += term
+        coef *= z / (1 - q ** (m + 1))
+        m += 1
+        if abs(term) < tol:
+            small += 1
+            if small >= 3:
+                return total, m
+        else:
+            small = 0
+        if m > policy.max_terms:
+            raise NonConvergent(f"{name} LHS did not settle")
+
+
 def genfun_check(nu: int, x, t, ctx: QContext,
                  policy: Optional[TruncationPolicy] = None) -> SeriesResult:
     """Residual of the q-Bessel generating relation at (nu, x, t), |t| < 1.
@@ -228,25 +248,8 @@ def genfun_check(nu: int, x, t, ctx: QContext,
     t = mp.mpf(t)
     if not abs(t) < 1:
         raise DomainError("generating relation needs |t| < 1")
-    tol = mp.mpf(policy.tail_tol)
     with ctx.workdps(15):
-        lhs = mp.mpf(0)
-        coef = mp.mpf(1)  # t^m / (q;q)_m
-        m = 0
-        small = 0
-        while True:
-            term = q ** (-mp.mpf(nu) * m / 2) * qbessel(nu, x * q ** m, ctx, policy) * coef
-            lhs += term
-            coef *= t / (1 - q ** (m + 1))
-            m += 1
-            if abs(term) < tol:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            if m > policy.max_terms:
-                raise NonConvergent("genfun_check LHS did not settle")
+        lhs, m = _shifted_j_sum(nu, x, t, ctx, policy, "genfun_check")
         rhs = x ** (mp.mpf(nu) / 2) * qpoch_infinite(q ** (nu + 1), ctx).value \
             / (qpoch_infinite(q, ctx).value * qpoch_infinite(t, ctx).value) \
             * rphis([t], [q ** (nu + 1)], ctx, q * x, policy).value
@@ -256,31 +259,17 @@ def genfun_check(nu: int, x, t, ctx: QContext,
 
 def wall_genfun_check(n: int, nu: int, x, ctx: QContext,
                       policy: Optional[TruncationPolicy] = None) -> SeriesResult:
-    """Residual of the Wall-polynomial specialization of the generating relation."""
+    """Residual of the Wall-polynomial specialization of the generating relation.
+
+    The generating relation at order nu-n and t = q^{nu+1}.
+    """
     if n < 0:
         raise DomainError("wall_genfun_check needs n >= 0")
     policy = policy or TruncationPolicy()
     q = ctx.q
     x = mp.mpf(x)
-    tol = mp.mpf(policy.tail_tol)
     with ctx.workdps(15):
-        lhs = mp.mpf(0)
-        coef = mp.mpf(1)  # q^{m(nu+1)} / (q;q)_m
-        m = 0
-        small = 0
-        while True:
-            term = q ** (-mp.mpf(nu - n) * m / 2) * qbessel(nu - n, x * q ** m, ctx, policy) * coef
-            lhs += term
-            coef *= q ** (nu + 1) / (1 - q ** (m + 1))
-            m += 1
-            if abs(term) < tol:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            if m > policy.max_terms:
-                raise NonConvergent("wall_genfun_check LHS did not settle")
+        lhs, m = _shifted_j_sum(nu - n, x, q ** (nu + 1), ctx, policy, "wall_genfun_check")
         wall = rphis([q ** (-n), mp.mpf(0)], [x * q], ctx, q ** (nu + 1), policy).value
         rhs = x ** (mp.mpf(nu - n) / 2) * qpoch_infinite(q * x, ctx).value \
             / qpoch_infinite(q, ctx).value * wall

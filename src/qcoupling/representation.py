@@ -5,8 +5,9 @@ the coproduct, the coupled eigenvectors of the positivized diagonal generator,
 the associated Clebsch-Gordan coefficients, and the inner-product oracle for
 recoupling (6j) coefficients.
 
-Generator matrices are float64 numpy arrays; coupled vectors are sparse dicts
-keyed by basis multi-indices.  Coefficient accuracy is ~1e-12, far inside the
+Generator matrices are float64 numpy arrays and three-fold actions are scipy
+sparse Kronecker products of them; coupled vectors are sparse dicts keyed by
+basis multi-indices.  Coefficient accuracy is ~1e-12, far inside the
 1e-8 oracle tolerances.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError, InsufficientTruncation
 from .qcore import QContext
@@ -24,7 +26,6 @@ from .qfunctions import wall_orthonormal_run
 
 __all__ = [
     "TruncatedFock",
-    "GenOperator",
     "CoupledVector",
     "pi0_matrix",
     "check_defining_relations",
@@ -34,8 +35,7 @@ __all__ = [
     "sixj_oracle",
     "coproduct_terms",
     "threefold_terms",
-    "apply_threefold",
-    "apply_threefold_ggstar",
+    "threefold_operator",
 ]
 
 
@@ -50,12 +50,6 @@ class TruncatedFock:
             raise DomainError("TruncatedFock needs dim >= 2")
 
 
-@dataclass(frozen=True)
-class GenOperator:
-    tag: str
-    matrix: np.ndarray
-
-
 # coproduct of each generator as a list of (left, right) factor tags
 _COPRODUCT = {
     "alpha": [("alpha", "alpha"), ("beta", "gamma")],
@@ -65,7 +59,7 @@ _COPRODUCT = {
 }
 
 
-def pi0_matrix(tag: str, fock: TruncatedFock, ctx: QContext) -> GenOperator:
+def pi0_matrix(tag: str, fock: TruncatedFock, ctx: QContext) -> np.ndarray:
     """Matrix of a generator in the standard representation (phase label 0).
 
     alpha lowers with weight sqrt(1-q^{2n}), delta raises with
@@ -89,7 +83,7 @@ def pi0_matrix(tag: str, fock: TruncatedFock, ctx: QContext) -> GenOperator:
             m[n, n] = q ** n
     else:
         raise DomainError(f"unknown generator tag {tag!r}")
-    return GenOperator(tag, m)
+    return m
 
 
 def check_defining_relations(fock: TruncatedFock, ctx: QContext) -> float:
@@ -101,7 +95,7 @@ def check_defining_relations(fock: TruncatedFock, ctx: QContext) -> float:
     if fock.dim < 4:
         raise DomainError("relation check needs dim >= 4")
     q = float(ctx.q)
-    g = {t: pi0_matrix(t, fock, ctx).matrix for t in ("alpha", "beta", "gamma", "delta")}
+    g = {t: pi0_matrix(t, fock, ctx) for t in ("alpha", "beta", "gamma", "delta")}
     al, be, ga, de = g["alpha"], g["beta"], g["gamma"], g["delta"]
     I = np.eye(fock.dim)
     rels = [
@@ -187,6 +181,14 @@ class CoupledVector:
             a, b = b, a
         return sum(c * b[k] for k, c in a.items() if k in b)
 
+    def dense(self, fock: TruncatedFock) -> np.ndarray:
+        """Coefficients as a flat array over the row-major basis multi-index."""
+        shape = (fock.dim,) * (2 if self.scheme in ("12", "21") else 3)
+        out = np.zeros(shape)
+        for key, c in self.coeffs.items():
+            out[key] = c
+        return out.ravel()
+
 
 def coupled_vector(scheme: str, x: int, p: int, r: int,
                    fock: TruncatedFock, ctx: QContext) -> CoupledVector:
@@ -251,106 +253,18 @@ def threefold_terms(tag: str):
     return out
 
 
-def _single_action(tag: str, idx: int, q: float, N: int):
-    """Image of e_idx under one generator: (new_index, coefficient) or None."""
-    if tag == "alpha":
-        if idx == 0:
-            return None
-        return idx - 1, math.sqrt(1 - q ** (2 * idx))
-    if tag == "delta":
-        if idx + 1 >= N:
-            return None
-        return idx + 1, math.sqrt(1 - q ** (2 * idx + 2))
-    if tag == "beta":
-        return idx, -q ** (idx + 1)
-    if tag == "gamma":
-        return idx, q ** idx
-    raise DomainError(f"unknown generator tag {tag!r}")
+def threefold_operator(tag: str, fock: TruncatedFock, ctx: QContext) -> sparse.csr_matrix:
+    """Three-fold coupled action of a generator as a sparse matrix.
 
-
-def apply_threefold(tag: str, vec: CoupledVector, fock: TruncatedFock,
-                    ctx: QContext) -> dict:
-    """Apply the three-fold coupled action of a generator to a sparse vector.
-
-    Each summand of the iterated coproduct is a triple of shift/diagonal
-    matrices, so one basis vector maps to at most one basis vector per term.
+    Sum over the (1 x coproduct)(coproduct) terms of Kronecker products of
+    the single-factor matrices, acting on the flattened basis index
+    (i * dim + j) * dim + k.  The action is multiplicative, so the coupled
+    gamma*gamma-adjoint operator whose eigenvectors ``coupled_vector``
+    returns is -q^{-1} T(gamma) T(beta).
     """
-    q = float(ctx.q)
-    N = fock.dim
-    out: dict = {}
-    for tags in threefold_terms(tag):
-        for idx, val in vec.coeffs.items():
-            coef = val
-            new = []
-            dead = False
-            for t, i in zip(tags, idx):
-                hit = _single_action(t, i, q, N)
-                if hit is None:
-                    dead = True
-                    break
-                j, c = hit
-                new.append(j)
-                coef *= c
-            if not dead:
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + coef
-    return out
-
-
-def apply_threefold_ggstar(vec: CoupledVector, fock: TruncatedFock, ctx: QContext) -> dict:
-    """Apply the coupled gamma*gamma-adjoint operator on three factors.
-
-    Expansion of the positivized diagonal element through the coproduct:
-    -q^{-1} (gb x ad + ga x ab + db x gd + da x gb), with the right legs
-    expanded once more.
-    """
-    q = float(ctx.q)
-    N = fock.dim
-    pairs = [("gamma", "beta", "alpha", "delta"),
-             ("gamma", "alpha", "alpha", "beta"),
-             ("delta", "beta", "gamma", "delta"),
-             ("delta", "alpha", "gamma", "beta")]
-    out: dict = {}
-    for g1, g2, h1, h2 in pairs:
-        # (g1 g2) on leg 1, coproduct of (h1 h2) on legs 2,3
-        for l1, r1 in _COPRODUCT[h1]:
-            for l2, r2 in _COPRODUCT[h2]:
-                for idx, val in vec.coeffs.items():
-                    coef = -val / q
-                    i = idx[0]
-                    dead = False
-                    for t in (g2, g1):
-                        hit = _single_action(t, i, q, N)
-                        if hit is None:
-                            dead = True
-                            break
-                        i, c = hit
-                        coef *= c
-                    if dead:
-                        continue
-                    j = idx[1]
-                    for t in (l2, l1):
-                        hit = _single_action(t, j, q, N)
-                        if hit is None:
-                            dead = True
-                            break
-                        j, c = hit
-                        coef *= c
-                    if dead:
-                        continue
-                    k = idx[2]
-                    for t in (r2, r1):
-                        hit = _single_action(t, k, q, N)
-                        if hit is None:
-                            dead = True
-                            break
-                        k, c = hit
-                        coef *= c
-                    if dead:
-                        continue
-                    key = (i, j, k)
-                    out[key] = out.get(key, 0.0) + coef
-    return out
+    mats = {t: sparse.csr_matrix(pi0_matrix(t, fock, ctx)) for t in _COPRODUCT}
+    return sum(sparse.kron(mats[a], sparse.kron(mats[b], mats[c]), format="csr")
+               for a, b, c in threefold_terms(tag))
 
 
 def sixj_oracle(x: int, p1: int, r1: int, p2: int, r2: int,

@@ -8,8 +8,7 @@ import pytest
 from qcoupling import (TruncatedFock, cg_coefficient, check_defining_relations,
                        coupled_vector, pi0_matrix, qpoch_infinite, sixj_oracle)
 from qcoupling.errors import DomainError, InsufficientTruncation
-from qcoupling.representation import (apply_threefold, apply_threefold_ggstar,
-                                      coproduct_terms, threefold_terms)
+from qcoupling.representation import coproduct_terms, threefold_operator, threefold_terms
 
 
 def test_fock_validation():
@@ -19,11 +18,11 @@ def test_fock_validation():
 
 def test_pi0_matrices(ctx05):
     fock = TruncatedFock(3)
-    g = pi0_matrix("gamma", fock, ctx05).matrix
+    g = pi0_matrix("gamma", fock, ctx05)
     assert np.allclose(np.diag(g), [1.0, 0.5, 0.25])
-    a = pi0_matrix("alpha", fock, ctx05).matrix
+    a = pi0_matrix("alpha", fock, ctx05)
     assert np.all(a[:, 0] == 0)  # lowering annihilates the vacuum
-    d = pi0_matrix("delta", fock, ctx05).matrix
+    d = pi0_matrix("delta", fock, ctx05)
     assert np.all(d[:, 2] == 0)  # raising drops at the cut
     with pytest.raises(DomainError):
         pi0_matrix("sigma", fock, ctx05)
@@ -32,8 +31,8 @@ def test_pi0_matrices(ctx05):
 def test_defining_relations_interior(ctx05):
     assert check_defining_relations(TruncatedFock(10), ctx05) < 1e-13
     fock = TruncatedFock(8)
-    be = pi0_matrix("beta", fock, ctx05).matrix
-    ga = pi0_matrix("gamma", fock, ctx05).matrix
+    be = pi0_matrix("beta", fock, ctx05)
+    ga = pi0_matrix("gamma", fock, ctx05)
     assert np.abs(be @ ga - ga @ be).max() == 0.0
 
 
@@ -71,7 +70,7 @@ def test_cg_symmetry(ctx05):
 def _pair_ggstar(fock, ctx):
     """Two-fold coupled action of the positivized diagonal element."""
     q = float(ctx.q)
-    g = {t: pi0_matrix(t, fock, ctx).matrix for t in ("alpha", "beta", "gamma", "delta")}
+    g = {t: pi0_matrix(t, fock, ctx) for t in ("alpha", "beta", "gamma", "delta")}
     return -(1 / q) * (np.kron(g["gamma"] @ g["beta"], g["alpha"] @ g["delta"])
                        + np.kron(g["gamma"] @ g["alpha"], g["alpha"] @ g["beta"])
                        + np.kron(g["delta"] @ g["beta"], g["gamma"] @ g["delta"])
@@ -110,17 +109,21 @@ def test_swapped_pair_scheme(ctx05):
     assert a.coeffs == b.coeffs
 
 
+def _interior_gap(applied, target, weight, fock):
+    """Max |applied - weight * target| over basis triples below the cut."""
+    N = fock.dim
+    gap = (applied - weight * target).reshape(N, N, N)
+    return np.abs(gap[:N - 1, :N - 1, :N - 1]).max()
+
+
 def test_threefold_eigen_residual(ctx05):
     fock = TruncatedFock(60)
     lam = float(ctx05.q) ** 2
+    ggstar = -(threefold_operator("gamma", fock, ctx05)
+               @ threefold_operator("beta", fock, ctx05)) / float(ctx05.q)
     for scheme in ("1(23)", "(12)3"):
-        v = coupled_vector(scheme, 1, 1, 0, fock, ctx05)
-        w = apply_threefold_ggstar(v, fock, ctx05)
-        resid = 0.0
-        for key in set(w) | set(v.coeffs):
-            if all(i < fock.dim - 1 for i in key):
-                resid = max(resid, abs(w.get(key, 0.0) - lam * v.coeffs.get(key, 0.0)))
-        assert resid < 1e-8
+        v = coupled_vector(scheme, 1, 1, 0, fock, ctx05).dense(fock)
+        assert _interior_gap(ggstar @ v, v, lam, fock) < 1e-8
 
 
 def test_threefold_generator_actions(ctx05):
@@ -128,28 +131,16 @@ def test_threefold_generator_actions(ctx05):
     fock = TruncatedFock(50)
     q = float(ctx05.q)
     x, p, r = 2, 1, -1
-    v = coupled_vector("1(23)", x, p, r, fock, ctx05)
+    v = coupled_vector("1(23)", x, p, r, fock, ctx05).dense(fock)
 
-    def compare(applied, target_vec, weight):
-        resid = 0.0
-        for key in set(applied) | set(target_vec.coeffs):
-            if all(i < fock.dim - 1 for i in key):
-                resid = max(resid, abs(applied.get(key, 0.0)
-                                       - weight * target_vec.coeffs.get(key, 0.0)))
-        return resid
+    def compare(tag, target_labels, weight):
+        target = coupled_vector("1(23)", *target_labels, fock, ctx05).dense(fock)
+        return _interior_gap(threefold_operator(tag, fock, ctx05) @ v, target, weight, fock)
 
-    assert compare(apply_threefold("alpha", v, fock, ctx05),
-                   coupled_vector("1(23)", x - 1, p, r, fock, ctx05),
-                   math.sqrt(1 - q ** (2 * x))) < 1e-8
-    assert compare(apply_threefold("delta", v, fock, ctx05),
-                   coupled_vector("1(23)", x + 1, p, r, fock, ctx05),
-                   math.sqrt(1 - q ** (2 * x + 2))) < 1e-8
-    assert compare(apply_threefold("beta", v, fock, ctx05),
-                   coupled_vector("1(23)", x, p + 1, r, fock, ctx05),
-                   -q ** (x + 1)) < 1e-8
-    assert compare(apply_threefold("gamma", v, fock, ctx05),
-                   coupled_vector("1(23)", x, p - 1, r, fock, ctx05),
-                   q ** x) < 1e-8
+    assert compare("alpha", (x - 1, p, r), math.sqrt(1 - q ** (2 * x))) < 1e-8
+    assert compare("delta", (x + 1, p, r), math.sqrt(1 - q ** (2 * x + 2))) < 1e-8
+    assert compare("beta", (x, p + 1, r), -q ** (x + 1)) < 1e-8
+    assert compare("gamma", (x, p - 1, r), q ** x) < 1e-8
 
 
 def test_oracle_structural_zero(ctx05):
