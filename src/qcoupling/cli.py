@@ -8,7 +8,7 @@ import sys
 
 from .errors import PlanInvalid
 from .qcore import TruncationPolicy
-from .verifier import CampaignPlan, eval_single, identity_descriptions, run_campaign
+from .verifier import CampaignPlan, _policy_from, eval_single, identity_descriptions, run_campaign
 
 
 def _parse_param(text: str):
@@ -27,14 +27,25 @@ def _parse_param(text: str):
 
 
 def _policy_from_args(args) -> TruncationPolicy:
-    kwargs = {}
+    doc = {}
     if args.max_terms is not None:
-        kwargs["max_terms"] = args.max_terms
+        doc["max_terms"] = args.max_terms
     if args.window is not None:
         lo, _, hi = args.window.partition(":")
-        kwargs["bilateral_window"] = (int(lo), int(hi))
-        kwargs["adaptive"] = False
-    return TruncationPolicy(**kwargs)
+        try:
+            doc["window"] = (int(lo), int(hi))
+        except ValueError:
+            raise PlanInvalid(f"--window needs lo:hi integers, got {args.window!r}")
+        doc["adaptive"] = False
+    return _policy_from(doc)
+
+
+def _plan_entries(doc) -> list:
+    """Plan objects of a document: one object, a list, or {"plans": [...]}."""
+    entries = doc.get("plans", [doc]) if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise PlanInvalid("a plan document is an object, a list, or {\"plans\": [...]}")
+    return entries
 
 
 def _emit(results, summary, out_path):
@@ -101,9 +112,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"plan invalid: {exc}", file=sys.stderr)
         return 2
-    entries = doc if isinstance(doc, list) else doc.get("plans", [doc])
     try:
-        plans = [CampaignPlan.from_dict(e) for e in entries]
+        plans = [CampaignPlan.from_dict(e) for e in _plan_entries(doc)]
         for plan in plans:
             plan.expand()  # validate grids up front
         results, summary = run_campaign(plans, jobs=args.jobs)

@@ -159,7 +159,8 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
     """Third Jackson q-Bessel function J_nu(x; q), integer order, x >= 0.
 
     Negative orders route through the reflection J_{-n}(x) = (-1)^n q^{n/2}
-    J_n(x q^n) exactly once.
+    J_n(x q^n) exactly once, rounded like every other value to the working
+    precision plus five digits.
     """
     nu = int(nu)
     q = ctx.q
@@ -171,10 +172,15 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
             return mp.mpf(1) if nu == 0 else mp.mpf(0)
     if nu < 0:
         n = -nu
-        if _lattice_y is not None:
-            return (-1) ** n * mp.sqrt(q) ** n * qbessel(n, None, ctx, policy,
-                                                         _lattice_y=_lattice_y + n)
-        return (-1) ** n * mp.sqrt(q) ** n * qbessel(n, x * q ** n, ctx, policy)
+        # the prefactor is applied at the working precision, never the caller's
+        with ctx.workdps(10):
+            if _lattice_y is not None:
+                val = qbessel(n, None, ctx, policy, _lattice_y=_lattice_y + n)
+            else:
+                val = qbessel(n, x * q ** n, ctx, policy)
+            val *= (-1) ** n * mp.sqrt(q) ** n
+        with ctx.workdps(5):
+            return +val
     if _lattice_y is not None:
         y = mp.mpf(_lattice_y)
     else:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import mpmath as mp
 
 from . import askey_wilson, coupling, multivariate, qcore, qfunctions, representation
-from .errors import PlanInvalid, QCouplingError
+from .errors import DomainError, PlanInvalid, QCouplingError
 from .qcore import QContext, TruncationPolicy
 
 __all__ = ["IDENTITIES", "CampaignPlan", "CaseResult", "eval_single", "run_campaign",
@@ -296,7 +296,7 @@ class CampaignPlan:
     q_values: tuple
     tolerance: float
     precision: int = 30
-    policy: Optional[dict] = None
+    policy: TruncationPolicy = TruncationPolicy()
 
     @staticmethod
     def from_dict(doc: dict) -> "CampaignPlan":
@@ -305,17 +305,16 @@ class CampaignPlan:
             grid = doc.get("grid", {})
             qs = tuple(doc.get("q", [0.5]))
             tol = float(doc.get("tolerance", 1e-8))
-        except (KeyError, TypeError) as exc:
+            precision = int(doc.get("precision", 30))
+        except (KeyError, TypeError, ValueError) as exc:
             raise PlanInvalid(f"malformed plan entry: {exc}")
         if ident not in IDENTITIES:
             raise PlanInvalid(f"unknown identity id {ident!r}")
         for qv in qs:
-            if not (0 < float(qv) < 1):
-                raise PlanInvalid(f"q must lie in (0,1), got {qv}")
+            _context(qv, precision)
         if not isinstance(grid, dict):
             raise PlanInvalid("grid must be an object of label -> values")
-        return CampaignPlan(ident, grid, qs, tol,
-                            int(doc.get("precision", 30)), doc.get("policy"))
+        return CampaignPlan(ident, grid, qs, tol, precision, _policy_from(doc.get("policy")))
 
     def expand(self) -> List[dict]:
         """Deterministic grid expansion: sorted labels, row-major order."""
@@ -324,7 +323,10 @@ class CampaignPlan:
         for lab in labels:
             spec = self.grid[lab]
             if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
-                axes.append([int(v) for v in range(int(spec["lo"]), int(spec["hi"]) + 1)])
+                try:
+                    axes.append(list(range(int(spec["lo"]), int(spec["hi"]) + 1)))
+                except (TypeError, ValueError) as exc:
+                    raise PlanInvalid(f"{lab}: bad lo/hi range: {exc}")
             elif isinstance(spec, list):
                 axes.append(spec)
             else:
@@ -341,31 +343,52 @@ class CampaignPlan:
 
 
 def _policy_from(doc: Optional[dict]) -> TruncationPolicy:
+    """Truncation policy of a plan's ``policy`` object; PlanInvalid if malformed."""
     if not doc:
         return TruncationPolicy()
+    if not isinstance(doc, dict):
+        raise PlanInvalid("policy must be an object")
     kwargs = {}
     for key in ("max_terms", "tail_tol", "adaptive", "tail_ratio"):
         if key in doc:
             kwargs[key] = doc[key]
-    if "window" in doc:
-        kwargs["bilateral_window"] = tuple(doc["window"])
-    return TruncationPolicy(**kwargs)
+    try:
+        if "window" in doc:
+            kwargs["bilateral_window"] = tuple(doc["window"])
+        return TruncationPolicy(**kwargs)
+    except (DomainError, TypeError, ValueError) as exc:
+        raise PlanInvalid(f"malformed policy: {exc}")
+
+
+def _context(q, precision: int) -> QContext:
+    try:
+        return QContext(q, precision)
+    except (DomainError, TypeError, ValueError) as exc:
+        raise PlanInvalid(f"invalid q {q!r} or precision {precision!r}: {exc}")
 
 
 def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
                 precision: int = 30, policy: Optional[TruncationPolicy] = None) -> CaseResult:
-    """Evaluate one identity instance; evaluation errors become failed cases."""
+    """Evaluate one identity instance; evaluation errors become failed cases.
+
+    An unknown identity, a missing label or an invalid q or precision raises
+    PlanInvalid instead: the instance cannot be set up at all.  A label value
+    that fails its cast is an evaluation error.
+    """
     if identity not in IDENTITIES:
         raise PlanInvalid(f"unknown identity id {identity!r}")
+    missing = [k for k in IDENTITIES[identity].required if k not in params]
+    if missing:
+        raise PlanInvalid(f"{identity}: missing labels {missing}")
     policy = policy or TruncationPolicy()
-    ctx = QContext(q, precision)
+    ctx = _context(q, precision)
     t0 = time.perf_counter()
     try:
         with ctx.workdps(10):
             residual = IDENTITIES[identity].evaluator(params, ctx, policy)
         residual = float(abs(residual))
         err = ""
-    except QCouplingError as exc:
+    except (QCouplingError, ArithmeticError, TypeError, ValueError) as exc:
         residual = float("inf")
         err = f"{type(exc).__name__}: {exc}"
     dt = time.perf_counter() - t0
@@ -375,8 +398,7 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
 
 
 def _run_case(args):
-    identity, params, qv, tol, precision, policy_doc = args
-    return eval_single(identity, params, qv, tol, precision, _policy_from(policy_doc))
+    return eval_single(*args)
 
 
 def run_campaign(plans: Sequence[CampaignPlan], jobs: int = 1):

@@ -137,3 +137,13 @@ def test_bilateral_sum_window_enlargement(ctx05):
 def test_bilateral_sum_nonconvergent():
     with pytest.raises(NonConvergent):
         bilateral_sum(lambda p: mp.mpf(1), TruncationPolicy(max_terms=50))
+
+
+@pytest.mark.parametrize("module", ["qcore", "qfunctions", "representation", "coupling",
+                                    "multivariate", "askey_wilson", "verifier"])
+def test_module_exports_resolve(module):
+    import importlib
+
+    mod = importlib.import_module(f"qcoupling.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing

@@ -122,6 +122,21 @@ def test_qbessel_reflection_involution(ctx05):
         assert abs(orig - reflected) <= 1e-12 * abs(orig)
 
 
+def test_qbessel_negative_order_ignores_ambient_precision():
+    # the reflection prefactor is applied at the working precision, so the
+    # value is the same whichever ambient precision the first caller had
+    from qcoupling import qfunctions
+
+    ctx = QContext("0.3")
+    values = []
+    for dps in (15, 60):
+        qfunctions._J_CACHE.clear()
+        with mp.workdps(dps):
+            values.append(qbessel_lattice(-2, -15, ctx))
+    qfunctions._J_CACHE.clear()
+    assert values[0] == values[1]
+
+
 def test_qbessel_domain(ctx05):
     with pytest.raises(DomainError):
         qbessel(1, -0.5, ctx05)

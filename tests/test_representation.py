@@ -84,10 +84,7 @@ def test_pair_vectors_eigen_and_norm(ctx05):
     q = float(ctx05.q)
     for x in range(0, 5):
         for p in range(-4, 5):
-            v = coupled_vector("12", x, p, 0, fock, ctx05)
-            vec = np.zeros(N * N)
-            for (m, n), c in v.coeffs.items():
-                vec[m * N + n] = c
+            vec = coupled_vector("12", x, p, 0, fock, ctx05).dense(fock)
             resid = np.abs((op @ vec - q ** (2 * x) * vec).reshape(N, N)[:N - 1, :N - 1]).max()
             assert resid < 1e-10
     v00 = coupled_vector("12", 0, 0, 0, TruncatedFock(60), ctx05)

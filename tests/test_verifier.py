@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from qcoupling import CampaignPlan, eval_single, run_campaign
+from qcoupling import CampaignPlan, TruncationPolicy, eval_single, run_campaign
 from qcoupling.cli import main as cli_main
 from qcoupling.errors import PlanInvalid
 from qcoupling.verifier import IDENTITIES, identity_descriptions
@@ -53,6 +53,13 @@ def test_plan_validation():
     missing = CampaignPlan.from_dict({"identity": "genfun", "grid": {"nu": [0]}})
     with pytest.raises(PlanInvalid):
         missing.expand()
+    # the truncation policy is built, and so checked, with the plan
+    plan = CampaignPlan.from_dict({"identity": "genfun", "grid": {"nu": [0]},
+                                   "policy": {"tail_tol": 1e-16, "window": [-5, 5]}})
+    assert plan.policy == TruncationPolicy(tail_tol=1e-16, bilateral_window=(-5, 5))
+    for bad in ({"window": [5, 1]}, {"tail_tol": "small"}, {"window": 3}, [1, 2]):
+        with pytest.raises(PlanInvalid):
+            CampaignPlan.from_dict({"identity": "genfun", "grid": {"nu": [0]}, "policy": bad})
 
 
 def test_plan_grid_expansion_order():
@@ -158,3 +165,29 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
     }))
     assert cli_main(["verify", str(plan_file)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv_or_plan, expected", [
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "q": ["abc"]}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"window": [5, 1]}}, 2),
+    (["eval", "hankel-orthogonality", "--param", "nu=1", "--param", "m=0"], 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": ["x"], "m": [0], "n": [0]}}, 1),
+], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int"])
+def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
+    # malformed plans and labels end in an exit code and a one-line message,
+    # never a traceback; a label that fails its cast is a failed case
+    if isinstance(argv_or_plan, dict):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(argv_or_plan))
+        argv_or_plan = ["verify", str(plan_file)]
+    assert cli_main(argv_or_plan) == expected
+    captured = capsys.readouterr()
+    if expected == 2:
+        assert captured.err.startswith("plan invalid:") and captured.err.count("\n") == 1
+    else:
+        report = [json.loads(line) for line in captured.out.strip().split("\n")]
+        assert "ValueError" in report[0]["error"]
+        assert report[-1]["summary"]["failed"] == 1
+
