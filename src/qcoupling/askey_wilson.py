@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import mpmath as mp
 
-from .errors import DomainError, PoleInLowerParameter
+from .errors import DomainError, NonConvergent, PoleInLowerParameter
 from .qcore import at_working_precision, QContext, qpoch_finite, qpoch_infinite
 from .multivariate import MultiBesselParams, multi_qbessel
 
@@ -75,25 +75,50 @@ def aw_poly(p: AWParams, ctx: QContext) -> mp.mpf:
     poles (a lower-parameter q-power crossing inside the series in the split
     form) do not occur in the merged form.
     """
+    if mp.mpf(p.a) == 0:
+        raise PoleInLowerParameter("parameter a must be nonzero")
+    guard = 15
+    for _ in range(6):
+        with ctx.workdps(guard):
+            out, lost = _aw_merged_sum(p, ctx)
+        if lost <= guard:
+            return +out
+        # the terms cancelled to more digits than the guard held: re-sum with
+        # a guard sized to that cancellation (a total that was pure roundoff
+        # understates it, hence the loop)
+        guard = lost + 15
+    raise NonConvergent(f"Askey-Wilson sum of degree {p.n} lost more than {guard} digits")
+
+
+def _aw_merged_sum(p: AWParams, ctx: QContext):
+    """(the merged sum over a^n, digits lost to cancellation) at the active precision.
+
+    The lost digits are log10 of the largest term over |total|; a total that
+    cancels to zero counts as every digit lost.
+    """
     q = ctx.q
     n = p.n
-    x = mp.mpf(p.x)
-    a, b, c, d = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d))
-    if a == 0:
-        raise PoleInLowerParameter("parameter a must be nonzero")
+    # mpf parameters enter as given, whatever precision they carry
+    x = mp.convert(p.x)
+    a, b, c, d = (mp.convert(v) for v in (p.a, p.b, p.c, p.d))
     B = a * b * c * d * q ** (n - 1)
-    with ctx.workdps(15):
-        total = mp.mpf(0)
-        num = mp.mpf(1)  # (q^{-n}, B, ax, a/x; q)_k q^k / (q;q)_k
-        for k in range(n + 1):
-            tail = qpoch_finite(a * b * q ** k, ctx, n - k) \
-                * qpoch_finite(a * c * q ** k, ctx, n - k) \
-                * qpoch_finite(a * d * q ** k, ctx, n - k)
-            total += num * tail
-            num *= (1 - q ** (k - n)) * (1 - B * q ** k) * (1 - a * x * q ** k) \
-                * (1 - a / x * q ** k) * q / (1 - q ** (k + 1))
-        out = total / a ** n
-    return +out
+    total = mp.mpf(0)
+    largest = mp.mpf(0)
+    num = mp.mpf(1)  # (q^{-n}, B, ax, a/x; q)_k q^k / (q;q)_k
+    for k in range(n + 1):
+        tail = qpoch_finite(a * b * q ** k, ctx, n - k) \
+            * qpoch_finite(a * c * q ** k, ctx, n - k) \
+            * qpoch_finite(a * d * q ** k, ctx, n - k)
+        term = num * tail
+        total += term
+        largest = max(largest, abs(term))
+        num *= (1 - q ** (k - n)) * (1 - B * q ** k) * (1 - a * x * q ** k) \
+            * (1 - a / x * q ** k) * q / (1 - q ** (k + 1))
+    if total == 0:
+        lost = mp.mp.dps
+    else:
+        lost = max(0, int(mp.ceil(mp.log10(largest / abs(total)))))
+    return total / a ** n, lost
 
 
 def _chain_factors(p: MultiAWParams, ctx: QContext):

@@ -40,6 +40,23 @@ def _policy_from_args(args) -> TruncationPolicy:
     return _policy_from(doc)
 
 
+def _attach_window(argv: list) -> list:
+    """Rewrite ``--window lo:hi`` as ``--window=lo:hi``.
+
+    argparse takes a separate value starting with '-', such as -3:3, for an
+    option and rejects it; attached with '=' it is read as the value.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--window":
+            value = next(args, None)
+            if value is not None:
+                arg = f"--window={value}"
+        out.append(arg)
+    return out
+
+
 def _plan_entries(doc) -> list:
     """Plan objects of a document: one object, a list, or {"plans": [...]}."""
     entries = doc.get("plans", [doc]) if isinstance(doc, dict) else doc
@@ -82,7 +99,7 @@ def main(argv=None) -> int:
 
     p_list = sub.add_parser("list", help="enumerate identity ids")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_window(sys.argv[1:] if argv is None else list(argv)))
 
     if args.command == "list":
         for name, desc in identity_descriptions():

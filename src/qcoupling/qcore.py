@@ -55,7 +55,9 @@ class QContext:
     """Deformation parameter q in (0,1) plus precision/tolerance settings.
 
     q may be given as float, str or mpf; it is normalized to an mpf at
-    construction.  working_precision is in decimal digits (>= 15).
+    construction.  A string is read at the working precision plus ten guard
+    digits, never the caller's; an mpf is kept as given.
+    working_precision is in decimal digits (>= 15).
     """
 
     q: object
@@ -63,11 +65,14 @@ class QContext:
     default_tol: float = 1e-12
 
     def __post_init__(self):
-        qv = mp.mpf(self.q)
-        if not (0 < qv < 1):
-            raise DomainError(f"q must lie strictly in (0,1), got {qv}")
         if self.working_precision < 15:
             raise DomainError("working_precision must be at least 15 digits")
+        qv = self.q
+        if not isinstance(qv, mp.mpf):
+            with self.workdps(10):
+                qv = mp.mpf(qv)
+        if not (0 < qv < 1):
+            raise DomainError(f"q must lie strictly in (0,1), got {qv}")
         object.__setattr__(self, "q", qv)
 
     def workdps(self, extra: int = 0):
@@ -76,7 +81,9 @@ class QContext:
 
     def base_squared(self) -> "QContext":
         """Context for the same computation carried out in base q^2."""
-        return QContext(self.q ** 2, self.working_precision, self.default_tol)
+        with self.workdps(10):
+            q2 = self.q ** 2
+        return QContext(q2, self.working_precision, self.default_tol)
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,8 @@ def qpoch_finite(a, ctx: QContext, n: int) -> mp.mpf:
 
 
 def qpoch_infinite(a, ctx: QContext, policy: Optional[TruncationPolicy] = None) -> SeriesResult:
-    """(a; q)_infty, truncated once |a| q^k drops below the tail tolerance.
+    """(a; q)_infty, truncated once |a| q^k drops below the tail tolerance
+    and below 10^-(working_precision+5).
 
     The tail bound uses log(prod (1-aq^k)) ~ -sum aq^k, so the first-order
     relative error after stopping at k is |a| q^k / (1-q), doubled to stay
@@ -140,10 +148,11 @@ def qpoch_infinite(a, ctx: QContext, policy: Optional[TruncationPolicy] = None) 
     a = mp.mpf(a)
     q = ctx.q
     tol = mp.mpf(policy.tail_tol)
+    stop = min(tol, mp.mpf(10) ** (-ctx.working_precision - 5))
     r = mp.mpf(1)
     aqk = a
     k = 0
-    while abs(aqk) >= tol:
+    while abs(aqk) >= stop:
         r *= 1 - aqk
         aqk *= q
         k += 1

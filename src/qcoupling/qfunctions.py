@@ -7,6 +7,7 @@ checks that tie the two families together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,9 +142,8 @@ _J_CACHE: dict = {}
 def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     """J_nu(q^y; q) on the lattice, cached by (nu, y, q).
 
-    For large arguments (very negative y) the series terms grow to about
-    q^{-(y+1)^2/2} before the quadratic factor takes over, so the working
-    precision is raised by that many digits.
+    Arguments y >= 0 are summed by the series, y < 0 by the Hahn-Exton
+    recurrence (see ``qbessel``).
     """
     key = (nu, y, str(ctx.q), ctx.working_precision)
     hit = _J_CACHE.get(key)
@@ -160,57 +160,146 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
 
     Negative orders route through the reflection J_{-n}(x) = (-1)^n q^{n/2}
     J_n(x q^n) exactly once, rounded like every other value to the working
-    precision plus five digits.
+    precision plus five digits.  A lattice argument q^y with y < 0 is
+    computed by the checked recurrence of ``_hahn_exton``; every other
+    argument, and a lattice value the recurrence cannot confirm, by the
+    series.
     """
     nu = int(nu)
     q = ctx.q
     if _lattice_y is None:
-        x = mp.mpf(x)
+        # the argument is read at the working precision, never the caller's
+        with ctx.workdps(10):
+            x = mp.mpf(x)
         if x < 0:
             raise DomainError("qbessel needs x >= 0")
         if x == 0:
             return mp.mpf(1) if nu == 0 else mp.mpf(0)
     if nu < 0:
         n = -nu
+        if _lattice_y is not None:
+            val = qbessel(n, None, ctx, policy, _lattice_y=_lattice_y + n)
+        else:
+            with ctx.workdps(10):
+                xn = x * q ** n
+            val = qbessel(n, xn, ctx, policy)
         # the prefactor is applied at the working precision, never the caller's
         with ctx.workdps(10):
-            if _lattice_y is not None:
-                val = qbessel(n, None, ctx, policy, _lattice_y=_lattice_y + n)
-            else:
-                val = qbessel(n, x * q ** n, ctx, policy)
             val *= (-1) ** n * mp.sqrt(q) ** n
         with ctx.workdps(5):
             return +val
-    if _lattice_y is not None:
-        y = mp.mpf(_lattice_y)
-    else:
-        y = mp.log(x) / mp.log(q)
+    if _lattice_y is not None and _lattice_y < 0:
+        val = _hahn_exton(nu, _lattice_y, ctx)
+        if val is not None:
+            return val
+    return _series(nu, x, _lattice_y, ctx, policy)
+
+
+def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
+            policy: Optional[TruncationPolicy]) -> mp.mpf:
+    """J_nu(x) = x^{nu/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q x), nu >= 0.
+
+    x is q^lattice_y when lattice_y is given.  For large arguments (y < 0)
+    the terms grow to about q^{-(y+1)^2/2} before the quadratic factor takes
+    over, so guard digits of that size are added and re-widened until two
+    evaluations agree; NonConvergent if eight rounds never do.
+    """
+    q = ctx.q
+    with ctx.workdps(10):
+        y = mp.mpf(lattice_y) if lattice_y is not None else mp.log(x) / mp.log(q)
     guard = 10
     if y < 0:
         # alternating-series cancellation: terms peak near q^{-(y+1)^2/2} and
-        # the value itself decays like a q-power quadratic in y, so guard
-        # digits are re-widened until two evaluations agree
+        # the value itself decays like a q-power quadratic in y
         guard += int(mp.ceil(((abs(y) + 1) ** 2 / 2 + abs(y) * abs(nu) / 2)
                              * mp.log(1 / q, 10)))
     prev = None
-    val = None
     for _ in range(8):
         with ctx.workdps(guard):
             # the lattice argument is re-raised at full precision each round;
             # a low-precision argument would poison the cancellation
-            xw = q ** _lattice_y if _lattice_y is not None else mp.mpf(x)
+            xw = q ** lattice_y if lattice_y is not None else x
             series = rphis([mp.mpf(0)], [q ** (nu + 1)], ctx, q * xw, policy)
-            val = xw ** (mp.mpf(nu) / 2) * qpoch_infinite(q ** (nu + 1), ctx).value \
-                / qpoch_infinite(q, ctx).value * series.value
-        if y >= 0:
-            break
-        if prev is not None:
-            tol = mp.mpf(10) ** (-ctx.working_precision) \
-                * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
-            if abs(val - prev) <= tol:
+            # (q^{nu+1}; q)_inf / (q; q)_inf is exactly 1 / (q; q)_nu
+            val = xw ** (mp.mpf(nu) / 2) / qpoch_finite(q, ctx, nu) * series.value
+            if y >= 0:
                 break
+            if prev is not None:
+                tol = mp.mpf(10) ** (-ctx.working_precision) \
+                    * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
+                if abs(val - prev) <= tol:
+                    break
         prev = val
         guard = int(guard * 3 // 2) + 30
+    else:
+        raise NonConvergent(f"J_{nu} series: eight precision rounds never agreed")
+    with ctx.workdps(5):
+        return +val
+
+
+def _start_depth(nu: int, y: int, q: float, digits: int) -> int:
+    """Steps below y after which a start's share of the dominated solution is 10^-digits.
+
+    Where |c_k| > 2 for c_k = (1 + q^nu - q^k) q^{-nu/2}, one upward step
+    of the recurrence shrinks that share by lambda_k^2, the larger root of
+    t^2 - c_k t + 1 squared; where |c_k| <= 2 both solutions oscillate.
+    """
+    lq = math.log10(q)
+    k = y
+    while digits > 0:
+        k -= 1
+        if k * lq < 300:  # q^k still a float
+            v = abs(1 + q ** nu - q ** k)
+            lc = math.log10(v) if v > 0 else -math.inf
+        else:
+            lc = k * lq
+        lc -= nu / 2 * lq
+        if lc > math.log10(2):
+            digits -= 2 * (lc + math.log10((1 + math.sqrt(1 - 4 * 10 ** (-2 * lc))) / 2))
+    return y - k
+
+
+def _hahn_exton(nu: int, y: int, ctx: QContext) -> Optional[mp.mpf]:
+    """J_nu(q^y) for nu >= 0 and y < 0 from the Hahn-Exton q-difference equation.
+
+    On the lattice, q^{nu/2} (J(k+1) + J(k-1)) = (1 + q^nu - q^k) J(k), and
+    J is its recessive solution as k -> -inf (Koornwinder-Swarttouw), so
+    recurring upward is stable: started from (0, 1) at k = y - depth, the
+    other solution's share dies out on the way up.  J_nu(q^y) is then
+    f(y) / f(0) times the series value J_nu(q^0).  Every value recurs from
+    its own start, so it depends on (nu, y, q, precision) alone.  Two
+    depths must agree to 10^-(wp+3) relative; the depth doubles while they
+    do not, and after three doublings None hands the value to the series.
+    """
+    one = qbessel_lattice(nu, 0, ctx)
+    depth = _start_depth(nu, y, float(ctx.q), ctx.working_precision + 10)
+    with ctx.workdps(15):
+        q = ctx.q
+        diag = 1 + q ** nu
+        scale = mp.sqrt(q) ** nu
+        tol = mp.mpf(10) ** (-ctx.working_precision - 3)
+
+        def ratio(d):
+            prev, cur = mp.mpf(0), mp.mpf(1)
+            qk = q ** (y - d)
+            at_y = cur
+            for k in range(y - d, 0):
+                if k == y:
+                    at_y = cur
+                prev, cur = cur, (diag - qk) * cur / scale - prev
+                qk *= q
+            return at_y / cur
+
+        shallow = ratio(depth)
+        for _ in range(3):
+            depth *= 2
+            deep = ratio(depth)
+            if abs(deep - shallow) <= tol * abs(deep):
+                val = deep * one
+                break
+            shallow = deep
+        else:
+            return None
     with ctx.workdps(5):
         return +val
 
@@ -250,8 +339,8 @@ def genfun_check(nu: int, x, t, ctx: QContext,
     """
     policy = policy or TruncationPolicy()
     q = ctx.q
-    x = mp.mpf(x)
-    t = mp.mpf(t)
+    with ctx.workdps(15):
+        x, t = mp.mpf(x), mp.mpf(t)
     if not abs(t) < 1:
         raise DomainError("generating relation needs |t| < 1")
     with ctx.workdps(15):
@@ -273,8 +362,8 @@ def wall_genfun_check(n: int, nu: int, x, ctx: QContext,
         raise DomainError("wall_genfun_check needs n >= 0")
     policy = policy or TruncationPolicy()
     q = ctx.q
-    x = mp.mpf(x)
     with ctx.workdps(15):
+        x = mp.mpf(x)
         lhs, m = _shifted_j_sum(nu - n, x, q ** (nu + 1), ctx, policy, "wall_genfun_check")
         wall = rphis([q ** (-n), mp.mpf(0)], [x * q], ctx, q ** (nu + 1), policy).value
         rhs = x ** (mp.mpf(nu - n) / 2) * qpoch_infinite(q * x, ctx).value \

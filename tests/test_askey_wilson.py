@@ -56,6 +56,16 @@ def test_aw_point_inversion(ctx05):
         assert abs(v1 - v2) <= 1e-12 * abs(v1)
 
 
+def test_aw_symmetry_guard_follows_cancellation():
+    # at degree 14 and q = 0.3 the merged sum cancels to about 50 digits, more
+    # than a fixed 15-digit guard over working precision 30 holds
+    from qcoupling import eval_single
+
+    for n in (14, 20):
+        result = eval_single("aw-symmetry", {"n": n}, 0.3)
+        assert result.passed and result.residual < 1e-25
+
+
 def test_aw_collision_is_finite(ctx05):
     # ac = 1 makes the split form 0 x inf; the merged sum stays finite
     a, c = mp.mpf(2), mp.mpf("0.5")

@@ -17,6 +17,17 @@ def test_qcontext_validation():
     assert ctx.base_squared().q == mp.mpf(0.25)
 
 
+def test_qcontext_reads_q_at_working_precision():
+    # a string q is read at the working precision, not the caller's 15 digits,
+    # and the squared base is exact
+    with mp.workdps(15):
+        ctx = QContext("0.3", 50)
+        squared = QContext(0.3).base_squared()
+    with mp.workdps(80):
+        assert abs(ctx.q - mp.mpf("0.3")) <= mp.mpf("1e-50") * ctx.q
+        assert squared.q == mp.mpf(0.3) ** 2
+
+
 def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(bilateral_window=(5, -5))
@@ -54,6 +65,16 @@ def test_qpoch_infinite_against_brute_product(ctx05):
     res = qpoch_infinite(0.5, ctx05)
     assert res.converged
     assert abs(res.value - brute) < 1e-24
+
+
+def test_qpoch_infinite_reaches_working_precision():
+    # the product runs until its factors are 1 to the working precision, not
+    # only to the policy's absolute tail tolerance
+    ctx = QContext("0.5", 40)
+    got = qpoch_infinite(ctx.q, ctx).value
+    with mp.workdps(60):
+        ref = mp.qp(ctx.q, ctx.q)
+        assert abs(got - ref) <= mp.mpf("1e-40") * ref
 
 
 @settings(max_examples=25, deadline=None)

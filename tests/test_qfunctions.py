@@ -1,10 +1,12 @@
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcoupling import (QContext, TruncationPolicy, WallParams, genfun_check, qbessel,
+from qcoupling import (QContext, SeriesResult, TruncationPolicy, WallParams, genfun_check, qbessel,
                        qbessel_lattice, qpoch_finite, qpoch_infinite, wall_genfun_check,
                        wall_orthonormal, wall_orthonormal_run, wall_poly, wall_poly_alt)
-from qcoupling.errors import DomainError
+from qcoupling import qfunctions
+from qcoupling.errors import DomainError, NonConvergent
 
 
 def test_wall_degree_zero(ctx05):
@@ -125,8 +127,6 @@ def test_qbessel_reflection_involution(ctx05):
 def test_qbessel_negative_order_ignores_ambient_precision():
     # the reflection prefactor is applied at the working precision, so the
     # value is the same whichever ambient precision the first caller had
-    from qcoupling import qfunctions
-
     ctx = QContext("0.3")
     values = []
     for dps in (15, 60):
@@ -135,6 +135,80 @@ def test_qbessel_negative_order_ignores_ambient_precision():
             values.append(qbessel_lattice(-2, -15, ctx))
     qfunctions._J_CACHE.clear()
     assert values[0] == values[1]
+
+
+def test_qbessel_off_lattice_ignores_ambient_precision(ctx05):
+    # an off-lattice argument is read at the working precision: a string x
+    # gives the same value whichever ambient precision the caller had
+    for nu in (1, -2):
+        values = []
+        for dps in (15, 45):
+            with mp.workdps(dps):
+                values.append(qbessel(nu, "0.3", ctx05))
+        assert values[0] == values[1]
+
+
+def test_qbessel_series_rounds_that_never_agree_raise(ctx05, monkeypatch):
+    # a deep off-lattice argument re-widens the series until two rounds agree;
+    # when none do, the value is flagged instead of returned
+    calls = []
+
+    def drifting(*args, **kwargs):
+        calls.append(1)
+        return SeriesResult(mp.mpf(len(calls)), mp.mpf(0), 1, True)
+
+    monkeypatch.setattr(qfunctions, "rphis", drifting)
+    with pytest.raises(NonConvergent):
+        qbessel(1, 7, ctx05)
+    assert len(calls) == 8
+
+
+def _series_oracle(nu, y, ctx):
+    """J_nu(q^y) from the series alone, negative orders by the reflection."""
+    n = abs(nu)
+    if nu >= 0:
+        return qfunctions._series(n, None, y, ctx, None)
+    with mp.workdps(ctx.working_precision + 20):
+        return (-1) ** n * mp.sqrt(ctx.q) ** n * qfunctions._series(n, None, y + n, ctx, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.integers(-5, 5), y=st.integers(-20, -1), q=st.floats(0.2, 0.9),
+       wp=st.sampled_from([20, 30, 50]))
+def test_qbessel_recurrence_matches_series(nu, y, q, wp):
+    ctx = QContext(q, wp)
+    n, yn = abs(nu), (y if nu >= 0 else y + abs(nu))
+    if yn < 0:
+        # the recurrence itself confirmed the value; no series fallback
+        assert qfunctions._hahn_exton(n, yn, ctx) is not None
+    got = qbessel_lattice(nu, y, ctx)
+    want = _series_oracle(nu, y, ctx)
+    with mp.workdps(wp + 20):
+        assert abs(got - want) <= mp.mpf(10) ** (-wp) * abs(want)
+
+
+def test_qbessel_lattice_fill_order_does_not_matter():
+    # every value recurs from its own start, so a column filled upward is bit
+    # for bit the column filled downward
+    columns = []
+    for ys in (range(-20, 0), range(-1, -21, -1)):
+        qfunctions._J_CACHE.clear()
+        columns.append({(nu, qs, y): qbessel_lattice(nu, y, QContext(qs))
+                        for qs in ("0.3", "0.5") for nu in (0, 3, -2) for y in ys})
+    qfunctions._J_CACHE.clear()
+    assert columns[0] == columns[1]
+
+
+def test_qbessel_high_order_prefactor():
+    # (q^{nu+1}; q)_inf / (q; q)_inf is 1 / (q; q)_nu exactly; at nu = 90 the
+    # numerator is 1 to 27 digits, so a product cut at an absolute tolerance
+    # leaves a relative error at that tolerance
+    ctx = QContext("0.5")
+    got = qbessel_lattice(90, 0, ctx)
+    with mp.workdps(120):
+        q = ctx.q
+        ref = mp.qp(q ** 91, q) / mp.qp(q, q) * mp.qhyper([0], [q ** 91], q, q)
+        assert abs(got - ref) <= mp.mpf("1e-30") * abs(ref)
 
 
 def test_qbessel_domain(ctx05):

@@ -121,6 +121,19 @@ def test_cli_eval_exit_codes(capsys):
     assert cli_main(["eval", "not-an-identity"]) == 2
 
 
+def test_cli_eval_window_as_separate_argument(capsys):
+    # "--window -3:3" is read like "--window=-3:3", not as an unknown option
+    base = ["eval", "hankel-orthogonality", "--param", "nu=0", "--param", "m=0",
+            "--param", "n=0"]
+    reports = []
+    for window in (["--window", "-3:3"], ["--window=-3:3"]):
+        assert cli_main(base + window) == 1  # the narrow window misses the tails
+        reports.append(json.loads(capsys.readouterr().out))
+    reports[0].pop("wall_time"), reports[1].pop("wall_time")
+    assert reports[0] == reports[1]
+    assert reports[0]["residual"] > 0.01
+
+
 def test_cli_verify_roundtrip(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({
