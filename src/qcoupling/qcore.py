@@ -111,12 +111,17 @@ class TruncationPolicy:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A numeric value with an estimated truncation error."""
+    """A numeric value with an estimated truncation error.
+
+    max_term is the largest term magnitude of a series (rphis sets it), so
+    max_term / |value| measures the sum's cancellation.
+    """
 
     value: mp.mpf
     est_error: mp.mpf
     terms_used: int
     converged: bool
+    max_term: Optional[mp.mpf] = None
 
     def __float__(self):
         return float(self.value)
@@ -210,7 +215,7 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
     while True:
         total += term
         if nterm is not None and k == nterm:
-            return SeriesResult(total, mp.mpf(0), k + 1, True)
+            return SeriesResult(total, mp.mpf(0), k + 1, True, max_term)
         num = mp.mpf(1)
         for a in upper:
             num *= 1 - a * q ** k
@@ -234,7 +239,7 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
                     total += term
                     est = 2 * thr / (1 - q)
                     return SeriesResult(total, est, k + 1,
-                                        bool(est <= mp.mpf(policy.tail_tol)))
+                                        bool(est <= mp.mpf(policy.tail_tol)), max_term)
             else:
                 small = 0
             if k > policy.max_terms:

@@ -202,7 +202,10 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
     x is q^lattice_y when lattice_y is given.  For large arguments (y < 0)
     the terms grow to about q^{-(y+1)^2/2} before the quadratic factor takes
     over, so guard digits of that size are added and re-widened until two
-    evaluations agree; NonConvergent if eight rounds never do.
+    evaluations agree.  For y >= 0 the terms still grow like 1/(q;q)_k^2
+    when q is near 1, so a sum that cancels more digits than its guard
+    spares is re-summed with a guard sized to that cancellation.
+    NonConvergent if eight rounds never settle.
     """
     q = ctx.q
     with ctx.workdps(10):
@@ -223,14 +226,20 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
             # (q^{nu+1}; q)_inf / (q; q)_inf is exactly 1 / (q; q)_nu
             val = xw ** (mp.mpf(nu) / 2) / qpoch_finite(q, ctx, nu) * series.value
             if y >= 0:
-                break
-            if prev is not None:
-                tol = mp.mpf(10) ** (-ctx.working_precision) \
-                    * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
-                if abs(val - prev) <= tol:
+                lost = int(mp.ceil(mp.log10(series.max_term / abs(series.value)))) \
+                    if series.value else mp.mp.dps
+                if lost <= guard - 5:
                     break
+                wider = lost + 10
+            else:
+                if prev is not None:
+                    tol = mp.mpf(10) ** (-ctx.working_precision) \
+                        * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
+                    if abs(val - prev) <= tol:
+                        break
+                wider = int(guard * 3 // 2) + 30
         prev = val
-        guard = int(guard * 3 // 2) + 30
+        guard = wider
     else:
         raise NonConvergent(f"J_{nu} series: eight precision rounds never agreed")
     with ctx.workdps(5):

@@ -211,6 +211,20 @@ def test_qbessel_high_order_prefactor():
         assert abs(got - ref) <= mp.mpf("1e-30") * abs(ref)
 
 
+@pytest.mark.parametrize("qs", ["0.95", "0.97"])
+def test_qbessel_series_cancellation_near_one(qs):
+    # near q = 1 the y >= 0 series terms grow like 1/(q;q)_k^2 before they
+    # decay, so its guard follows the cancellation; the recurrence at y < 0
+    # is normalized by that value and inherits its accuracy
+    ctx = QContext(qs)
+    q = ctx.q
+    for y in (0, -1):
+        got = qbessel_lattice(0, y, ctx)
+        with mp.workdps(120):
+            ref = mp.qhyper([0], [q], q, q ** (y + 1))  # J_0(x) = 1phi1(0; q; q, qx)
+            assert abs(got - ref) <= mp.mpf("1e-30") * abs(ref)
+
+
 def test_qbessel_domain(ctx05):
     with pytest.raises(DomainError):
         qbessel(1, -0.5, ctx05)
