@@ -241,7 +241,7 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
         prev = val
         guard = wider
     else:
-        raise NonConvergent(f"J_{nu} series: eight precision rounds never agreed")
+        raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
     with ctx.workdps(5):
         return +val
 
@@ -250,8 +250,9 @@ def _start_depth(nu: int, y: int, q: float, digits: int) -> int:
     """Steps below y after which a start's share of the dominated solution is 10^-digits.
 
     Where |c_k| > 2 for c_k = (1 + q^nu - q^k) q^{-nu/2}, one upward step
-    of the recurrence shrinks that share by lambda_k^2, the larger root of
-    t^2 - c_k t + 1 squared; where |c_k| <= 2 both solutions oscillate.
+    of the recurrence shrinks that share by lambda_k^2, lambda_k being the
+    larger root of t^2 - c_k t + 1; where |c_k| <= 2 both solutions
+    oscillate and the share does not shrink.
     """
     lq = math.log10(q)
     k = y
