@@ -217,7 +217,7 @@ _YB_OPS: Dict[tuple, sparse.csr_matrix] = {}
 
 def _yb_sector_kernel(nu: int, offsets, ctx: QContext) -> Dict[int, float]:
     """Toeplitz kernel K(d) = (-q)^d J_nu(q^{2d}; q^2) over the given offsets."""
-    key = (nu, min(offsets), max(offsets), str(ctx.q), ctx.working_precision)
+    key = (nu, min(offsets), max(offsets), ctx.q_key, ctx.working_precision)
     hit = _YB_KERNELS.get(key)
     if hit is not None:
         return hit
@@ -237,7 +237,7 @@ def _yb_operator(u: int, v: int, window: Tuple[int, int], ctx: QContext) -> spar
     so that the coefficient depends only on (t1, t2, y).  Depends on u, v
     only through u+v, which the cache exploits.
     """
-    key = (u + v, window, str(ctx.q), ctx.working_precision)
+    key = (u + v, window, ctx.q_key, ctx.working_precision)
     hit = _YB_OPS.get(key)
     if hit is not None:
         return hit

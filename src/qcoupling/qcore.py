@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import repr_dps
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 
@@ -58,6 +59,11 @@ class QContext:
     construction.  A string is read at the working precision plus ten guard
     digits, never the caller's; an mpf is kept as given.
     working_precision is in decimal digits (>= 15).
+
+    Two derived values, ``q_key`` and the base-q^2 context of
+    ``base_squared``, are computed on first use and kept on the instance.
+    They are not fields, so equality, hashing and repr see only q, the
+    precision and the tolerance.
     """
 
     q: object
@@ -79,11 +85,32 @@ class QContext:
         """mpmath context manager pinning the working precision."""
         return mp.workdps(self.working_precision + extra)
 
-    def base_squared(self) -> "QContext":
-        """Context for the same computation carried out in base q^2."""
+    @functools.cached_property
+    def q_key(self) -> str:
+        """Decimal key of the exact base, for the module caches.
+
+        q is printed with the working precision plus twelve digits, or two
+        more than its own mantissa needs to be read back (``repr_dps``),
+        whichever is more, so distinct bases print apart and the caller's
+        mp.dps never enters.  Caches key on (q_key, working_precision).
+        """
+        bits = self.q._mpf_[3]
+        with mp.workdps(max(self.working_precision + 12, repr_dps(bits) + 2)):
+            return str(self.q)
+
+    @functools.cached_property
+    def _squared(self) -> "QContext":
         with self.workdps(10):
             q2 = self.q ** 2
         return QContext(q2, self.working_precision, self.default_tol)
+
+    def base_squared(self) -> "QContext":
+        """Context for the same computation carried out in base q^2.
+
+        q^2 is formed at the working precision plus ten digits, once per
+        context; every call returns the same instance.
+        """
+        return self._squared
 
 
 @dataclass(frozen=True)
@@ -147,8 +174,12 @@ def qpoch_infinite(a, ctx: QContext, policy: Optional[TruncationPolicy] = None) 
 
     The tail bound uses log(prod (1-aq^k)) ~ -sum aq^k, so the first-order
     relative error after stopping at k is |a| q^k / (1-q), doubled to stay
-    conservative.
+    conservative.  The product runs at the working precision plus ten
+    digits, or at the caller's precision when that is higher.
     """
+    if mp.mp.dps < ctx.working_precision + 10:
+        with ctx.workdps(10):
+            return qpoch_infinite(a, ctx, policy)
     policy = policy or TruncationPolicy()
     a = mp.mpf(a)
     q = ctx.q

@@ -140,12 +140,14 @@ _J_CACHE: dict = {}
 
 
 def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
-    """J_nu(q^y; q) on the lattice, cached by (nu, y, q).
+    """J_nu(q^y; q) on the lattice, cached by (nu, y, ctx.q_key, working precision).
 
+    The base enters the key as the decimal ``QContext.q_key``, so the
+    value is the one for this exact q whatever the caller's mp.dps.
     Arguments y >= 0 are summed by the series, y < 0 by the Hahn-Exton
     recurrence (see ``qbessel``).
     """
-    key = (nu, y, str(ctx.q), ctx.working_precision)
+    key = (nu, y, ctx.q_key, ctx.working_precision)
     hit = _J_CACHE.get(key)
     if hit is not None:
         return hit

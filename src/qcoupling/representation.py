@@ -112,7 +112,7 @@ def check_defining_relations(fock: TruncatedFock, ctx: QContext) -> float:
 
 
 class CGTable:
-    """Cached Clebsch-Gordan coefficients for one (q, nmax).
+    """Cached Clebsch-Gordan coefficients for one (q, working precision, nmax).
 
     C(x, m, n) is an orthonormal Wall value in base q^2 with degree
     min(m, n), parameter q^{2|n-m|} and argument q^{2x}; it vanishes for any
@@ -141,11 +141,11 @@ class CGTable:
         return self.column(x, abs(n - m))[deg]
 
 
-_CG_TABLES: Dict[Tuple[str, int], CGTable] = {}
+_CG_TABLES: Dict[Tuple[str, int, int], CGTable] = {}
 
 
 def _cg_table(ctx: QContext, nmax: int = 70) -> CGTable:
-    key = (str(ctx.q), nmax)
+    key = (ctx.q_key, ctx.working_precision, nmax)
     tbl = _CG_TABLES.get(key)
     if tbl is None:
         tbl = CGTable(ctx, nmax)

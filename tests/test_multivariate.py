@@ -3,7 +3,7 @@ import random
 import mpmath as mp
 import pytest
 
-from qcoupling import (MultiBesselParams, ThreeNJParams, TruncatedFock,
+from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock,
                        TruncationPolicy, cg_expansion_residual, coupled_vector, hat,
                        multi_cg, multi_orthogonality_residual, multi_qbessel,
                        multivariate_be_cross_check, qbessel_lattice, recoupling_R,
@@ -135,6 +135,24 @@ def test_left_chain_single_factor_conventions(ctx05):
     got = threenj_S(p, ctx05)
     expect = recoupling_R(2, 1, 0, -1, 1, 0, ctx05)
     assert got == expect
+
+
+def test_left_chain_sweep_builds_two_contexts(monkeypatch):
+    # every recoupling weight of the sweep reuses the case context's one
+    # squared base instead of building its own
+    built = []
+    post_init = QContext.__post_init__
+
+    def counting(self):
+        built.append(self.q)
+        post_init(self)
+
+    monkeypatch.setattr(QContext, "__post_init__", counting)
+    ctx = QContext("0.5")
+    for r1 in range(-11, 12):
+        for r2 in range(-11, 12):
+            threenj_S(ThreeNJParams(1, (0, 1, -1, 0), (r1, r2), (1, 0)), ctx)
+    assert len(built) <= 2
 
 
 def test_left_chain_lacks_self_duality(ctx05):

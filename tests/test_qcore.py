@@ -28,6 +28,39 @@ def test_qcontext_reads_q_at_working_precision():
         assert squared.q == mp.mpf(0.3) ** 2
 
 
+def test_base_squared_is_built_once():
+    ctx = QContext("0.3", 40)
+    squared = ctx.base_squared()
+    assert squared is ctx.base_squared()
+    with mp.workdps(50):
+        fresh = QContext(ctx.q ** 2, 40)
+    assert squared.q == fresh.q and squared == fresh
+
+
+def test_qcontext_memos_are_invisible():
+    # the q key and the squared base are kept on the instance, outside the
+    # fields that equality, hashing and repr read
+    used = QContext("0.3", 40)
+    used.base_squared().base_squared()
+    assert used.q_key and used.base_squared().q_key
+    fresh = QContext("0.3", 40)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert {used: 1}[fresh] == 1
+
+
+def test_q_key_separates_bases_and_ignores_ambient_precision():
+    with mp.workdps(45):
+        near = [mp.mpf("0.5"), mp.mpf("0.5") + mp.mpf("1e-20"), mp.mpf("0.5") + mp.mpf("1e-40")]
+    keys = set()
+    for q in near:
+        with mp.workdps(15):
+            low = QContext(q).q_key
+        with mp.workdps(80):
+            assert QContext(q).q_key == low
+        keys.add(low)
+    assert len(keys) == 3
+
+
 def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(bilateral_window=(5, -5))
@@ -69,12 +102,15 @@ def test_qpoch_infinite_against_brute_product(ctx05):
 
 def test_qpoch_infinite_reaches_working_precision():
     # the product runs until its factors are 1 to the working precision, not
-    # only to the policy's absolute tail tolerance
+    # only to the policy's absolute tail tolerance, and multiplies at that
+    # precision under any ambient precision of the caller
     ctx = QContext("0.5", 40)
-    got = qpoch_infinite(ctx.q, ctx).value
-    with mp.workdps(60):
-        ref = mp.qp(ctx.q, ctx.q)
-        assert abs(got - ref) <= mp.mpf("1e-40") * ref
+    for dps in (15, 45):
+        with mp.workdps(dps):
+            got = qpoch_infinite(ctx.q, ctx).value
+        with mp.workdps(60):
+            ref = mp.qp(ctx.q, ctx.q)
+            assert abs(got - ref) <= mp.mpf("1e-40") * ref
 
 
 @settings(max_examples=25, deadline=None)

@@ -199,6 +199,37 @@ def test_qbessel_lattice_fill_order_does_not_matter():
     assert columns[0] == columns[1]
 
 
+def test_qbessel_lattice_keys_on_exact_q():
+    # two bases that agree to 20 digits print alike at the default 15 digits;
+    # each must get its own table entry, equal to a fresh evaluation
+    with mp.workdps(45):
+        ctxs = [QContext(mp.mpf("0.5")), QContext(mp.mpf("0.5") + mp.mpf("1e-20"))]
+    qfunctions._J_CACHE.clear()
+    with mp.workdps(15):
+        shared = [qbessel_lattice(1, -5, ctx) for ctx in ctxs]
+    entries = [k for k in qfunctions._J_CACHE if k[:2] == (1, -5)]
+    fresh = []
+    for ctx in ctxs:
+        qfunctions._J_CACHE.clear()
+        with mp.workdps(15):
+            fresh.append(qbessel_lattice(1, -5, ctx))
+    qfunctions._J_CACHE.clear()
+    assert len(entries) == 2
+    assert shared == fresh and shared[0] != shared[1]
+
+
+def test_qbessel_lattice_one_entry_per_ambient_precision():
+    ctx = QContext("0.3")
+    qfunctions._J_CACHE.clear()
+    values = []
+    for dps in (15, 60):
+        with mp.workdps(dps):
+            values.append(qbessel_lattice(0, -3, ctx))
+    entries = [k for k in qfunctions._J_CACHE if k[:2] == (0, -3)]
+    qfunctions._J_CACHE.clear()
+    assert len(entries) == 1 and values[0] == values[1]
+
+
 def test_qbessel_high_order_prefactor():
     # (q^{nu+1}; q)_inf / (q; q)_inf is 1 / (q; q)_nu exactly; at nu = 90 the
     # numerator is 1 to 27 digits, so a product cut at an absolute tolerance

@@ -5,10 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcoupling import (TruncatedFock, cg_coefficient, check_defining_relations,
+from qcoupling import (QContext, TruncatedFock, cg_coefficient, check_defining_relations,
                        coupled_vector, pi0_matrix, qpoch_infinite, sixj_oracle)
 from qcoupling.errors import DomainError, InsufficientTruncation
-from qcoupling.representation import coproduct_terms, threefold_operator, threefold_terms
+from qcoupling.representation import (_cg_table, coproduct_terms, threefold_operator,
+                                     threefold_terms)
 
 
 def test_fock_validation():
@@ -164,3 +165,10 @@ def test_oracle_total_label_independence(ctx05):
 def test_oracle_truncation_guard(ctx05):
     with pytest.raises(InsufficientTruncation):
         sixj_oracle(2, 3, 3, 3, 3, TruncatedFock(6), ctx05)
+
+
+def test_cg_tables_keyed_by_precision():
+    low, high = QContext("0.5", 30), QContext("0.5", 50)
+    assert _cg_table(low) is _cg_table(QContext("0.5", 30))
+    assert _cg_table(low) is not _cg_table(high)
+    assert _cg_table(high).ctx2.working_precision == 50
