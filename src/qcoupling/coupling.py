@@ -291,12 +291,9 @@ def _yb_lift(R: sparse.csr_matrix, legs: Tuple[int, int], npts: int) -> sparse.c
         return sparse.kron(R, I, format="csr")
     if legs == (1, 2):
         return sparse.kron(I, R, format="csr")
-    # legs (0, 2): conjugate by the swap of the last two legs
-    perm_rows = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                perm_rows.append((a * n + c) * n + b)
+    # legs (0, 2): conjugate by the swap of the last two legs, which sends
+    # column (a * n + b) * n + c to row (a * n + c) * n + b
+    perm_rows = np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).ravel()
     P = sparse.csr_matrix((np.ones(n ** 3), (perm_rows, np.arange(n ** 3))),
                           shape=(n ** 3, n ** 3))
     return P.T @ sparse.kron(R, I, format="csr") @ P
@@ -313,6 +310,11 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     much cheaper for sweeps.  The identity fails as stated; the defect is
     O(1) and reported faithfully.
 
+    Only entries whose three leg indices each lie at least ``margin`` inside
+    the window count (for the full products, both the row and the column).
+    That interior is one boolean mask over the flattened n^3 index, and the
+    defect is the largest absolute difference it selects (0.0 if none).
+
     The operator is float64 whatever ctx.working_precision is: the kernel
     values are rounded to doubles when the sparse matrices are built, so a
     higher working precision only makes the J evaluations dearer.
@@ -325,9 +327,8 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     L13 = _yb_lift(_yb_operator(v, w, window, ctx), (0, 2), npts)
     L23 = _yb_lift(_yb_operator(u, v, window, ctx), (1, 2), npts)
 
-    def interior(flat_index):
-        ia = np.unravel_index(flat_index, (npts, npts, npts))
-        return all(margin <= t < npts - margin for t in ia)
+    inside = (np.arange(npts) >= margin) & (np.arange(npts) < npts - margin)
+    interior = (inside[:, None, None] & inside[None, :, None] & inside[None, None, :]).ravel()
 
     if probe is not None:
         defect = 0.0
@@ -339,18 +340,11 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
             e[(pos[0] * npts + pos[1]) * npts + pos[2]] = 1.0
             left = L12 @ (L13 @ (L23 @ e))
             right = L23 @ (L13 @ (L12 @ e))
-            diff = left - right
-            for i in np.nonzero(diff)[0]:
-                if interior(i):
-                    defect = max(defect, abs(diff[i]))
+            defect = max(defect, np.abs(left - right)[interior].max())
         return float(defect)
 
     D = (L12 @ L13 @ L23 - L23 @ L13 @ L12).tocoo()
-    defect = 0.0
-    for i, j, val in zip(D.row, D.col, D.data):
-        if abs(val) > defect and interior(i) and interior(j):
-            defect = abs(val)
-    return float(defect)
+    return float(np.abs(D.data[interior[D.row] & interior[D.col]]).max(initial=0.0))
 
 
 @at_working_precision

@@ -116,7 +116,10 @@ class CGTable:
 
     C(x, m, n) is an orthonormal Wall value in base q^2 with degree
     min(m, n), parameter q^{2|n-m|} and argument q^{2x}; it vanishes for any
-    negative index.  Columns are recurrence runs shared across lookups.
+    negative index.  Columns are recurrence runs shared across lookups, each
+    kept without its trailing zeros, so a column's length is its support and
+    C is 0.0 past it.  Degrees at or past nmax return 0.0 without building a
+    column.
     """
 
     def __init__(self, ctx: QContext, nmax: int = 70):
@@ -129,16 +132,17 @@ class CGTable:
         col = self._cols.get(key)
         if col is None:
             col = wall_orthonormal_run(x, self.ctx2.q ** s, self.ctx2, self.nmax)
+            while col and col[-1] == 0.0:
+                col.pop()
             self._cols[key] = col
         return col
 
     def C(self, x: int, m: int, n: int) -> float:
-        if x < 0 or m < 0 or n < 0:
-            return 0.0
         deg = min(m, n)
-        if deg >= self.nmax:
+        if x < 0 or deg < 0 or deg >= self.nmax:
             return 0.0
-        return self.column(x, abs(n - m))[deg]
+        col = self.column(x, abs(n - m))
+        return col[deg] if deg < len(col) else 0.0
 
 
 _CG_TABLES: Dict[Tuple[str, int, int], CGTable] = {}
@@ -201,39 +205,37 @@ def coupled_vector(scheme: str, x: int, p: int, r: int,
         raise DomainError("coupled_vector needs x >= 0")
     N = fock.dim
     cg = _cg_table(ctx, max(70, N + 10))
+
+    def run(x, shift, limit):
+        # (i, i + shift, C(x, i, i + shift)) with a nonzero coefficient, i
+        # ascending, over degrees min(i, i + shift) below limit and inside
+        # the column's support; a limit <= 0 builds no column
+        if limit <= 0:
+            return
+        lo = max(0, -shift)
+        for deg in range(min(len(cg.column(x, abs(shift))), limit)):
+            i = deg + lo
+            c = cg.C(x, i, i + shift)
+            if c != 0.0:
+                yield i, i + shift, c
+
     v: dict = {}
+    # each limit keeps both indices of a pair inside 0..N-1, or only the one
+    # the loop runs over when the other is free to leave the truncation
     if scheme in ("12", "21"):
         pp = p if scheme == "12" else -p
-        for m in range(N):
-            n = m + pp
-            if 0 <= n < N:
-                c = cg.C(x, m, n)
-                if c != 0.0:
-                    v[(m, n)] = c
+        for m, n, c in run(x, pp, N - abs(pp)):
+            v[(m, n)] = c
     elif scheme == "1(23)":
-        for n in range(N):
-            c1 = cg.C(x, n, n + p)
-            if c1 == 0.0:
-                continue
+        for n, _, c1 in run(x, p, N - max(0, -p)):
             inner_p = x - n - r
-            for m in range(N):
-                k = m + inner_p
-                if 0 <= k < N:
-                    c2 = cg.C(n + p, m, k)
-                    if c2 != 0.0:
-                        v[(n, m, k)] = c1 * c2
+            for m, k, c2 in run(n + p, inner_p, N - abs(inner_p)):
+                v[(n, m, k)] = c1 * c2
     elif scheme == "(12)3":
-        for k in range(N):
-            c1 = cg.C(x, k - p, k)
-            if c1 == 0.0:
-                continue
+        for _, k, c1 in run(x, p, N - max(0, p)):
             inner_p = r - x + k
-            for n in range(N):
-                m = n + inner_p
-                if 0 <= m < N:
-                    c2 = cg.C(k - p, n, m)
-                    if c2 != 0.0:
-                        v[(n, m, k)] = c1 * c2
+            for n, m, c2 in run(k - p, inner_p, N - abs(inner_p)):
+                v[(n, m, k)] = c1 * c2
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
     return CoupledVector(scheme, x, p, r, v)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,21 +29,37 @@ __all__ = ["IDENTITIES", "CampaignPlan", "CaseResult", "eval_single", "run_campa
            "identity_descriptions"]
 
 
+def _int(v) -> int:
+    """An integer label: an int, an integral float or an integer string.
+
+    Anything else raises ValueError, so a label such as nu = 1.7 is never
+    silently truncated to 1: inside a case it becomes a failed case.
+    """
+    if isinstance(v, str):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"integer label expected, got {v!r}") from None
+
+
 def _ints(v) -> tuple:
     if isinstance(v, (list, tuple)):
-        return tuple(int(x) for x in v)
-    return (int(v),)
+        return tuple(_int(x) for x in v)
+    return (_int(v),)
 
 
 def _eval_qpoch_recurrence(p, ctx, policy):
-    a, n = mp.mpf(p["a"]), int(p["n"])
+    a, n = mp.mpf(p["a"]), _int(p["n"])
     lhs = qcore.qpoch_finite(a, ctx, n + 1)
     rhs = qcore.qpoch_finite(a, ctx, n) * (1 - a * ctx.q ** n)
     return abs(lhs - rhs)
 
 
 def _eval_wall_consistency(p, ctx, policy):
-    wp = qfunctions.WallParams(int(p["n"]), int(p["x"]), p.get("a", 0.5))
+    wp = qfunctions.WallParams(_int(p["n"]), _int(p["x"]), p.get("a", 0.5))
     v1 = qfunctions.wall_poly(wp, ctx)
     v2 = qfunctions.wall_poly_alt(wp, ctx)
     scale = max(abs(v1), mp.mpf(1e-300))
@@ -50,7 +67,7 @@ def _eval_wall_consistency(p, ctx, policy):
 
 
 def _eval_hankel(p, ctx, policy):
-    nu, m, n = int(p["nu"]), int(p["m"]), int(p["n"])
+    nu, m, n = _int(p["nu"]), _int(p["m"]), _int(p["n"])
     q = ctx.q
     s = qcore.bilateral_sum(
         lambda x: qfunctions.qbessel_lattice(nu, x + m, ctx)
@@ -60,23 +77,24 @@ def _eval_hankel(p, ctx, policy):
 
 
 def _eval_genfun(p, ctx, policy):
-    return qfunctions.genfun_check(int(p["nu"]), p["x"], p["t"], ctx, policy).value
+    return qfunctions.genfun_check(_int(p["nu"]), p["x"], p["t"], ctx, policy).value
 
 
 def _eval_wall_genfun(p, ctx, policy):
-    return qfunctions.wall_genfun_check(int(p["n"]), int(p["nu"]), p["x"], ctx, policy).value
+    return qfunctions.wall_genfun_check(_int(p["n"]), _int(p["nu"]), p["x"], ctx, policy).value
 
 
 def _eval_sixj_oracle(p, ctx, policy):
-    fock = representation.TruncatedFock(int(p.get("dim", 60)))
-    oracle = representation.sixj_oracle(int(p["x"]), int(p["p1"]), int(p["r1"]),
-                                        int(p["p2"]), int(p["r2"]), fock, ctx)
-    closed = coupling.sixj_closed(int(p["p1"]), int(p["r1"]), int(p["p2"]), int(p["r2"]), ctx)
+    fock = representation.TruncatedFock(_int(p.get("dim", 60)))
+    oracle = representation.sixj_oracle(_int(p["x"]), _int(p["p1"]), _int(p["r1"]),
+                                        _int(p["p2"]), _int(p["r2"]), fock, ctx)
+    closed = coupling.sixj_closed(_int(p["p1"]), _int(p["r1"]), _int(p["p2"]), _int(p["r2"]),
+                                  ctx)
     return abs(mp.mpf(oracle) - closed)
 
 
 def _eval_sixj_orthogonality(p, ctx, policy):
-    r, p2, p3 = int(p["r"]), int(p["p2"]), int(p["p3"])
+    r, p2, p3 = _int(p["r"]), _int(p["p2"]), _int(p["p3"])
     s = qcore.bilateral_sum(
         lambda p1: coupling.sixj_closed(p1, r, p2, r, ctx)
         * coupling.sixj_closed(p1, r, p3, r, ctx), policy)
@@ -84,34 +102,35 @@ def _eval_sixj_orthogonality(p, ctx, policy):
 
 
 def _eval_backcoupling(p, ctx, policy):
-    return coupling.verify_backcoupling(int(p["x"]), int(p["n1"]), int(p["n2"]),
-                                        int(p["n3"]), int(p["p1"]), int(p["p2"]),
+    return coupling.verify_backcoupling(_int(p["x"]), _int(p["n1"]), _int(p["n2"]),
+                                        _int(p["n3"]), _int(p["p1"]), _int(p["p2"]),
                                         ctx, policy).value
 
 
 def _eval_be(p, ctx, policy):
-    return coupling.verify_biedenharn_elliott(int(p["P"]), int(p["Q"]), int(p["R"]),
-                                              int(p["nu"]), int(p["mu1"]), int(p["mu2"]),
+    return coupling.verify_biedenharn_elliott(_int(p["P"]), _int(p["Q"]), _int(p["R"]),
+                                              _int(p["nu"]), _int(p["mu1"]), _int(p["mu2"]),
                                               ctx, policy).value
 
 
 def _eval_hexagon(p, ctx, policy):
-    return coupling.verify_hexagon(int(p["x"]), int(p["n1"]), int(p["n2"]), int(p["n3"]),
-                                   int(p["n4"]), int(p["p1"]), int(p["p2"]), int(p["p3"]),
-                                   int(p["p4"]), ctx, policy).value
+    return coupling.verify_hexagon(_int(p["x"]), _int(p["n1"]), _int(p["n2"]),
+                                   _int(p["n3"]), _int(p["n4"]), _int(p["p1"]),
+                                   _int(p["p2"]), _int(p["p3"]), _int(p["p4"]),
+                                   ctx, policy).value
 
 
 def _eval_yang_baxter(p, ctx, policy):
-    window = (int(p.get("lo", -10)), int(p.get("hi", 10)))
-    return mp.mpf(coupling.yang_baxter_residual(int(p["u"]), int(p["v"]), int(p["w"]),
+    window = (_int(p.get("lo", -10)), _int(p.get("hi", 10)))
+    return mp.mpf(coupling.yang_baxter_residual(_int(p["u"]), _int(p["v"]), _int(p["w"]),
                                                 window, ctx))
 
 
 def _eval_qhankel_factorization(p, ctx, policy):
     q = ctx.q
     f = {xx: q ** (mp.mpf(xx * xx) / 2) for xx in range(-20, 25)}
-    return coupling.qhankel_factorization_residual(int(p["x"]), int(p["n1"]), int(p["n2"]),
-                                                   int(p["n3"]), f, ctx, policy)
+    return coupling.qhankel_factorization_residual(_int(p["x"]), _int(p["n1"]), _int(p["n2"]),
+                                                   _int(p["n3"]), f, ctx, policy)
 
 
 def _eval_multi_orthogonality(p, ctx, policy):
@@ -129,8 +148,8 @@ def _eval_multi_duality(p, ctx, policy):
 
 
 def _eval_threenj_product(p, ctx, policy):
-    params = multivariate.ThreeNJParams(int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
-    k1 = int(p.get("k1", 1))
+    params = multivariate.ThreeNJParams(_int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
+    k1 = _int(p.get("k1", 1))
     k = params.k
     if not 1 <= k1 < k:
         raise PlanInvalid("threenj-product needs 1 <= k1 < k")
@@ -143,13 +162,13 @@ def _eval_threenj_product(p, ctx, policy):
 
 
 def _eval_threenj_corollary(p, ctx, policy):
-    params = multivariate.ThreeNJParams(int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
+    params = multivariate.ThreeNJParams(_int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
     return multivariate.threenj_corollary_gap(params, ctx)
 
 
 def _eval_s_lemma(p, ctx, policy):
     # chain coefficients are a unitary change of basis: sum_r S_{r,s} S_{r,s'} = delta
-    x, n = int(p["x"]), _ints(p["n"])
+    x, n = _int(p["x"]), _ints(p["n"])
     s1, s2 = _ints(p["s"]), _ints(p["s2"])
     k = len(s1)
     target = mp.mpf(1) if s1 == s2 else mp.mpf(0)
@@ -164,22 +183,22 @@ def _eval_s_lemma(p, ctx, policy):
 
 
 def _eval_multi_be(p, ctx, policy):
-    params = multivariate.ThreeNJParams(int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
+    params = multivariate.ThreeNJParams(_int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
     return multivariate.verify_multivariate_BE(params, ctx, policy, a_form=False).s_form_residual
 
 
 def _eval_s_composition(p, ctx, policy):
-    return multivariate.verify_S_composition(int(p["x"]), _ints(p["n"]), _ints(p["r"]),
+    return multivariate.verify_S_composition(_int(p["x"]), _ints(p["n"]), _ints(p["r"]),
                                              _ints(p["s"]), ctx, policy).value
 
 
 def _eval_cg_expansion(p, ctx, policy):
-    return multivariate.cg_expansion_residual(int(p["x"]), _ints(p["r"]), _ints(p["n"]),
+    return multivariate.cg_expansion_residual(_int(p["x"]), _ints(p["r"]), _ints(p["n"]),
                                               ctx, policy)
 
 
 def _eval_aw_symmetry(p, ctx, policy):
-    base = askey_wilson.AWParams(int(p["n"]), p.get("x", 0.8), p.get("a", 0.3),
+    base = askey_wilson.AWParams(_int(p["n"]), p.get("x", 0.8), p.get("a", 0.3),
                                  p.get("b", 0.45), p.get("c", 0.2), p.get("d", 0.15))
     v = askey_wilson.aw_poly(base, ctx)
     swapped = askey_wilson.AWParams(base.n, base.x, base.b, base.a, base.c, base.d)
@@ -191,7 +210,7 @@ def _eval_aw_symmetry(p, ctx, policy):
 
 def _eval_aw_limit(p, ctx, policy):
     sched = askey_wilson.LimitSchedule(
-        m_values=tuple(range(int(p.get("m_min", 3)), int(p.get("m_max", 8)) + 1)),
+        m_values=tuple(range(_int(p.get("m_min", 3)), _int(p.get("m_max", 8)) + 1)),
         lam=_ints(p["lam"]), nu=_ints(p["nu"]), x=_ints(p["x"]))
     points = [pt for pt in askey_wilson.limit_check(sched, ctx) if not pt.skipped]
     if not points:
@@ -305,7 +324,7 @@ class CampaignPlan:
             grid = doc.get("grid", {})
             qs = tuple(doc.get("q", [0.5]))
             tol = float(doc.get("tolerance", 1e-8))
-            precision = int(doc.get("precision", 30))
+            precision = _int(doc.get("precision", 30))
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanInvalid(f"malformed plan entry: {exc}")
         if ident not in IDENTITIES:
@@ -324,7 +343,7 @@ class CampaignPlan:
             spec = self.grid[lab]
             if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
                 try:
-                    axes.append(list(range(int(spec["lo"]), int(spec["hi"]) + 1)))
+                    axes.append(list(range(_int(spec["lo"]), _int(spec["hi"]) + 1)))
                 except (TypeError, ValueError) as exc:
                     raise PlanInvalid(f"{lab}: bad lo/hi range: {exc}")
             elif isinstance(spec, list):

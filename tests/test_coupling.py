@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
+from scipy import sparse
 
-from qcoupling import (TruncatedFock, TruncationPolicy, bilateral_sum,
+from qcoupling import (QContext, TruncatedFock, TruncationPolicy, bilateral_sum,
                        cg_contraction_residual, qbessel_lattice, qhankel_factorization_residual,
                        qhankel_transform, recoupling_R, sixj_closed, sixj_oracle,
                        verify_backcoupling, verify_biedenharn_elliott, verify_hexagon,
                        yang_baxter_residual, yang_baxter_unitarity_defect)
-from qcoupling.coupling import backcoupling_forms_gap, hexagon_j_form_residual
+from qcoupling.coupling import _yb_operator, backcoupling_forms_gap, hexagon_j_form_residual
 from qcoupling.errors import InsufficientWindow
 
 
@@ -177,6 +180,65 @@ def test_yang_baxter_window_guard(ctx05):
         yang_baxter_residual(0, 0, 0, (-3, 3), ctx05)
     with pytest.raises(InsufficientWindow):
         yang_baxter_residual(0, 0, 0, (-10, 10), ctx05, probe=[(0, 0, 40)])
+
+
+def _yb_residual_per_entry(u, v, w, window, ctx, margin=3, probe=None):
+    """The Yang-Baxter defect by per-entry loops: a Python loop builds the
+    legs-(0, 2) swap, and each nonzero entry is tested for the interior on
+    its own.  The oracle for the interior mask of yang_baxter_residual."""
+    lo, hi = window
+    n = hi - lo + 1
+    perm_rows = [(a * n + c) * n + b for a in range(n) for b in range(n) for c in range(n)]
+    P = sparse.csr_matrix((np.ones(n ** 3), (perm_rows, np.arange(n ** 3))),
+                          shape=(n ** 3, n ** 3))
+    I = sparse.identity(n, format="csr")
+    L12 = sparse.kron(_yb_operator(u, w, window, ctx), I, format="csr")
+    L13 = P.T @ sparse.kron(_yb_operator(v, w, window, ctx), I, format="csr") @ P
+    L23 = sparse.kron(I, _yb_operator(u, v, window, ctx), format="csr")
+
+    def interior(flat_index):
+        ia = np.unravel_index(flat_index, (n, n, n))
+        return all(margin <= t < n - margin for t in ia)
+
+    defect = 0.0
+    if probe is not None:
+        for tpl in probe:
+            pos = [t - lo for t in tpl]
+            e = np.zeros(n ** 3)
+            e[(pos[0] * n + pos[1]) * n + pos[2]] = 1.0
+            diff = L12 @ (L13 @ (L23 @ e)) - L23 @ (L13 @ (L12 @ e))
+            for i in np.nonzero(diff)[0]:
+                if interior(i):
+                    defect = max(defect, abs(diff[i]))
+        return float(defect)
+    D = (L12 @ L13 @ L23 - L23 @ L13 @ L12).tocoo()
+    for i, j, val in zip(D.row, D.col, D.data):
+        if abs(val) > defect and interior(i) and interior(j):
+            defect = abs(val)
+    return float(defect)
+
+
+def test_yang_baxter_mask_matches_per_entry_loops(ctx05):
+    # the interior mask selects exactly the entries the per-entry test kept,
+    # and the max of the same doubles is exact, so the defects are bit-equal
+    probe = list(itertools.product((-1, 0, 1), repeat=3))
+    for uvw in itertools.product((-1, 0, 1), repeat=3):
+        got = yang_baxter_residual(*uvw, (-4, 4), ctx05)
+        assert got == _yb_residual_per_entry(*uvw, (-4, 4), ctx05)
+        assert got > 0.1
+        got = yang_baxter_residual(*uvw, (-4, 4), ctx05, probe=probe)
+        assert got == _yb_residual_per_entry(*uvw, (-4, 4), ctx05, probe=probe)
+    for q in ("0.3", "0.5"):
+        ctx = QContext(q)
+        for window in ((-5, 6), (-6, 6)):
+            for uvw in ((0, 0, 0), (1, 0, -1)):
+                assert yang_baxter_residual(*uvw, window, ctx) \
+                    == _yb_residual_per_entry(*uvw, window, ctx)
+                assert yang_baxter_residual(*uvw, window, ctx, probe=probe) \
+                    == _yb_residual_per_entry(*uvw, window, ctx, probe=probe)
+    probe = [(0, 0, 0), (1, -1, 0), (0, 1, -1)]
+    assert yang_baxter_residual(1, 0, -1, (-10, 10), ctx05, probe=probe) \
+        == _yb_residual_per_entry(1, 0, -1, (-10, 10), ctx05, probe=probe)
 
 
 def test_qhankel_transform_delta_property(ctx05):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcoupling import (QContext, TruncatedFock, cg_coefficient, check_defining_relations,
-                       coupled_vector, pi0_matrix, qpoch_infinite, sixj_oracle)
+from qcoupling import (CGTable, QContext, TruncatedFock, cg_coefficient,
+                       check_defining_relations, coupled_vector, pi0_matrix, qpoch_infinite,
+                       sixj_oracle, wall_orthonormal_run)
 from qcoupling.errors import DomainError, InsufficientTruncation
 from qcoupling.representation import (_cg_table, coproduct_terms, threefold_operator,
                                      threefold_terms)
@@ -172,3 +174,95 @@ def test_cg_tables_keyed_by_precision():
     assert _cg_table(low) is _cg_table(QContext("0.5", 30))
     assert _cg_table(low) is not _cg_table(high)
     assert _cg_table(high).ctx2.working_precision == 50
+
+
+@functools.lru_cache(maxsize=None)
+def _padded_cg(q, nmax=70):
+    """C(x, m, n) read from full-length Wall columns, zero tails included."""
+    ctx2 = QContext(q).base_squared()
+    cols = {}
+
+    def C(x, m, n):
+        deg = min(m, n)
+        if x < 0 or deg < 0 or deg >= nmax:
+            return 0.0
+        key = (x, abs(n - m))
+        if key not in cols:
+            cols[key] = wall_orthonormal_run(x, ctx2.q ** key[1], ctx2, nmax)
+        return cols[key][deg]
+
+    return C
+
+
+def _coupled_coeffs_full_grid(scheme, x, p, r, N, C):
+    """Coefficients of coupled_vector by the full-grid loops it replaced."""
+    v = {}
+    if scheme in ("12", "21"):
+        pp = p if scheme == "12" else -p
+        for m in range(N):
+            n = m + pp
+            if 0 <= n < N:
+                c = C(x, m, n)
+                if c != 0.0:
+                    v[(m, n)] = c
+    elif scheme == "1(23)":
+        for n in range(N):
+            c1 = C(x, n, n + p)
+            if c1 == 0.0:
+                continue
+            inner_p = x - n - r
+            for m in range(N):
+                k = m + inner_p
+                if 0 <= k < N:
+                    c2 = C(n + p, m, k)
+                    if c2 != 0.0:
+                        v[(n, m, k)] = c1 * c2
+    else:
+        for k in range(N):
+            c1 = C(x, k - p, k)
+            if c1 == 0.0:
+                continue
+            inner_p = r - x + k
+            for n in range(N):
+                m = n + inner_p
+                if 0 <= m < N:
+                    c2 = C(k - p, n, m)
+                    if c2 != 0.0:
+                        v[(n, m, k)] = c1 * c2
+    return list(v.items())
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5", "0.8"])
+@pytest.mark.parametrize("dim", [20, 60])
+def test_coupled_vector_matches_full_grid_loops(q, dim):
+    # only the support of each Clebsch-Gordan column is visited, yet the
+    # coefficients, and the order they are inserted in, are the full grid's
+    ctx = QContext(q)
+    fock = TruncatedFock(dim)
+    C = _padded_cg(q)
+    for scheme in ("12", "21", "1(23)", "(12)3"):
+        for x in range(4):
+            for p in range(-5, 6):
+                for r in range(-2, 3) if scheme in ("1(23)", "(12)3") else (0,):
+                    got = list(coupled_vector(scheme, x, p, r, fock, ctx).coeffs.items())
+                    assert got == _coupled_coeffs_full_grid(scheme, x, p, r, dim, C)
+
+
+def test_coupled_vector_visits_only_the_support(monkeypatch, ctx05):
+    # a count guard, not a timing: the full-grid loops made 773 lookups here
+    fock = TruncatedFock(60)
+    coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
+    calls = []
+    lookup = CGTable.C
+    monkeypatch.setattr(CGTable, "C", lambda self, *a: calls.append(a) or lookup(self, *a))
+    v = coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
+    assert len(v.coeffs) > 100
+    assert len(calls) <= 300
+
+
+def test_cg_columns_kept_without_trailing_zeros(ctx05):
+    tbl = _cg_table(ctx05)
+    col = tbl.column(1, 0)
+    assert 0 < len(col) < tbl.nmax and col[-1] != 0.0
+    assert tbl.C(1, len(col), len(col)) == 0.0
+    assert tbl.C(1, tbl.nmax, tbl.nmax) == 0.0

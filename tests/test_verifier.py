@@ -204,3 +204,25 @@ def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys
         assert "ValueError" in report[0]["error"]
         assert report[-1]["summary"]["failed"] == 1
 
+
+
+def test_integer_labels_are_not_truncated(capsys):
+    # nu = 1.7 used to run as nu = 1 and pass, with 1.7 in the reported params
+    rc = cli_main(["eval", "hankel-orthogonality", "--param", "nu=1.7",
+                   "--param", "m=0", "--param", "n=0"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and "ValueError" in doc["error"]
+    res = eval_single("sixj-oracle", {"x": 0, "p1": 0.9, "r1": 0, "p2": 0, "r2": 0}, 0.5)
+    assert not res.passed and "ValueError" in res.error
+    res = eval_single("multi-duality", {"nu": [0, 1.5, 0], "x": [1], "lam": [-1]}, 0.5)
+    assert not res.passed and "ValueError" in res.error
+    # a grid range or a precision that is not an integer makes the plan invalid
+    for doc in ({"grid": {"nu": {"lo": 0.5, "hi": 1}, "m": [0], "n": [0]}},
+                {"grid": {"nu": [0], "m": [0], "n": [0]}, "precision": 30.5}):
+        with pytest.raises(PlanInvalid):
+            CampaignPlan.from_dict({"identity": "hankel-orthogonality", **doc}).expand()
+    # integral floats and integer strings are still integers
+    for nu in (1, 1.0, "1"):
+        res = eval_single("hankel-orthogonality", {"nu": nu, "m": 0, "n": 0}, 0.5)
+        assert res.passed, res
