@@ -7,7 +7,6 @@ checks that tie the two families together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -139,19 +138,49 @@ def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int,
 _J_CACHE: dict = {}
 
 
+def _canonical(nu: int, y: int):
+    """(n, m, e) with J_nu(q^y) = (-q^{1/2})^e J_n(q^m) and 0 <= n <= m.
+
+    The reflection J_{-k}(q^y) = (-1)^k q^{k/2} J_k(q^{y+k}) clears a
+    negative order.  The Euler expansion of the 1phi1 is a double sum
+    symmetric in (nu, y), so J_nu(q^y) = J_y(q^nu); with the reflection
+    that clears a negative argument, J_nu(q^y) = (-1)^|y| q^{|y|/2}
+    J_|y|(q^{nu+|y|}), and then puts the smaller index first.
+    """
+    e = 0
+    if nu < 0:
+        e, nu, y = -nu, -nu, y - nu
+    if y < 0:
+        e, nu, y = e - y, -y, nu - y
+    return min(nu, y), max(nu, y), e
+
+
 def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     """J_nu(q^y; q) on the lattice, cached by (nu, y, ctx.q_key, working precision).
 
     The base enters the key as the decimal ``QContext.q_key``, so the
-    value is the one for this exact q whatever the caller's mp.dps.
-    Arguments y >= 0 are summed by the series, y < 0 by the Hahn-Exton
-    recurrence (see ``qbessel``).
+    value is the one for this exact q whatever the caller's mp.dps.  A miss
+    maps (nu, y) to its orbit's canonical pair 0 <= n <= m (``_canonical``),
+    reads or sums J_n(q^m) through this same table, and applies the factor
+    (-q^{1/2})^e at the working precision plus ten digits.  So only
+    canonical pairs reach the series, each once per (q, precision), and
+    always at an argument q^m <= 1, never in the deep cancellation of a
+    large argument.
     """
     key = (nu, y, ctx.q_key, ctx.working_precision)
     hit = _J_CACHE.get(key)
     if hit is not None:
         return hit
-    val = qbessel(nu, None, ctx, _lattice_y=y)
+    n, m, e = _canonical(nu, y)
+    if (n, m) == (nu, y):
+        val = qbessel(n, None, ctx, _lattice_y=m)
+    else:
+        val = qbessel_lattice(n, m, ctx)
+        if e:
+            with ctx.workdps(10):
+                val = (-mp.sqrt(ctx.q)) ** e * val
+            with ctx.workdps(5):
+                val = +val
     _J_CACHE[key] = val
     return val
 
@@ -160,41 +189,35 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
             _lattice_y: Optional[int] = None) -> mp.mpf:
     """Third Jackson q-Bessel function J_nu(x; q), integer order, x >= 0.
 
-    Negative orders route through the reflection J_{-n}(x) = (-1)^n q^{n/2}
-    J_n(x q^n) exactly once, rounded like every other value to the working
-    precision plus five digits.  A lattice argument q^y with y < 0 is
-    computed by the checked recurrence of ``_hahn_exton``; every other
-    argument, and a lattice value the recurrence cannot confirm, by the
-    series.
+    The value is the series of ``_series``.  A negative order goes through
+    the reflection J_{-n}(x) = (-1)^n q^{n/2} J_n(x q^n) once, with the
+    prefactor applied at the working precision and the value rounded, like
+    every other, to the working precision plus five digits.  ``_lattice_y``
+    gives the argument as q^y instead of x; ``qbessel_lattice`` passes only
+    canonical pairs 0 <= nu <= y there.
     """
     nu = int(nu)
+    if _lattice_y is not None:
+        return _series(nu, None, _lattice_y, ctx, policy)
     q = ctx.q
-    if _lattice_y is None:
-        # the argument is read at the working precision, never the caller's
-        with ctx.workdps(10):
-            x = mp.mpf(x)
-        if x < 0:
-            raise DomainError("qbessel needs x >= 0")
-        if x == 0:
-            return mp.mpf(1) if nu == 0 else mp.mpf(0)
+    # the argument is read at the working precision, never the caller's
+    with ctx.workdps(10):
+        x = mp.mpf(x)
+    if x < 0:
+        raise DomainError("qbessel needs x >= 0")
+    if x == 0:
+        return mp.mpf(1) if nu == 0 else mp.mpf(0)
     if nu < 0:
         n = -nu
-        if _lattice_y is not None:
-            val = qbessel(n, None, ctx, policy, _lattice_y=_lattice_y + n)
-        else:
-            with ctx.workdps(10):
-                xn = x * q ** n
-            val = qbessel(n, xn, ctx, policy)
+        with ctx.workdps(10):
+            xn = x * q ** n
+        val = qbessel(n, xn, ctx, policy)
         # the prefactor is applied at the working precision, never the caller's
         with ctx.workdps(10):
             val *= (-1) ** n * mp.sqrt(q) ** n
         with ctx.workdps(5):
             return +val
-    if _lattice_y is not None and _lattice_y < 0:
-        val = _hahn_exton(nu, _lattice_y, ctx)
-        if val is not None:
-            return val
-    return _series(nu, x, _lattice_y, ctx, policy)
+    return _series(nu, x, None, ctx, policy)
 
 
 def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
@@ -244,74 +267,6 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
         guard = wider
     else:
         raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
-    with ctx.workdps(5):
-        return +val
-
-
-def _start_depth(nu: int, y: int, q: float, digits: int) -> int:
-    """Steps below y after which a start's share of the dominated solution is 10^-digits.
-
-    Where |c_k| > 2 for c_k = (1 + q^nu - q^k) q^{-nu/2}, one upward step
-    of the recurrence shrinks that share by lambda_k^2, lambda_k being the
-    larger root of t^2 - c_k t + 1; where |c_k| <= 2 both solutions
-    oscillate and the share does not shrink.
-    """
-    lq = math.log10(q)
-    k = y
-    while digits > 0:
-        k -= 1
-        if k * lq < 300:  # q^k still a float
-            v = abs(1 + q ** nu - q ** k)
-            lc = math.log10(v) if v > 0 else -math.inf
-        else:
-            lc = k * lq
-        lc -= nu / 2 * lq
-        if lc > math.log10(2):
-            digits -= 2 * (lc + math.log10((1 + math.sqrt(1 - 4 * 10 ** (-2 * lc))) / 2))
-    return y - k
-
-
-def _hahn_exton(nu: int, y: int, ctx: QContext) -> Optional[mp.mpf]:
-    """J_nu(q^y) for nu >= 0 and y < 0 from the Hahn-Exton q-difference equation.
-
-    On the lattice, q^{nu/2} (J(k+1) + J(k-1)) = (1 + q^nu - q^k) J(k), and
-    J is its recessive solution as k -> -inf (Koornwinder-Swarttouw), so
-    recurring upward is stable: started from (0, 1) at k = y - depth, the
-    other solution's share dies out on the way up.  J_nu(q^y) is then
-    f(y) / f(0) times the series value J_nu(q^0).  Every value recurs from
-    its own start, so it depends on (nu, y, q, precision) alone.  Two
-    depths must agree to 10^-(wp+3) relative; the depth doubles while they
-    do not, and after three doublings None hands the value to the series.
-    """
-    one = qbessel_lattice(nu, 0, ctx)
-    depth = _start_depth(nu, y, float(ctx.q), ctx.working_precision + 10)
-    with ctx.workdps(15):
-        q = ctx.q
-        diag = 1 + q ** nu
-        scale = mp.sqrt(q) ** nu
-        tol = mp.mpf(10) ** (-ctx.working_precision - 3)
-
-        def ratio(d):
-            prev, cur = mp.mpf(0), mp.mpf(1)
-            qk = q ** (y - d)
-            at_y = cur
-            for k in range(y - d, 0):
-                if k == y:
-                    at_y = cur
-                prev, cur = cur, (diag - qk) * cur / scale - prev
-                qk *= q
-            return at_y / cur
-
-        shallow = ratio(depth)
-        for _ in range(3):
-            depth *= 2
-            deep = ratio(depth)
-            if abs(deep - shallow) <= tol * abs(deep):
-                val = deep * one
-                break
-            shallow = deep
-        else:
-            return None
     with ctx.workdps(5):
         return +val
 

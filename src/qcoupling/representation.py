@@ -209,15 +209,17 @@ def coupled_vector(scheme: str, x: int, p: int, r: int,
     def run(x, shift, limit):
         # (i, i + shift, C(x, i, i + shift)) with a nonzero coefficient, i
         # ascending, over degrees min(i, i + shift) below limit and inside
-        # the column's support; a limit <= 0 builds no column
+        # the column's support; a limit <= 0 builds no column.  x >= 0 and
+        # every degree lies inside the column, so C's guards never apply and
+        # the column is read directly
         if limit <= 0:
             return
         lo = max(0, -shift)
-        for deg in range(min(len(cg.column(x, abs(shift))), limit)):
-            i = deg + lo
-            c = cg.C(x, i, i + shift)
+        col = cg.column(x, abs(shift))
+        for deg in range(min(len(col), limit)):
+            c = col[deg]
             if c != 0.0:
-                yield i, i + shift, c
+                yield deg + lo, deg + lo + shift, c
 
     v: dict = {}
     # each limit keeps both indices of a pair inside 0..N-1, or only the one

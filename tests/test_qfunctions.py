@@ -175,21 +175,66 @@ def _series_oracle(nu, y, ctx):
 @settings(max_examples=40, deadline=None)
 @given(nu=st.integers(-5, 5), y=st.integers(-20, -1), q=st.floats(0.2, 0.9),
        wp=st.sampled_from([20, 30, 50]))
-def test_qbessel_recurrence_matches_series(nu, y, q, wp):
+def test_qbessel_swap_path_matches_series(nu, y, q, wp):
+    # a negative argument reaches the series only at its orbit's canonical
+    # pair; the oracle sums the series at the original y < 0 itself
     ctx = QContext(q, wp)
-    n, yn = abs(nu), (y if nu >= 0 else y + abs(nu))
-    if yn < 0:
-        # the recurrence itself confirmed the value; no series fallback
-        assert qfunctions._hahn_exton(n, yn, ctx) is not None
     got = qbessel_lattice(nu, y, ctx)
     want = _series_oracle(nu, y, ctx)
     with mp.workdps(wp + 20):
         assert abs(got - want) <= mp.mpf(10) ** (-wp) * abs(want)
 
 
+@pytest.mark.parametrize("qs", ["0.3", "0.95"])
+def test_qbessel_series_swap_symmetry(qs):
+    # J_n(q^m) = J_m(q^n): the Euler expansion of the 1phi1 is a double sum
+    # symmetric in (n, m); both sides straight from the series
+    ctx = QContext(qs)
+    tol = mp.mpf(10) ** (2 - ctx.working_precision)
+    for n in range(13):
+        for m in range(n + 1, 13):
+            a = qfunctions._series(n, None, m, ctx, None)
+            b = qfunctions._series(m, None, n, ctx, None)
+            assert abs(a - b) <= tol * abs(a)
+
+
+@pytest.mark.parametrize("qs", ["0.3", "0.95"])
+def test_qbessel_lattice_hahn_exton_equation(qs):
+    # q^{nu/2} (J(y+1) + J(y-1)) = (1 + q^nu - q^y) J(y) at y < 0 and for
+    # negative orders: a sign or exponent slip in the orbit map breaks it
+    ctx = QContext(qs)
+    q = ctx.q
+    tol = mp.mpf(10) ** (2 - ctx.working_precision)
+    for nu in (-5, -2, -1, 0, 3):
+        for y in range(-15, 0):
+            up, mid, down = (qbessel_lattice(nu, y + d, ctx) for d in (1, 0, -1))
+            with ctx.workdps(10):
+                up, down = mp.sqrt(q) ** nu * up, mp.sqrt(q) ** nu * down
+                rhs = (1 + q ** nu - q ** y) * mid
+                assert abs(up + down - rhs) <= tol * max(abs(up), abs(down), abs(rhs))
+
+
+def test_qbessel_lattice_sums_each_orbit_once(monkeypatch):
+    # a count guard: J_n(q^m) = J_m(q^n), so the 121 lattice values over
+    # n, m in 0..10 need only the 66 series of the pairs n <= m
+    calls = []
+    series = qfunctions._series
+    monkeypatch.setattr(qfunctions, "_series",
+                        lambda *a: calls.append(a[:3]) or series(*a))
+    ctx = QContext("0.5")
+    qfunctions._J_CACHE.clear()
+    for n in range(11):
+        for m in range(11):
+            qbessel_lattice(n, m, ctx)
+    qfunctions._J_CACHE.clear()
+    assert len(calls) == 66
+    assert all(0 <= nu <= y for nu, _, y in calls)
+
+
 def test_qbessel_lattice_fill_order_does_not_matter():
-    # every value recurs from its own start, so a column filled upward is bit
-    # for bit the column filled downward
+    # every value is its orbit's canonical series value times a factor fixed
+    # by (nu, y), so a column filled upward is bit for bit the column filled
+    # downward
     columns = []
     for ys in (range(-20, 0), range(-1, -21, -1)):
         qfunctions._J_CACHE.clear()
@@ -245,8 +290,8 @@ def test_qbessel_high_order_prefactor():
 @pytest.mark.parametrize("qs", ["0.95", "0.97"])
 def test_qbessel_series_cancellation_near_one(qs):
     # near q = 1 the y >= 0 series terms grow like 1/(q;q)_k^2 before they
-    # decay, so its guard follows the cancellation; the recurrence at y < 0
-    # is normalized by that value and inherits its accuracy
+    # decay, so its guard follows the cancellation; y = -1 maps to the
+    # series at J_1(q^1), which needs that guard too
     ctx = QContext(qs)
     q = ctx.q
     for y in (0, -1):

@@ -260,6 +260,19 @@ def test_coupled_vector_visits_only_the_support(monkeypatch, ctx05):
     assert len(calls) <= 300
 
 
+def test_coupled_vector_reads_each_column_once(monkeypatch, ctx05):
+    # a count guard: one column lookup for the outer run and one per inner
+    # run (one per outer index n); looking the column up again for every
+    # entry made 219 here
+    fock = TruncatedFock(60)
+    coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
+    calls = []
+    column = CGTable.column
+    monkeypatch.setattr(CGTable, "column", lambda self, *a: calls.append(a) or column(self, *a))
+    v = coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
+    assert len(calls) <= 1 + len({key[0] for key in v.coeffs})
+
+
 def test_cg_columns_kept_without_trailing_zeros(ctx05):
     tbl = _cg_table(ctx05)
     col = tbl.column(1, 0)
