@@ -12,12 +12,15 @@ from .verifier import CampaignPlan, _policy_from, eval_single, identity_descript
 
 
 def _parse_param(text: str):
-    """k=v with v an int, float, or comma-separated int vector."""
+    """k=v with v an int, float, or comma-separated int vector, else the raw string."""
     key, _, raw = text.partition("=")
     if not _:
         raise PlanInvalid(f"--param needs key=value, got {text!r}")
     if "," in raw:
-        return key, [int(v) for v in raw.split(",")]
+        try:
+            return key, [int(v) for v in raw.split(",")]
+        except ValueError:
+            return key, raw
     for cast in (int, float):
         try:
             return key, cast(raw)

@@ -266,17 +266,21 @@ def _yb_operator(u: int, v: int, window: Tuple[int, int], ctx: QContext) -> spar
     return R
 
 
+_YB_NORM_TOL = 1e-9  # a column this close to unit norm lost no kernel mass to the window
+_YB_MARGIN = 3  # leg indices this far inside the window are interior
+
+
 def yang_baxter_unitarity_defect(u: int, v: int, window: Tuple[int, int],
-                                 ctx: QContext, norm_tol: float = 1e-9) -> float:
+                                 ctx: QContext) -> float:
     """Max Gram defect of the truncated operator over its complete columns.
 
-    A column is complete when its truncated norm is within norm_tol of 1,
+    A column is complete when its truncated norm is within _YB_NORM_TOL of 1,
     i.e. the window cut did not swallow kernel mass for that input; those
     are the interior coordinates of the truncation.
     """
     R = _yb_operator(u, v, window, ctx)
     norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=0)).ravel())
-    complete = np.where(np.abs(norms - 1.0) <= norm_tol)[0]
+    complete = np.where(np.abs(norms - 1.0) <= _YB_NORM_TOL)[0]
     if len(complete) == 0:
         raise InsufficientWindow("no complete columns inside the window")
     sub = R[:, complete]
@@ -300,8 +304,7 @@ def _yb_lift(R: sparse.csr_matrix, legs: Tuple[int, int], npts: int) -> sparse.c
 
 
 def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
-                         ctx: QContext, margin: int = 3,
-                         probe: Optional[list] = None) -> float:
+                         ctx: QContext, probe: Optional[list] = None) -> float:
     """Max interior entry difference of the two triple products.
 
     Builds the truncated operator on each pair of legs of the three-fold
@@ -310,7 +313,7 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     much cheaper for sweeps.  The identity fails as stated; the defect is
     O(1) and reported faithfully.
 
-    Only entries whose three leg indices each lie at least ``margin`` inside
+    Only entries whose three leg indices each lie at least _YB_MARGIN inside
     the window count (for the full products, both the row and the column).
     That interior is one boolean mask over the flattened n^3 index, and the
     defect is the largest absolute difference it selects (0.0 if none).
@@ -321,13 +324,13 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     """
     lo, hi = window
     npts = hi - lo + 1
-    if npts < 2 * margin + 3:
+    if npts < 2 * _YB_MARGIN + 3:
         raise InsufficientWindow("window too small for the interior margin")
     L12 = _yb_lift(_yb_operator(u, w, window, ctx), (0, 1), npts)
     L13 = _yb_lift(_yb_operator(v, w, window, ctx), (0, 2), npts)
     L23 = _yb_lift(_yb_operator(u, v, window, ctx), (1, 2), npts)
 
-    inside = (np.arange(npts) >= margin) & (np.arange(npts) < npts - margin)
+    inside = (np.arange(npts) >= _YB_MARGIN) & (np.arange(npts) < npts - _YB_MARGIN)
     interior = (inside[:, None, None] & inside[None, :, None] & inside[None, None, :]).ravel()
 
     if probe is not None:
@@ -391,20 +394,19 @@ def qhankel_factorization_residual(x: int, n1: int, n2: int, n3: int,
 
 
 @at_working_precision
-def cg_contraction_residual(x: int, n: int, m: int, k: int, p1: int,
-                            ctx: QContext, pmax: int = 40) -> float:
+def cg_contraction_residual(x: int, n: int, m: int, k: int, p1: int, ctx: QContext) -> float:
     """Residual of the recoupling contraction of Clebsch-Gordan products.
 
     C_{x,n+p1,n} C_{n+p1,m,k} = sum_{p2} R_{p1,r;p2,r} C_{x,k-p2,k} C_{k-p2,m,n}
     with x-r = n-m+k; the zero convention kills terms with p2 > k, so the sum
-    runs over all p2 and the cutoff is checked rather than imposed.
+    runs over all p2 (|p2| <= 40) and the cutoff is checked rather than imposed.
     """
     from .representation import cg_coefficient
 
     r = x - (n - m + k)
     lhs = cg_coefficient(x, n + p1, n, ctx) * cg_coefficient(n + p1, m, k, ctx)
     tot = mp.mpf(0)
-    for p2 in range(-pmax, pmax + 1):
+    for p2 in range(-40, 41):
         c = cg_coefficient(x, k - p2, k, ctx) * cg_coefficient(k - p2, m, n, ctx)
         if c != 0.0:
             tot += sixj_closed(p1, r, p2, r, ctx) * c

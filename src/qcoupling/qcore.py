@@ -53,7 +53,7 @@ def at_working_precision(fn):
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter q in (0,1) plus precision/tolerance settings.
+    """Deformation parameter q in (0,1) plus the working precision.
 
     q may be given as float, str or mpf; it is normalized to an mpf at
     construction.  A string is read at the working precision plus ten guard
@@ -62,13 +62,12 @@ class QContext:
 
     Two derived values, ``q_key`` and the base-q^2 context of
     ``base_squared``, are computed on first use and kept on the instance.
-    They are not fields, so equality, hashing and repr see only q, the
-    precision and the tolerance.
+    They are not fields, so equality, hashing and repr see only q and the
+    precision.
     """
 
     q: object
     working_precision: int = 30
-    default_tol: float = 1e-12
 
     def __post_init__(self):
         if self.working_precision < 15:
@@ -102,7 +101,7 @@ class QContext:
     def _squared(self) -> "QContext":
         with self.workdps(10):
             q2 = self.q ** 2
-        return QContext(q2, self.working_precision, self.default_tol)
+        return QContext(q2, self.working_precision)
 
     def base_squared(self) -> "QContext":
         """Context for the same computation carried out in base q^2.

@@ -89,15 +89,14 @@ def wall_orthonormal(p: WallParams, ctx: QContext) -> mp.mpf:
     return +val
 
 
-def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int,
-                         floor: float = 1e-28) -> list:
+def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int) -> list:
     """Orthonormal Wall values for degrees 0..nmax-1 at fixed (x, a).
 
     Three-term recurrence in the degree.  Forward recurrence is stable only
     while the wanted (recessive) solution dominates; since the true values
     are bounded by 1, a rebound after the decay has passed 1e-12 marks
     contamination by the dominant solution and the tail is zeroed, as is
-    everything below ``floor``.
+    everything below 1e-28.
     """
     q = ctx.q
     a = mp.mpf(a)
@@ -110,7 +109,7 @@ def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int,
         vals = [p0]
         pm1 = mp.mpf(0)
         bm1 = mp.mpf(0)
-        floor_ = mp.mpf(floor)
+        floor_ = mp.mpf(1e-28)
         deep = mp.mpf("1e-12")
         vmax = abs(p0)
         for n in range(nmax - 1):

@@ -272,13 +272,14 @@ def threefold_operator(tag: str, fock: TruncatedFock, ctx: QContext) -> sparse.c
 
 
 def sixj_oracle(x: int, p1: int, r1: int, p2: int, r2: int,
-                fock: TruncatedFock, ctx: QContext,
-                norm_floor: float = 1 - 1e-8) -> float:
+                fock: TruncatedFock, ctx: QContext) -> float:
     """Recoupling coefficient as a truncated inner product of coupled vectors.
 
     This is the representation-side oracle against which the closed form is
-    validated; it never touches the q-Bessel series path.
+    validated; it never touches the q-Bessel series path.  Both coupled
+    vectors must keep a norm of at least 1 - 1e-8 inside the truncation.
     """
+    norm_floor = 1 - 1e-8
     if x < 0:
         raise DomainError("sixj_oracle needs x >= 0")
     u = coupled_vector("1(23)", x, p1, r1, fock, ctx)

@@ -11,13 +11,14 @@ Cases are emitted in deterministic grid order regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
@@ -25,8 +26,8 @@ from . import askey_wilson, coupling, multivariate, qcore, qfunctions, represent
 from .errors import DomainError, PlanInvalid, QCouplingError
 from .qcore import QContext, TruncationPolicy
 
-__all__ = ["IDENTITIES", "CampaignPlan", "CaseResult", "eval_single", "run_campaign",
-           "identity_descriptions"]
+__all__ = ["IDENTITIES", "Identity", "Label", "CampaignPlan", "CaseResult", "eval_single",
+           "run_campaign", "identity_descriptions"]
 
 
 def _int(v) -> int:
@@ -51,23 +52,21 @@ def _ints(v) -> tuple:
     return (_int(v),)
 
 
-def _eval_qpoch_recurrence(p, ctx, policy):
-    a, n = mp.mpf(p["a"]), _int(p["n"])
+def _eval_qpoch_recurrence(a, n, ctx, policy):
     lhs = qcore.qpoch_finite(a, ctx, n + 1)
     rhs = qcore.qpoch_finite(a, ctx, n) * (1 - a * ctx.q ** n)
     return abs(lhs - rhs)
 
 
-def _eval_wall_consistency(p, ctx, policy):
-    wp = qfunctions.WallParams(_int(p["n"]), _int(p["x"]), p.get("a", 0.5))
+def _eval_wall_consistency(n, x, a, ctx, policy):
+    wp = qfunctions.WallParams(n, x, a)
     v1 = qfunctions.wall_poly(wp, ctx)
     v2 = qfunctions.wall_poly_alt(wp, ctx)
     scale = max(abs(v1), mp.mpf(1e-300))
     return abs(v1 - v2) / scale
 
 
-def _eval_hankel(p, ctx, policy):
-    nu, m, n = _int(p["nu"]), _int(p["m"]), _int(p["n"])
+def _eval_hankel(nu, m, n, ctx, policy):
     q = ctx.q
     s = qcore.bilateral_sum(
         lambda x: qfunctions.qbessel_lattice(nu, x + m, ctx)
@@ -76,205 +75,189 @@ def _eval_hankel(p, ctx, policy):
     return abs(s.value - target)
 
 
-def _eval_genfun(p, ctx, policy):
-    return qfunctions.genfun_check(_int(p["nu"]), p["x"], p["t"], ctx, policy).value
+def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
+    oracle = representation.sixj_oracle(x, p1, r1, p2, r2, representation.TruncatedFock(dim), ctx)
+    return abs(mp.mpf(oracle) - coupling.sixj_closed(p1, r1, p2, r2, ctx))
 
 
-def _eval_wall_genfun(p, ctx, policy):
-    return qfunctions.wall_genfun_check(_int(p["n"]), _int(p["nu"]), p["x"], ctx, policy).value
-
-
-def _eval_sixj_oracle(p, ctx, policy):
-    fock = representation.TruncatedFock(_int(p.get("dim", 60)))
-    oracle = representation.sixj_oracle(_int(p["x"]), _int(p["p1"]), _int(p["r1"]),
-                                        _int(p["p2"]), _int(p["r2"]), fock, ctx)
-    closed = coupling.sixj_closed(_int(p["p1"]), _int(p["r1"]), _int(p["p2"]), _int(p["r2"]),
-                                  ctx)
-    return abs(mp.mpf(oracle) - closed)
-
-
-def _eval_sixj_orthogonality(p, ctx, policy):
-    r, p2, p3 = _int(p["r"]), _int(p["p2"]), _int(p["p3"])
+def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
     s = qcore.bilateral_sum(
         lambda p1: coupling.sixj_closed(p1, r, p2, r, ctx)
         * coupling.sixj_closed(p1, r, p3, r, ctx), policy)
     return abs(s.value - (1 if p2 == p3 else 0))
 
 
-def _eval_backcoupling(p, ctx, policy):
-    return coupling.verify_backcoupling(_int(p["x"]), _int(p["n1"]), _int(p["n2"]),
-                                        _int(p["n3"]), _int(p["p1"]), _int(p["p2"]),
-                                        ctx, policy).value
+def _eval_yang_baxter(u, v, w, lo, hi, ctx, policy):
+    return coupling.yang_baxter_residual(u, v, w, (lo, hi), ctx)
 
 
-def _eval_be(p, ctx, policy):
-    return coupling.verify_biedenharn_elliott(_int(p["P"]), _int(p["Q"]), _int(p["R"]),
-                                              _int(p["nu"]), _int(p["mu1"]), _int(p["mu2"]),
-                                              ctx, policy).value
-
-
-def _eval_hexagon(p, ctx, policy):
-    return coupling.verify_hexagon(_int(p["x"]), _int(p["n1"]), _int(p["n2"]),
-                                   _int(p["n3"]), _int(p["n4"]), _int(p["p1"]),
-                                   _int(p["p2"]), _int(p["p3"]), _int(p["p4"]),
-                                   ctx, policy).value
-
-
-def _eval_yang_baxter(p, ctx, policy):
-    window = (_int(p.get("lo", -10)), _int(p.get("hi", 10)))
-    return mp.mpf(coupling.yang_baxter_residual(_int(p["u"]), _int(p["v"]), _int(p["w"]),
-                                                window, ctx))
-
-
-def _eval_qhankel_factorization(p, ctx, policy):
+def _eval_qhankel_factorization(x, n1, n2, n3, ctx, policy):
     q = ctx.q
     f = {xx: q ** (mp.mpf(xx * xx) / 2) for xx in range(-20, 25)}
-    return coupling.qhankel_factorization_residual(_int(p["x"]), _int(p["n1"]), _int(p["n2"]),
-                                                   _int(p["n3"]), f, ctx, policy)
+    return coupling.qhankel_factorization_residual(x, n1, n2, n3, f, ctx, policy)
 
 
-def _eval_multi_orthogonality(p, ctx, policy):
-    return multivariate.multi_orthogonality_residual(_ints(p["nu"]), _ints(p["lam"]),
-                                                     _ints(p["lam2"]), ctx, policy).value
+def _eval_multi_orthogonality(nu, lam, lam2, ctx, policy):
+    return multivariate.multi_orthogonality_residual(nu, lam, lam2, ctx, policy)
 
 
-def _eval_multi_duality(p, ctx, policy):
-    nu, x, lam = _ints(p["nu"]), _ints(p["x"]), _ints(p["lam"])
+def _eval_multi_duality(nu, x, lam, ctx, policy):
+    hat = multivariate.hat
     a = multivariate.multi_qbessel(multivariate.MultiBesselParams(nu, x, lam), ctx)
-    b = multivariate.multi_qbessel(
-        multivariate.MultiBesselParams(multivariate.hat(nu), multivariate.hat(lam),
-                                       multivariate.hat(x)), ctx)
+    b = multivariate.multi_qbessel(multivariate.MultiBesselParams(hat(nu), hat(lam), hat(x)), ctx)
     return abs(a - b)
 
 
-def _eval_threenj_product(p, ctx, policy):
-    params = multivariate.ThreeNJParams(_int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
-    k1 = _int(p.get("k1", 1))
-    k = params.k
-    if not 1 <= k1 < k:
+def _eval_threenj_product(x, n, r, s, k1, ctx, policy):
+    params = multivariate.ThreeNJParams(x, n, r, s)
+    if not 1 <= k1 < params.k:
         raise PlanInvalid("threenj-product needs 1 <= k1 < k")
     whole = multivariate.threenj_R(params, ctx)
-    n, r, s = params.n, params.r, params.s
-    left = multivariate.ThreeNJParams(params.x, n[:k1 + 1] + (r[k1],), r[:k1], s[:k1])
-    right = multivariate.ThreeNJParams(params.x, (s[k1 - 1],) + n[k1 + 1:], r[k1:], s[k1:])
+    left = multivariate.ThreeNJParams(x, n[:k1 + 1] + (r[k1],), r[:k1], s[:k1])
+    right = multivariate.ThreeNJParams(x, (s[k1 - 1],) + n[k1 + 1:], r[k1:], s[k1:])
     split = multivariate.threenj_R(left, ctx) * multivariate.threenj_R(right, ctx)
     return abs(whole - split)
 
 
-def _eval_threenj_corollary(p, ctx, policy):
-    params = multivariate.ThreeNJParams(_int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
-    return multivariate.threenj_corollary_gap(params, ctx)
+def _eval_threenj_corollary(x, n, r, s, ctx, policy):
+    return multivariate.threenj_corollary_gap(multivariate.ThreeNJParams(x, n, r, s), ctx)
 
 
-def _eval_s_lemma(p, ctx, policy):
+def _eval_s_lemma(x, n, s, s2, ctx, policy):
     # chain coefficients are a unitary change of basis: sum_r S_{r,s} S_{r,s'} = delta
-    x, n = _int(p["x"]), _ints(p["n"])
-    s1, s2 = _ints(p["s"]), _ints(p["s2"])
-    k = len(s1)
-    target = mp.mpf(1) if s1 == s2 else mp.mpf(0)
-
     def term(rvec):
-        a = multivariate.threenj_S(multivariate.ThreeNJParams(x, n, tuple(rvec), s1), ctx)
+        a = multivariate.threenj_S(multivariate.ThreeNJParams(x, n, tuple(rvec), s), ctx)
         b = multivariate.threenj_S(multivariate.ThreeNJParams(x, n, tuple(rvec), s2), ctx)
         return a * b
 
-    total = multivariate._nested_vector_sum(term, k, policy)
-    return abs(total - target)
+    total = multivariate._nested_vector_sum(term, len(s), policy)
+    return abs(total - (1 if s == s2 else 0))
 
 
-def _eval_multi_be(p, ctx, policy):
-    params = multivariate.ThreeNJParams(_int(p["x"]), _ints(p["n"]), _ints(p["r"]), _ints(p["s"]))
+def _eval_multi_be(x, n, r, s, ctx, policy):
+    params = multivariate.ThreeNJParams(x, n, r, s)
     return multivariate.verify_multivariate_BE(params, ctx, policy, a_form=False).s_form_residual
 
 
-def _eval_s_composition(p, ctx, policy):
-    return multivariate.verify_S_composition(_int(p["x"]), _ints(p["n"]), _ints(p["r"]),
-                                             _ints(p["s"]), ctx, policy).value
-
-
-def _eval_cg_expansion(p, ctx, policy):
-    return multivariate.cg_expansion_residual(_int(p["x"]), _ints(p["r"]), _ints(p["n"]),
-                                              ctx, policy)
-
-
-def _eval_aw_symmetry(p, ctx, policy):
-    base = askey_wilson.AWParams(_int(p["n"]), p.get("x", 0.8), p.get("a", 0.3),
-                                 p.get("b", 0.45), p.get("c", 0.2), p.get("d", 0.15))
+def _eval_aw_symmetry(n, x, a, b, c, d, ctx, policy):
+    base = askey_wilson.AWParams(n, x, a, b, c, d)
     v = askey_wilson.aw_poly(base, ctx)
-    swapped = askey_wilson.AWParams(base.n, base.x, base.b, base.a, base.c, base.d)
-    inverted = askey_wilson.AWParams(base.n, 1 / mp.mpf(base.x), base.a, base.b, base.c, base.d)
+    swapped = askey_wilson.AWParams(n, x, b, a, c, d)
+    inverted = askey_wilson.AWParams(n, 1 / x, a, b, c, d)
     scale = max(abs(v), mp.mpf(1e-300))
     return max(abs(v - askey_wilson.aw_poly(swapped, ctx)),
                abs(v - askey_wilson.aw_poly(inverted, ctx))) / scale
 
 
-def _eval_aw_limit(p, ctx, policy):
-    sched = askey_wilson.LimitSchedule(
-        m_values=tuple(range(_int(p.get("m_min", 3)), _int(p.get("m_max", 8)) + 1)),
-        lam=_ints(p["lam"]), nu=_ints(p["nu"]), x=_ints(p["x"]))
+def _eval_aw_limit(lam, nu, x, m_min, m_max, ctx, policy):
+    sched = askey_wilson.LimitSchedule(tuple(range(m_min, m_max + 1)), lam, nu, x)
     points = [pt for pt in askey_wilson.limit_check(sched, ctx) if not pt.skipped]
     if not points:
         raise QCouplingError("all schedule points skipped")
     monotone = all(points[i + 1].rel_error < points[i].rel_error
                    for i in range(len(points) - 1))
-    final = points[-1].rel_error
     # non-monotone schedules count as non-converged: surface via a large residual
-    return mp.mpf(final if monotone else 1.0)
+    return points[-1].rel_error if monotone else 1.0
+
+
+def _library(module, name: str) -> Callable:
+    """Evaluator calling ``module.name``, looked up at each call so that a
+    rebinding of the module attribute is seen; its signature is the function's."""
+    @functools.wraps(getattr(module, name))
+    def evaluator(**kwargs):
+        return getattr(module, name)(**kwargs)
+    return evaluator
+
+
+class Label(NamedTuple):
+    """How one label is read: the cast of its value, and its default (None: required)."""
+
+    cast: Callable
+    default: object = None
+
+
+INT, INTS, REAL = Label(_int), Label(_ints), Label(mp.mpf)
+
+
+def _labels(ints: str = "", vectors: str = "", reals: str = "", **optional) -> Dict[str, Label]:
+    """Labels of one identity: required integer, integer-vector and real labels
+    (space-separated names), and optional ones, real if their default is a float
+    and integer otherwise.  An integer vector reads a scalar as a 1-vector; a
+    real is an mpf read at the working precision plus ten digits."""
+    out = {}
+    for kind, names in ((INT, ints), (INTS, vectors), (REAL, reals)):
+        out.update(dict.fromkeys(names.split(), kind))
+    for name, default in optional.items():
+        out[name] = Label((REAL if isinstance(default, float) else INT).cast, default)
+    return out
 
 
 @dataclass(frozen=True)
 class Identity:
+    """An identity, and the labels its evaluator takes as keywords besides ctx
+    and policy.  The evaluator returns the residual as an mpf, a float or a
+    SeriesResult."""
+
     name: str
     description: str
     evaluator: Callable
-    required: tuple
+    labels: Dict[str, Label]
+
+    def check_labels(self, given) -> None:
+        """PlanInvalid unless ``given`` has every required label and only declared ones."""
+        missing = [k for k, lab in self.labels.items() if lab.default is None and k not in given]
+        if missing:
+            raise PlanInvalid(f"{self.name}: missing labels {missing}")
+        unknown = [k for k in given if k not in self.labels]
+        if unknown:
+            raise PlanInvalid(f"{self.name}: unknown labels {unknown}")
 
 
 IDENTITIES: Dict[str, Identity] = {i.name: i for i in [
     Identity("qpoch-recurrence", "finite q-shifted factorial one-step recurrence",
-             _eval_qpoch_recurrence, ("a", "n")),
+             _eval_qpoch_recurrence, _labels("n", reals="a")),
     Identity("wall-consistency", "terminating series vs transformed closed form of the Wall polynomial",
-             _eval_wall_consistency, ("n", "x")),
+             _eval_wall_consistency, _labels("n x", a=0.5)),
     Identity("hankel-orthogonality", "lattice orthogonality of the q-Bessel kernel, delta value q^-n",
-             _eval_hankel, ("nu", "m", "n")),
+             _eval_hankel, _labels("nu m n")),
     Identity("genfun", "q-Bessel generating relation across lattice shifts",
-             _eval_genfun, ("nu", "x", "t")),
+             _library(qfunctions, "genfun_check"), _labels("nu", reals="x t")),
     Identity("wall-genfun", "Wall-polynomial specialization of the generating relation",
-             _eval_wall_genfun, ("n", "nu", "x")),
+             _library(qfunctions, "wall_genfun_check"), _labels("n nu", reals="x")),
     Identity("sixj-oracle", "closed-form recoupling coefficient vs truncated inner-product oracle",
-             _eval_sixj_oracle, ("x", "p1", "r1", "p2", "r2")),
+             _eval_sixj_oracle, _labels("x p1 r1 p2 r2", dim=60)),
     Identity("sixj-orthogonality", "row orthogonality of the recoupling coefficients",
-             _eval_sixj_orthogonality, ("r", "p2", "p3")),
+             _eval_sixj_orthogonality, _labels("r p2 p3")),
     Identity("backcoupling", "three-factor re-bracketing loop (stated form; known not to close)",
-             _eval_backcoupling, ("x", "n1", "n2", "n3", "p1", "p2")),
+             _library(coupling, "verify_backcoupling"), _labels("x n1 n2 n3 p1 p2")),
     Identity("biedenharn-elliott", "pentagon product formula for q-Bessel functions",
-             _eval_be, ("P", "Q", "R", "nu", "mu1", "mu2")),
+             _library(coupling, "verify_biedenharn_elliott"), _labels("P Q R nu mu1 mu2")),
     Identity("hexagon", "six-term coupling identity (stated form; known not to close)",
-             _eval_hexagon, ("x", "n1", "n2", "n3", "n4", "p1", "p2", "p3", "p4")),
+             _library(coupling, "verify_hexagon"), _labels("x n1 n2 n3 n4 p1 p2 p3 p4")),
     Identity("yang-baxter", "triple-product equation for the recoupling-weight operator (stated form)",
-             _eval_yang_baxter, ("u", "v", "w")),
+             _eval_yang_baxter, _labels("u v w", lo=-10, hi=10)),
     Identity("qhankel-factorization", "composition factorization of the lattice Hankel transform (stated form)",
-             _eval_qhankel_factorization, ("x", "n1", "n2", "n3")),
+             _eval_qhankel_factorization, _labels("x n1 n2 n3")),
     Identity("multi-orthogonality", "nested lattice orthogonality of multivariate q-Bessel",
-             _eval_multi_orthogonality, ("nu", "lam", "lam2")),
+             _eval_multi_orthogonality, _labels(vectors="nu lam lam2")),
     Identity("multi-duality", "label-reversal self-duality of multivariate q-Bessel",
-             _eval_multi_duality, ("nu", "x", "lam")),
+             _eval_multi_duality, _labels(vectors="nu x lam")),
     Identity("threenj-product", "chain factorization of tree recoupling coefficients",
-             _eval_threenj_product, ("x", "n", "r", "s")),
+             _eval_threenj_product, _labels("x", vectors="n r s", k1=1)),
     Identity("threenj-corollary", "tree recoupling chain equals prefactored multivariate q-Bessel",
-             _eval_threenj_corollary, ("x", "n", "r", "s")),
+             _eval_threenj_corollary, _labels("x", vectors="n r s")),
     Identity("s-lemma", "unitarity of the left-hanging chain coefficients",
-             _eval_s_lemma, ("x", "n", "s", "s2")),
+             _eval_s_lemma, _labels("x", vectors="n s s2")),
     Identity("multi-be", "multivariate pentagon expansion, chain reference form",
-             _eval_multi_be, ("x", "n", "r", "s")),
+             _eval_multi_be, _labels("x", vectors="n r s")),
     Identity("s-composition", "iterated chain-transition composition (stated form; known not to close)",
-             _eval_s_composition, ("x", "n", "r", "s")),
+             _library(multivariate, "verify_S_composition"), _labels("x", vectors="n r s")),
     Identity("cg-expansion", "chain Clebsch-Gordan product expanded over reversed chains",
-             _eval_cg_expansion, ("x", "r", "n")),
+             _library(multivariate, "cg_expansion_residual"), _labels("x", vectors="r n")),
     Identity("aw-symmetry", "parameter-swap and point-inversion invariance of Askey-Wilson values",
-             _eval_aw_symmetry, ("n",)),
+             _eval_aw_symmetry, _labels("n", x=0.8, a=0.3, b=0.45, c=0.2, d=0.15)),
     Identity("aw-limit", "lattice limit of coupled Askey-Wilson products to multivariate q-Bessel",
-             _eval_aw_limit, ("lam", "nu", "x")),
+             _eval_aw_limit, _labels(vectors="lam nu x", m_min=3, m_max=8)),
 ]}
 
 
@@ -350,14 +333,10 @@ class CampaignPlan:
                 axes.append(spec)
             else:
                 axes.append([spec])
-        cases = []
-        for combo in itertools.product(*axes):
-            cases.append(dict(zip(labels, combo)))
+        cases = [dict(zip(labels, combo)) for combo in itertools.product(*axes)]
         if not cases or not self.grid:
             raise PlanInvalid("empty parameter grid")
-        missing = [k for k in IDENTITIES[self.identity].required if k not in cases[0]]
-        if missing:
-            raise PlanInvalid(f"{self.identity}: grid missing labels {missing}")
+        IDENTITIES[self.identity].check_labels(self.grid)
         return cases
 
 
@@ -367,10 +346,7 @@ def _policy_from(doc: Optional[dict]) -> TruncationPolicy:
         return TruncationPolicy()
     if not isinstance(doc, dict):
         raise PlanInvalid("policy must be an object")
-    kwargs = {}
-    for key in ("max_terms", "tail_tol", "adaptive", "tail_ratio"):
-        if key in doc:
-            kwargs[key] = doc[key]
+    kwargs = {k: doc[k] for k in ("max_terms", "tail_tol", "adaptive", "tail_ratio") if k in doc}
     try:
         if "window" in doc:
             kwargs["bilateral_window"] = tuple(doc["window"])
@@ -390,22 +366,25 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
                 precision: int = 30, policy: Optional[TruncationPolicy] = None) -> CaseResult:
     """Evaluate one identity instance; evaluation errors become failed cases.
 
-    An unknown identity, a missing label or an invalid q or precision raises
-    PlanInvalid instead: the instance cannot be set up at all.  A label value
-    that fails its cast is an evaluation error.
+    An unknown identity, a missing or undeclared label, or an invalid q or
+    precision raises PlanInvalid instead: the instance cannot be set up at
+    all.  Each label is cast as ``IDENTITIES[identity].labels`` declares, a
+    left-out optional one from its default; a failed cast is an evaluation
+    error.  The report echoes ``params`` as given.
     """
     if identity not in IDENTITIES:
         raise PlanInvalid(f"unknown identity id {identity!r}")
-    missing = [k for k in IDENTITIES[identity].required if k not in params]
-    if missing:
-        raise PlanInvalid(f"{identity}: missing labels {missing}")
+    ident = IDENTITIES[identity]
+    ident.check_labels(params)
     policy = policy or TruncationPolicy()
     ctx = _context(q, precision)
     t0 = time.perf_counter()
     try:
         with ctx.workdps(10):
-            residual = IDENTITIES[identity].evaluator(params, ctx, policy)
-        residual = float(abs(residual))
+            labels = {k: lab.cast(params[k] if k in params else lab.default)
+                      for k, lab in ident.labels.items()}
+            result = ident.evaluator(**labels, ctx=ctx, policy=policy)
+        residual = abs(float(result))
         err = ""
     except (QCouplingError, ArithmeticError, TypeError, ValueError) as exc:
         residual = float("inf")

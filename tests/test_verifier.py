@@ -1,9 +1,10 @@
+import inspect
 import json
 import re
 
 import pytest
 
-from qcoupling import CampaignPlan, TruncationPolicy, eval_single, run_campaign
+from qcoupling import CampaignPlan, QContext, TruncationPolicy, coupling, eval_single, run_campaign
 from qcoupling.cli import main as cli_main
 from qcoupling.errors import PlanInvalid
 from qcoupling.verifier import IDENTITIES, identity_descriptions
@@ -19,6 +20,29 @@ def test_identity_registry_complete():
     }
     assert set(IDENTITIES) == expected
     assert all(desc for _, desc in identity_descriptions())
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_identity_labels_match_evaluator(name):
+    # the label table and the evaluator's keywords agree: a label declared but
+    # not accepted, or accepted but not declared, fails here, not in a plan
+    ident = IDENTITIES[name]
+    sig = inspect.signature(ident.evaluator)
+    sig.bind(ctx=QContext(0.5), policy=TruncationPolicy(), **dict.fromkeys(ident.labels, 0))
+    assert set(sig.parameters) == set(ident.labels) | {"ctx", "policy"}
+
+
+def test_library_evaluators_call_the_module_attribute(monkeypatch):
+    # a forwarding entry looks the library function up at each call, so a
+    # rebinding of the module attribute (as span tracing does) is seen
+    seen = []
+    monkeypatch.setattr(coupling, "verify_backcoupling",
+                        lambda **kw: seen.append(kw) or 0.25)
+    params = dict(x=1, n1=1.0, n2="0", n3=-1, p1=1, p2=-1)
+    res = eval_single("backcoupling", params, 0.5, tolerance=1.0)
+    assert res.passed and res.residual == 0.25
+    assert seen[0]["n1"] == 1 and seen[0]["n2"] == 0 and isinstance(seen[0]["n2"], int)
+    assert res.params == params
 
 
 def test_eval_single_pass():
@@ -187,7 +211,12 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
       "policy": {"window": [5, 1]}}, 2),
     (["eval", "hankel-orthogonality", "--param", "nu=1", "--param", "m=0"], 2),
     ({"identity": "hankel-orthogonality", "grid": {"nu": ["x"], "m": [0], "n": [0]}}, 1),
-], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int"])
+    (["eval", "hankel-orthogonality", "--param", "nu=0", "--param", "m=0", "--param", "n=0",
+      "--param", "zz=3"], 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0],
+                                                   "nuu": [5]}}, 2),
+], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
+        "eval-unknown-label", "grid-unknown-label"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case
@@ -204,6 +233,16 @@ def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys
         assert "ValueError" in report[0]["error"]
         assert report[-1]["summary"]["failed"] == 1
 
+
+def test_cli_eval_bad_vector_is_failed_case(capsys):
+    # a vector that does not parse as integers reaches the label cast as the
+    # raw string and fails the case, like a bad scalar
+    rc = cli_main(["eval", "s-lemma", "--param", "x=1", "--param", "n=0,1,a",
+                   "--param", "s=0", "--param", "s2=0"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and "ValueError" in doc["error"]
+    assert doc["params"]["n"] == "0,1,a"
 
 
 def test_integer_labels_are_not_truncated(capsys):
