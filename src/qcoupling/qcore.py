@@ -240,36 +240,38 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
     total = mp.mpf(0)
     term = mp.mpf(1)
     max_term = mp.mpf(1)
+    tol = mp.mpf(policy.tail_tol)
+    eps = mp.mpf(10) ** (-(mp.mp.dps - 5))
+    thr = min(tol, max_term * eps)
     k = 0
     small = 0
     while True:
         total += term
         if nterm is not None and k == nterm:
             return SeriesResult(total, mp.mpf(0), k + 1, True, max_term)
+        qk = q ** k
         num = mp.mpf(1)
         for a in upper:
-            num *= 1 - a * q ** k
+            num *= 1 - a * qk
         den = 1 - q ** (k + 1)
         for b in lower:
-            den *= 1 - b * q ** k
+            den *= 1 - b * qk
         if den == 0:
             raise PoleInLowerParameter("zero denominator during summation")
         term = term * num / den * z
         if extra_power:
-            term *= (-(q ** k)) ** extra_power
+            term *= (-qk) ** extra_power
         k += 1
         if abs(term) > max_term:
             max_term = abs(term)
+            thr = min(tol, max_term * eps)
         if nterm is None:
-            thr = min(mp.mpf(policy.tail_tol),
-                      max_term * mp.mpf(10) ** (-(mp.mp.dps - 5)))
             if abs(term) < thr:
                 small += 1
                 if small >= 3:
                     total += term
                     est = 2 * thr / (1 - q)
-                    return SeriesResult(total, est, k + 1,
-                                        bool(est <= mp.mpf(policy.tail_tol)), max_term)
+                    return SeriesResult(total, est, k + 1, bool(est <= tol), max_term)
             else:
                 small = 0
             if k > policy.max_terms:

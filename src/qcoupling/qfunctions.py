@@ -7,12 +7,14 @@ checks that tie the two families together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import mpf_pow_int, to_fixed
 
-from .errors import DomainError, NonConvergent
+from .errors import DomainError, NonConvergent, PoleInLowerParameter
 from .qcore import QContext, SeriesResult, TruncationPolicy, qpoch_finite, qpoch_infinite, rphis
 
 __all__ = [
@@ -219,11 +221,16 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
     return _series(nu, x, None, ctx, policy)
 
 
+_LOG10_2 = math.log10(2)
+
+
 def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
             policy: Optional[TruncationPolicy]) -> mp.mpf:
     """J_nu(x) = x^{nu/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q x), nu >= 0.
 
-    x is q^lattice_y when lattice_y is given.  For large arguments (y < 0)
+    x is q^lattice_y when lattice_y is given.  The 1phi1 and (q;q)_nu come
+    from ``_phi11_fixed``, which sums in integer fixed point; only x^{nu/2}
+    and the final products are mpf operations.  For large arguments (y < 0)
     the terms grow to about q^{-(y+1)^2/2} before the quadratic factor takes
     over, so guard digits of that size are added and re-widened until two
     evaluations agree.  For y >= 0 the terms still grow like 1/(q;q)_k^2
@@ -232,6 +239,7 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
     NonConvergent if eight rounds never settle.
     """
     q = ctx.q
+    policy = policy or TruncationPolicy()
     with ctx.workdps(10):
         y = mp.mpf(lattice_y) if lattice_y is not None else mp.log(x) / mp.log(q)
     guard = 10
@@ -246,12 +254,13 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
             # the lattice argument is re-raised at full precision each round;
             # a low-precision argument would poison the cancellation
             xw = q ** lattice_y if lattice_y is not None else x
-            series = rphis([mp.mpf(0)], [q ** (nu + 1)], ctx, q * xw, policy)
-            # (q^{nu+1}; q)_inf / (q; q)_inf is exactly 1 / (q; q)_nu
-            val = xw ** (mp.mpf(nu) / 2) / qpoch_finite(q, ctx, nu) * series.value
+            total, max_term, poch = _phi11_fixed(nu, q * xw, ctx, policy)
+            val = xw ** (mp.mpf(nu) / 2) / poch * total
             if y >= 0:
-                lost = int(mp.ceil(mp.log10(series.max_term / abs(series.value)))) \
-                    if series.value else mp.mp.dps
+                # 2^(mag-1) <= |v| < 2^mag, so this bounds log10(max_term / |total|)
+                # from above, by less than one digit
+                lost = math.ceil((mp.mag(max_term) - mp.mag(total) + 1) * _LOG10_2) \
+                    if total else mp.mp.dps
                 if lost <= guard - 5:
                     break
                 wider = lost + 10
@@ -268,6 +277,73 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
         raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
     with ctx.workdps(5):
         return +val
+
+
+def _phi11_fixed(nu: int, z, ctx: QContext, policy: TruncationPolicy):
+    """(1phi1(0; q^{nu+1}; q, z), its largest term, (q;q)_nu) as mpf values.
+
+    The sum runs on Python integers scaled by 2^prec, prec being the current
+    mpmath precision plus 20 bits, with the running powers q^k, q^{nu+1+k}
+    and z q^k, so each term costs a few integer products and one division.
+    The error is absolute, about one unit of 2^-prec per operation carried
+    along the terms; since term 0 is 1, the largest term is at least 1 and
+    that error is no larger, relative to it, than mpf rounding would leave.
+    (q;q)_nu shares the factors 1 - q^{k+1} of the denominators; it is kept
+    as a mantissa of prec bits and a binary exponent, so its relative
+    accuracy does not drop as the product shrinks.
+
+    The stop rule is ``rphis``'s: three consecutive terms below
+    min(tail_tol, max_term 10^-(dps-5)), NonConvergent past max_terms, and
+    PoleInLowerParameter for a zero denominator.
+    """
+    prec = mp.mp.prec + 20
+    one = 1 << prec
+    q = to_fixed(ctx.q._mpf_, prec)
+    bqk = to_fixed(mpf_pow_int(ctx.q._mpf_, nu + 1, prec), prec)  # q^{nu+1+k}
+    zqk = to_fixed(mp.mpf(z)._mpf_, prec)                          # z q^k
+    # at least one unit, so terms that underflow to zero count as small
+    tol = max(to_fixed(mp.mpf(policy.tail_tol)._mpf_, prec), 1)
+    eps = to_fixed((mp.mpf(10) ** (5 - mp.mp.dps))._mpf_, prec)
+    qk = total = term = max_term = one
+    thr = min(tol, eps)
+    pman, pexp = 1, 0  # (q;q)_k = pman 2^pexp
+    k = small = 0
+    while True:
+        qk1 = (qk * q) >> prec
+        den = (one - qk1) * (one - bqk)
+        if den == 0:
+            raise PoleInLowerParameter("zero denominator during summation")
+        if k < nu:
+            pman, pexp = _times(pman, pexp, one - qk1, prec)
+        term = -((term * zqk) << prec) // den
+        total += term
+        k += 1
+        qk = qk1
+        bqk = (bqk * q) >> prec
+        zqk = (zqk * q) >> prec
+        size = abs(term)
+        if size > max_term:
+            max_term = size
+            thr = min(tol, (max_term * eps) >> prec)
+        if size < thr:
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+        if k > policy.max_terms:
+            raise NonConvergent("1phi1 series exhausted max_terms")
+    for _ in range(k, nu):
+        qk = (qk * q) >> prec
+        pman, pexp = _times(pman, pexp, one - qk, prec)
+    return mp.mpf((total, -prec)), mp.mpf((max_term, -prec)), mp.mpf((pman, pexp))
+
+
+def _times(man: int, exp: int, factor: int, prec: int):
+    """man 2^exp times the fixed-point factor 2^-prec, cut back to prec bits."""
+    man *= factor
+    shift = max(man.bit_length() - prec, 0)
+    return man >> shift, exp - prec + shift
 
 
 def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy, name: str):

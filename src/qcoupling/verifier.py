@@ -108,11 +108,13 @@ def _eval_multi_duality(nu, x, lam, ctx, policy):
     return abs(a - b)
 
 
-def _eval_threenj_product(x, n, r, s, k1, ctx, policy):
-    params = multivariate.ThreeNJParams(x, n, r, s)
-    if not 1 <= k1 < params.k:
+def _check_threenj_split(r, k1, **_):
+    if not 1 <= k1 < len(r):
         raise PlanInvalid("threenj-product needs 1 <= k1 < k")
-    whole = multivariate.threenj_R(params, ctx)
+
+
+def _eval_threenj_product(x, n, r, s, k1, ctx, policy):
+    whole = multivariate.threenj_R(multivariate.ThreeNJParams(x, n, r, s), ctx)
     left = multivariate.ThreeNJParams(x, n[:k1 + 1] + (r[k1],), r[:k1], s[:k1])
     right = multivariate.ThreeNJParams(x, (s[k1 - 1],) + n[k1 + 1:], r[k1:], s[k1:])
     split = multivariate.threenj_R(left, ctx) * multivariate.threenj_R(right, ctx)
@@ -196,12 +198,14 @@ def _labels(ints: str = "", vectors: str = "", reals: str = "", **optional) -> D
 class Identity:
     """An identity, and the labels its evaluator takes as keywords besides ctx
     and policy.  The evaluator returns the residual as an mpf, a float or a
-    SeriesResult."""
+    SeriesResult.  ``check``, if given, takes the cast labels and raises
+    PlanInvalid for values that name no instance."""
 
     name: str
     description: str
     evaluator: Callable
     labels: Dict[str, Label]
+    check: Optional[Callable] = None
 
     def check_labels(self, given) -> None:
         """PlanInvalid unless ``given`` has every required label and only declared ones."""
@@ -211,6 +215,23 @@ class Identity:
         unknown = [k for k in given if k not in self.labels]
         if unknown:
             raise PlanInvalid(f"{self.name}: unknown labels {unknown}")
+
+    def cast(self, params) -> dict:
+        """Every label cast as declared, a left-out optional one from its default."""
+        return {k: lab.cast(params[k] if k in params else lab.default)
+                for k, lab in self.labels.items()}
+
+    def check_case(self, params) -> None:
+        """``check_labels``, then ``check`` on the cast labels.  A label that
+        fails its cast is left to the evaluation, where it is a failed case."""
+        self.check_labels(params)
+        if self.check is None:
+            return
+        try:
+            labels = self.cast(params)
+        except (TypeError, ValueError):
+            return
+        self.check(**labels)
 
 
 IDENTITIES: Dict[str, Identity] = {i.name: i for i in [
@@ -243,7 +264,7 @@ IDENTITIES: Dict[str, Identity] = {i.name: i for i in [
     Identity("multi-duality", "label-reversal self-duality of multivariate q-Bessel",
              _eval_multi_duality, _labels(vectors="nu x lam")),
     Identity("threenj-product", "chain factorization of tree recoupling coefficients",
-             _eval_threenj_product, _labels("x", vectors="n r s", k1=1)),
+             _eval_threenj_product, _labels("x", vectors="n r s", k1=1), _check_threenj_split),
     Identity("threenj-corollary", "tree recoupling chain equals prefactored multivariate q-Bessel",
              _eval_threenj_corollary, _labels("x", vectors="n r s")),
     Identity("s-lemma", "unitarity of the left-hanging chain coefficients",
@@ -336,7 +357,8 @@ class CampaignPlan:
         cases = [dict(zip(labels, combo)) for combo in itertools.product(*axes)]
         if not cases or not self.grid:
             raise PlanInvalid("empty parameter grid")
-        IDENTITIES[self.identity].check_labels(self.grid)
+        for case in cases:
+            IDENTITIES[self.identity].check_case(case)
         return cases
 
 
@@ -366,24 +388,23 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
                 precision: int = 30, policy: Optional[TruncationPolicy] = None) -> CaseResult:
     """Evaluate one identity instance; evaluation errors become failed cases.
 
-    An unknown identity, a missing or undeclared label, or an invalid q or
-    precision raises PlanInvalid instead: the instance cannot be set up at
-    all.  Each label is cast as ``IDENTITIES[identity].labels`` declares, a
-    left-out optional one from its default; a failed cast is an evaluation
-    error.  The report echoes ``params`` as given.
+    An unknown identity, a missing or undeclared label, labels the
+    identity's ``check`` rejects, or an invalid q or precision raises
+    PlanInvalid instead: the instance cannot be set up at all.  Each label
+    is cast as ``IDENTITIES[identity].labels`` declares, a left-out optional
+    one from its default; a failed cast is an evaluation error.  The report
+    echoes ``params`` as given.
     """
     if identity not in IDENTITIES:
         raise PlanInvalid(f"unknown identity id {identity!r}")
     ident = IDENTITIES[identity]
-    ident.check_labels(params)
+    ident.check_case(params)
     policy = policy or TruncationPolicy()
     ctx = _context(q, precision)
     t0 = time.perf_counter()
     try:
         with ctx.workdps(10):
-            labels = {k: lab.cast(params[k] if k in params else lab.default)
-                      for k, lab in ident.labels.items()}
-            result = ident.evaluator(**labels, ctx=ctx, policy=policy)
+            result = ident.evaluator(**ident.cast(params), ctx=ctx, policy=policy)
         residual = abs(float(result))
         err = ""
     except (QCouplingError, ArithmeticError, TypeError, ValueError) as exc:

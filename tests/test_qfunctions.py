@@ -2,8 +2,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoupling import (QContext, SeriesResult, TruncationPolicy, WallParams, genfun_check, qbessel,
-                       qbessel_lattice, qpoch_finite, qpoch_infinite, wall_genfun_check,
+from qcoupling import (QContext, TruncationPolicy, WallParams, genfun_check, qbessel,
+                       qbessel_lattice, qpoch_finite, qpoch_infinite, rphis, wall_genfun_check,
                        wall_orthonormal, wall_orthonormal_run, wall_poly, wall_poly_alt)
 from qcoupling import qfunctions
 from qcoupling.errors import DomainError, NonConvergent
@@ -155,12 +155,56 @@ def test_qbessel_series_rounds_that_never_agree_raise(ctx05, monkeypatch):
 
     def drifting(*args, **kwargs):
         calls.append(1)
-        return SeriesResult(mp.mpf(len(calls)), mp.mpf(0), 1, True)
+        return mp.mpf(len(calls)), mp.mpf(len(calls)), mp.mpf(1)
 
-    monkeypatch.setattr(qfunctions, "rphis", drifting)
+    monkeypatch.setattr(qfunctions, "_phi11_fixed", drifting)
     with pytest.raises(NonConvergent):
         qbessel(1, 7, ctx05)
     assert len(calls) == 8
+
+
+def test_qbessel_series_max_terms_raise(ctx05):
+    # at x = 1 the terms stay near 1 for several steps, so a three-term cap is hit
+    with pytest.raises(NonConvergent):
+        qbessel(0, 1, ctx05, TruncationPolicy(max_terms=3))
+    assert qbessel(0, 1, ctx05, TruncationPolicy(max_terms=30)) != 0
+
+
+def _rphis_j(nu, x, ctx):
+    """J_nu(x) for nu >= 0 from ``rphis`` and ``qpoch_finite``, at a precision
+    that covers the series' cancellation: the reference for the fixed-point kernel."""
+    q = ctx.q
+    with ctx.workdps(10):
+        x = mp.mpf(x)
+        y = mp.log(x) / mp.log(q)
+    extra = 30 + int(mp.ceil(max(-y, 0) ** 2 * mp.log(1 / q, 10)))
+    while True:
+        with ctx.workdps(extra):
+            series = rphis([mp.mpf(0)], [q ** (nu + 1)], ctx, q * x)
+            lost = mp.log10(series.max_term / abs(series.value))
+            if lost < extra - 20:
+                return x ** (mp.mpf(nu) / 2) / qpoch_finite(q, ctx, nu) * series.value
+        extra = int(lost) + 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.05, 0.97), wp=st.sampled_from([20, 30, 50, 80]),
+       n=st.integers(0, 60), m=st.integers(0, 60),
+       x=st.one_of(st.none(), st.floats(0, 20, exclude_min=True)))
+def test_qbessel_kernel_matches_rphis(q, wp, n, m, x):
+    # the fixed-point kernel against the mpf rphis path: a canonical lattice
+    # pair 0 <= n <= m, or an off-lattice argument x in (0, 20]
+    ctx = QContext(q, wp)
+    n, m = min(n, m), max(n, m)
+    if x is None:
+        got = qfunctions._series(n, None, m, ctx, None)
+        with ctx.workdps(10):
+            x = ctx.q ** m
+    else:
+        got = qbessel(n, x, ctx)
+    want = _rphis_j(n, x, ctx)
+    with mp.workdps(wp + 20):
+        assert abs(got - want) <= mp.mpf(10) ** (-wp) * abs(want)
 
 
 def _series_oracle(nu, y, ctx):

@@ -215,8 +215,15 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
       "--param", "zz=3"], 2),
     ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0],
                                                    "nuu": [5]}}, 2),
+    (["eval", "threenj-product", "--param", "x=0", "--param", "n=0,1,0,-1,1",
+      "--param", "r=0,1,0", "--param", "s=1,0,0", "--param", "k1=5"], 2),
+    ({"identity": "threenj-product", "grid": {"x": [0], "n": [[0, 1, 0, -1, 1]],
+                                              "r": [[0, 1, 0]], "s": [[1, 0, 0]], "k1": [1, 5]}}, 2),
+    ({"identity": "threenj-product", "grid": {"x": [0], "n": [[0, 1, 0, -1, 1]],
+                                              "r": [[0, 1, 0]], "s": [[1, 0, 0]], "k1": ["a"]}}, 1),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
-        "eval-unknown-label", "grid-unknown-label"])
+        "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
+        "grid-split-out-of-range", "split-not-int"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case
@@ -228,6 +235,7 @@ def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys
     captured = capsys.readouterr()
     if expected == 2:
         assert captured.err.startswith("plan invalid:") and captured.err.count("\n") == 1
+        assert captured.out == ""  # no case ran
     else:
         report = [json.loads(line) for line in captured.out.strip().split("\n")]
         assert "ValueError" in report[0]["error"]
