@@ -5,9 +5,13 @@ the (k+2)-fold tree recoupling coefficients factor into products of
 three-factor recoupling weights and are, up to a sign-power prefactor, the
 same multivariate q-Bessel functions in base q^2.
 
-Nested lattice sums are evaluated innermost-first with memoized inner
-levels: the raw box sum has individually astronomical terms that cancel,
-while each inner level collapses to a near-delta.
+Every nested lattice sum runs through one engine, ``_nested_vector_sum``:
+one bilateral level per coordinate, innermost-first, and optionally an
+``inner`` nested sum multiplied into each nonzero term.  The raw box sum
+has individually astronomical terms that cancel, while each inner level
+collapses to a near-delta.  The engine returns a SeriesResult whose
+estimate, term count and ``converged`` flag cover every level the value
+rests on.
 """
 
 from __future__ import annotations
@@ -132,8 +136,17 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
 
     sum_x J_nu(x,lam) J_nu(x,lam') q^{x_1} = delta_{lam,lam'}
     q^{nu_{d+1}+nu_0-lam_d}, the nested sum evaluated innermost-first
-    (x_1 innermost) with each level memoized.  Passing a shared ``memo``
-    dict lets grid sweeps reuse inner levels across label pairs.
+    (x_1 innermost): level j sums over x_j, and level j-1 at x_j is its
+    ``inner``.  Each level is memoized per x_{j+1}; passing a shared
+    ``memo`` dict lets grid sweeps reuse inner levels across label pairs.
+    Its keys carry the base, the working precision and the policy, so one
+    dict may serve several of each.
+
+    ``est_error`` is the truncation estimate of the nested sum: the sum of
+    the estimates of every level sum the total rests on, a memoized level
+    counted once per use.  ``terms_used`` counts their terms the same way,
+    and ``converged`` is False as soon as one of those sums did not
+    converge.  None of the three depends on what a shared ``memo`` holds.
     """
     policy = policy or TruncationPolicy()
     nu = tuple(int(v) for v in nu)
@@ -147,34 +160,36 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     lamp_full = (nu[0],) + lamp
     if memo is None:
         memo = {}
+    base = (ctx.q_key, ctx.working_precision, policy, nu)
 
-    def factor(j, xj, xj1, lam_full_vec):
-        order = nu[j] - xj1 - lam_full_vec[j - 1]
-        expo = xj - xj1 + lam_full_vec[j] - lam_full_vec[j - 1]
-        return qbessel_lattice(order, expo, ctx)
+    def level(j):
+        # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam') * (q^{x_1} or level j-1)
+        table = memo.setdefault(base + (lam_full[:j + 1], lamp_full[:j + 1]), {})
+        inner = level(j - 1) if j > 1 else None
+        # factor_j = J_{nu_j - x_{j+1} - lam_{j-1}}(q^{x_j - x_{j+1} + lam_j - lam_{j-1}})
+        order, order_p = nu[j] - lam_full[j - 1], nu[j] - lamp_full[j - 1]
+        shift, shift_p = lam_full[j] - lam_full[j - 1], lamp_full[j] - lamp_full[j - 1]
 
-    def inner(j, xj1):
-        # sum over x_j of factor_j(lam) * factor_j(lam') * (weight or inner level)
-        key = (nu, lam_full[:j + 1], lamp_full[:j + 1], j, xj1)
-        hit = memo.get(key)
-        if hit is not None:
+        def at(tv):
+            hit = table.get(tv)
+            if hit is None:
+                xj1 = tv[0]
+
+                def term(xv):
+                    xj = xv[0]
+                    val = qbessel_lattice(order - xj1, xj - xj1 + shift, ctx) \
+                        * qbessel_lattice(order_p - xj1, xj - xj1 + shift_p, ctx)
+                    return val * q ** xj if inner is None else val
+
+                hit = table[tv] = _nested_vector_sum(term, 1, policy, inner)
             return hit
 
-        if j == 1:
-            def term(x1):
-                return factor(1, x1, xj1, lam_full) * factor(1, x1, xj1, lamp_full) * q ** x1
-        else:
-            def term(xj):
-                return factor(j, xj, xj1, lam_full) * factor(j, xj, xj1, lamp_full) * inner(j - 1, xj)
+        return at
 
-        val = bilateral_sum(term, policy).value
-        memo[key] = val
-        return val
-
-    total = inner(d, nu[d + 1])
+    total = level(d)((nu[d + 1],))
     target = q ** (nu[d + 1] + nu[0] - lam[d - 1]) if lam == lamp else mp.mpf(0)
-    resid = abs(total - target)
-    return SeriesResult(resid, mp.mpf(policy.tail_tol), len(memo), True)
+    resid = abs(total.value - target)
+    return SeriesResult(resid, total.est_error, total.terms_used, total.converged)
 
 
 @at_working_precision
@@ -225,11 +240,6 @@ def threenj_corollary_gap(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     return abs(threenj_R(p, ctx) - pref * jval)
 
 
-def _vector_windows(k: int, policy: TruncationPolicy):
-    lo, hi = policy.bilateral_window
-    return [range(lo, hi + 1)] * k
-
-
 @dataclass(frozen=True)
 class MultivariateBEResult:
     s_form_residual: mp.mpf
@@ -267,7 +277,7 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
             R2 = threenj_R(ThreeNJParams(p.r[0], nprime, rprime, tuple(tvec)), ctx)
         return S * R2
 
-    s_rhs = _nested_vector_sum(s_term, k - 1, policy)
+    s_rhs = _nested_vector_sum(s_term, k - 1, policy).value
     s_resid = abs(lhs - s_rhs)
 
     a_resid = mp.mpf("nan")
@@ -289,22 +299,56 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
                                      s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1], ctx)
             return A * multi_qbessel(MultiBesselParams(nu_in, rprime, tuple(tvec)), ctx)
 
-        a_rhs = _nested_vector_sum(a_term, k - 1, policy)
+        a_rhs = _nested_vector_sum(a_term, k - 1, policy).value
         a_resid = abs(lhsJ - a_rhs)
         gate = mp.mpf("1e-7")
         agree = bool((s_resid <= gate) == (a_resid <= gate))
     return MultivariateBEResult(s_resid, a_resid, agree)
 
 
-def _nested_vector_sum(term, dim: int, policy: TruncationPolicy) -> mp.mpf:
-    """Sum term(tvec) over tvec in Z^dim, one bilateral level per coordinate."""
-    if dim == 1:
-        return bilateral_sum(lambda t: term((t,)), policy).value
+def _nested_vector_sum(term, dim: int, policy: TruncationPolicy,
+                       inner=None) -> SeriesResult:
+    """Sum term(tvec) over tvec in Z^dim, one bilateral level per coordinate.
 
-    def outer(t_last):
-        return _nested_vector_sum(lambda rest: term(rest + (t_last,)), dim - 1, policy)
+    The first coordinate is innermost.  When ``inner`` is given, each
+    nonzero term is multiplied by ``inner(tvec).value``, where ``inner``
+    returns the SeriesResult of a further nested sum.
 
-    return bilateral_sum(outer, policy).value
+    Each level combines its own bilateral sum with every inner result it
+    used (its coordinate sub-sums, or the ``inner`` results): the estimates
+    and the term counts add, and ``converged`` is the AND of them all.  The
+    estimates add unweighted, so the per-term path stays one multiplication;
+    this takes the weights an inner result is multiplied by to be at most of
+    order one.  They are q-Bessel products (orthogonality) and S chain
+    coefficients (S-composition); none exceeds 1 in modulus on criterion
+    5's grids, nor on the k = 2 S-composition instance the tests run.
+    """
+    used = []  # inner SeriesResults, one per index that used one
+    if dim > 1:
+        def level(t):
+            sub = _nested_vector_sum(lambda rest: term(rest + (t,)), dim - 1, policy,
+                                     None if inner is None else lambda rest: inner(rest + (t,)))
+            used.append(sub)
+            return sub.value
+    elif inner is None:
+        def level(t):
+            return term((t,))
+    else:
+        def level(t):
+            tvec = (t,)
+            v = term(tvec)
+            if not v:
+                return v
+            r = inner(tvec)
+            used.append(r)
+            return v * r.value
+
+    own = bilateral_sum(level, policy)
+    if not used:
+        return own
+    return SeriesResult(own.value, own.est_error + mp.fsum(r.est_error for r in used),
+                        own.terms_used + sum(r.terms_used for r in used),
+                        own.converged and all(r.converged for r in used))
 
 
 @at_working_precision
@@ -348,6 +392,12 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
     prod_{j=1..k+1} S^{x,n_j}_{s_{j-1}, s_j}, with s_0 = r, s_{k+1} = s and
     n_j the cyclic rotations of n.  The k = 1 case is the backcoupling
     identity and fails with it; the residual is faithful.
+
+    The sum over s_l is level l, and level l+1 at s_l is its ``inner``.
+    ``est_error`` adds the truncation estimates of every level sum the
+    right-hand side rests on, ``terms_used`` their terms, and ``converged``
+    is False as soon as one of them did not converge (on a fixed window too
+    narrow for the chain, say).
     """
     policy = policy or TruncationPolicy()
     n = tuple(int(v) for v in n)
@@ -363,22 +413,22 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
 
     lhs = threenj_S(ThreeNJParams(x, n, s, r), ctx)
 
-    def chain(level, prev):
-        # level runs 1..k over intermediate vectors; prev = s_{level-1}
-        Srot = rotation(level)
-        if level == k + 1:
-            return threenj_S(ThreeNJParams(x, Srot, prev, s), ctx)
+    def level(l, prev):
+        # sum over s_l of S^{x,n_l}_{s_{l-1},s_l} times level l+1 at s_l; level k
+        # ends the chain with S^{x,n_{k+1}}_{s_k,s} in its term
+        rot, last = rotation(l), rotation(k + 1)
 
         def term(tvec):
-            val = threenj_S(ThreeNJParams(x, Srot, prev, tuple(tvec)), ctx)
-            if val == 0:
-                return mp.mpf(0)
-            return val * chain(level + 1, tuple(tvec))
+            val = threenj_S(ThreeNJParams(x, rot, prev, tvec), ctx)
+            if l < k or not val:
+                return val
+            return val * threenj_S(ThreeNJParams(x, last, tvec, s), ctx)
 
-        return _nested_vector_sum(term, k, policy)
+        return _nested_vector_sum(term, k, policy,
+                                  None if l == k else lambda tvec: level(l + 1, tvec))
 
-    rhs = chain(1, r)
-    return SeriesResult(abs(lhs - rhs), mp.mpf(policy.tail_tol), 0, True)
+    rhs = level(1, r)
+    return SeriesResult(abs(lhs - rhs.value), rhs.est_error, rhs.terms_used, rhs.converged)
 
 
 def multi_cg(x: int, r: Sequence[int], n: Sequence[int], ctx: QContext) -> float:
@@ -417,5 +467,5 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
             return mp.mpf(0)
         return threenj_R(ThreeNJParams(x, n, r, tuple(svec)), ctx) * c
 
-    rhs = _nested_vector_sum(term, k, policy)
+    rhs = _nested_vector_sum(term, k, policy).value
     return abs(lhs - rhs)

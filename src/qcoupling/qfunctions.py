@@ -377,8 +377,13 @@ def genfun_check(nu: int, x, t, ctx: QContext,
     """Residual of the q-Bessel generating relation at (nu, x, t), |t| < 1.
 
     LHS: sum_m q^{-nu m/2} J_nu(x q^m) t^m/(q;q)_m; RHS: the 1phi1 with
-    numerator parameter t.  Both sides are truncated independently.
+    numerator parameter t.  Both sides are truncated independently.  The
+    relation needs nu >= 0: below that the 1phi1's lower parameter q^{nu+1}
+    is q^0 or a negative power of q, and (q^{nu+1}; q)_m vanishes.
     """
+    if nu < 0:
+        raise DomainError(f"generating relation needs nu >= 0, got nu = {nu}: the lower "
+                          f"parameter q^(nu+1) would make (q^(nu+1); q)_m vanish")
     policy = policy or TruncationPolicy()
     q = ctx.q
     with ctx.workdps(15):

@@ -132,7 +132,7 @@ def _eval_s_lemma(x, n, s, s2, ctx, policy):
         b = multivariate.threenj_S(multivariate.ThreeNJParams(x, n, tuple(rvec), s2), ctx)
         return a * b
 
-    total = multivariate._nested_vector_sum(term, len(s), policy)
+    total = multivariate._nested_vector_sum(term, len(s), policy).value
     return abs(total - (1 if s == s2 else 0))
 
 

@@ -50,6 +50,16 @@ def test_eval_single_pass():
     assert res.passed and res.residual < 1e-8
 
 
+def test_eval_single_genfun_negative_order_is_a_domain_error():
+    # the 1phi1's lower parameter q^(nu+1) is q^0 at nu = -1: a domain error
+    # that says why, not a pole raised from inside the series
+    for nu in (-1, -3):
+        res = eval_single("genfun", {"nu": nu, "x": 0.5, "t": 0.25}, 0.5)
+        assert not res.passed and res.residual == float("inf")
+        assert res.error.startswith("DomainError: generating relation needs nu >= 0")
+    assert eval_single("genfun", {"nu": 0, "x": 0.5, "t": 0.25}, 0.5, tolerance=1e-10).passed
+
+
 def test_eval_single_unknown_identity():
     with pytest.raises(PlanInvalid):
         eval_single("no-such-identity", {}, 0.5)
