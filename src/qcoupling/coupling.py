@@ -29,6 +29,7 @@ from .qfunctions import qbessel_lattice
 __all__ = [
     "sixj_closed",
     "recoupling_R",
+    "recoupling_weight",
     "verify_backcoupling",
     "backcoupling_forms_gap",
     "verify_biedenharn_elliott",
@@ -61,10 +62,16 @@ def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
     Value depends on the labels only through e = p1p+p2p-n1-n3 and the order
     x-n1+n2-n3; equals sixj_closed under p1p = n1+p1, p2p = n3-p2.
     """
-    e = p1p + p2p - n1 - n3
-    ctx2 = ctx.base_squared()
+    return recoupling_weight(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx)
+
+
+def recoupling_weight(order: int, e: int, ctx: QContext) -> mp.mpf:
+    """(-q)^e J_order(q^{2e}; q^2), the tree-move weight at its two labels.
+
+    Rounded to the working precision plus five digits.
+    """
     with ctx.workdps(5):
-        return (-ctx.q) ** e * qbessel_lattice(x - n1 + n2 - n3, e, ctx2)
+        return (-ctx.q) ** e * qbessel_lattice(order, e, ctx.base_squared())
 
 
 @at_working_precision

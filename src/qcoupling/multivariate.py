@@ -12,19 +12,33 @@ has individually astronomical terms that cancel, while each inner level
 collapses to a near-delta.  The engine returns a SeriesResult whose
 estimate, term count and ``converged`` flag cover every level the value
 rests on.
+
+The engine sums on Python integers.  A term is an exact pair (m, e) for
+m 2^e, built with integer products from factors that each evaluation
+converts once per distinct label: recoupling weights
+(-q)^e J_order(q^{2e}; q^2) along a chain (``_weights``, read by
+``_R_labels`` and ``_S_labels``) or lattice J values (``_fixed``, read by
+``_factor_labels``).  Each level adds its terms at a
+scale 2^-P chosen from its own largest term, so it keeps the working
+precision plus 64 bits relative to that term whatever the magnitudes.
+The mpf ``threenj_R``, ``threenj_S`` and ``multi_qbessel`` read the same
+label walks for the identities that are not sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .errors import DomainError
-from .qcore import at_working_precision, QContext, SeriesResult, TruncationPolicy, bilateral_sum
+from .qcore import (at_working_precision, QContext, SeriesResult, TruncationPolicy,
+                    bilateral_window, tail_estimate)
 from .qfunctions import qbessel_lattice
-from .coupling import recoupling_R, verify_biedenharn_elliott
+from .coupling import recoupling_weight, verify_biedenharn_elliott
 from .representation import cg_coefficient
 
 __all__ = [
@@ -118,6 +132,98 @@ def _factor_labels(nu, x, lam):
     return out
 
 
+def _R_labels(x: int, n, r, s) -> List[Tuple[int, int]]:
+    """(order, e) of each weight of the right-comb chain, j = 1..k.
+
+    R^{x, s_{j-1}, n_{j+1}, r_{j+1}}_{r_j, s_j} with s_0 = n_1 and
+    r_{k+1} = n_{k+2}; the weight R^{x,n1,n2,n3}_{p1,p2} has order
+    x-n1+n2-n3 and e = p1+p2-n1-n3 (``coupling.recoupling_R``).
+    """
+    k = len(r)
+    s_prev, out = n[0], []
+    for j in range(k):
+        r_next = r[j + 1] if j + 1 < k else n[k + 1]
+        out.append((x - s_prev + n[j + 1] - r_next, r[j] + s[j] - s_prev - r_next))
+        s_prev = s[j]
+    return out
+
+
+def _S_labels(x: int, n, r, s) -> List[Tuple[int, int]]:
+    """(order, e) of each weight of the left-hanging chain, j = 1..k.
+
+    R^{s_{j+1}, n_1, r_{j-1}, n_{j+2}}_{r_j, s_j} with s_{k+1} = x and
+    r_0 = n_2.
+    """
+    k = len(r)
+    r_prev, out = n[1], []
+    for j in range(k):
+        s_next = s[j + 1] if j + 1 < k else x
+        out.append((s_next - n[0] + r_prev - n[j + 2], r[j] + s[j] - n[0] - n[j + 2]))
+        r_prev = r[j]
+    return out
+
+
+def _mantissa(v: mp.mpf) -> Tuple[int, int]:
+    """(m, e) with v = m 2^e exactly."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), exp
+
+
+def _memo(fn: Callable) -> Callable:
+    """fn, computed once per argument tuple.
+
+    The table lives as long as the returned function, so each evaluation
+    makes its own and no value crosses bases or precisions.
+    """
+    table = {}
+
+    def get(*key):
+        hit = table.get(key)
+        if hit is None:
+            hit = table[key] = fn(*key)
+        return hit
+
+    return get
+
+
+def _fixed(value: Callable[..., mp.mpf]) -> Callable[..., Tuple[int, int]]:
+    """value(*key), an mpf, as an exact (m, e) pair, converted once per key."""
+    return _memo(lambda *key: _mantissa(value(*key)))
+
+
+def _weights(ctx: QContext) -> Callable[[int, int], Tuple[int, int]]:
+    """(order, e) -> the recoupling weight (-q)^e J_order(q^{2e}; q^2) as (m, e).
+
+    The exact product of the lattice J value and of (-q)^e, the power
+    formed once per e at the working precision plus ten digits; each weight
+    is converted once per call of ``_weights``.
+    """
+    ctx2 = ctx.base_squared()
+
+    def power(e):
+        with ctx.workdps(10):
+            return (-ctx.q) ** e
+
+    powers = _fixed(power)
+
+    def weight(order, e):
+        pm, pe = powers(e)
+        jm, je = _mantissa(qbessel_lattice(order, e, ctx2))
+        return pm * jm, pe + je
+
+    return _memo(weight)
+
+
+def _product(labels, factor) -> Tuple[int, int]:
+    """Exact (m, e) product of factor(*label) over ``labels``."""
+    m, e = 1, 0
+    for label in labels:
+        fm, fe = factor(*label)
+        m *= fm
+        e += fe
+    return m, e
+
+
 @at_working_precision
 def multi_qbessel(p: MultiBesselParams, ctx: QContext) -> mp.mpf:
     """Coupled product of q-Bessel factors J_{nu_j - x_{j+1} - lam_{j-1}}(...)."""
@@ -147,6 +253,9 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     counted once per use.  ``terms_used`` counts their terms the same way,
     and ``converged`` is False as soon as one of those sums did not
     converge.  None of the three depends on what a shared ``memo`` holds.
+
+    The J factors and the powers q^{x_1} are converted to integers once per
+    call; the memo holds only level results.
     """
     policy = policy or TruncationPolicy()
     nu = tuple(int(v) for v in nu)
@@ -161,6 +270,8 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     if memo is None:
         memo = {}
     base = (ctx.q_key, ctx.working_precision, policy, nu)
+    J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
+    qpow = _fixed(lambda x: q ** x)
 
     def level(j):
         # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam') * (q^{x_1} or level j-1)
@@ -177,11 +288,14 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
 
                 def term(xv):
                     xj = xv[0]
-                    val = qbessel_lattice(order - xj1, xj - xj1 + shift, ctx) \
-                        * qbessel_lattice(order_p - xj1, xj - xj1 + shift_p, ctx)
-                    return val * q ** xj if inner is None else val
+                    am, ae = J(order - xj1, xj - xj1 + shift)
+                    bm, be = J(order_p - xj1, xj - xj1 + shift_p)
+                    if inner is not None:
+                        return am * bm, ae + be
+                    qm, qe = qpow(xj)
+                    return am * bm * qm, ae + be + qe
 
-                hit = table[tv] = _nested_vector_sum(term, 1, policy, inner)
+                hit = table[tv] = _nested_vector_sum(term, 1, policy, ctx, inner)
             return hit
 
         return at
@@ -192,6 +306,15 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     return SeriesResult(resid, total.est_error, total.terms_used, total.converged)
 
 
+def _chain(labels, ctx: QContext) -> mp.mpf:
+    """Product of the recoupling weights at ``labels`` (at least one), in order."""
+    val = None
+    for order, e in labels:
+        w = recoupling_weight(order, e, ctx)
+        val = w if val is None else val * w
+    return val
+
+
 @at_working_precision
 def threenj_R(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     """Chain product of recoupling weights along the right-comb tree.
@@ -199,14 +322,7 @@ def threenj_R(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     prod_{j=1..k} R^{x, s_{j-1}, n_{j+1}, r_{j+1}}_{r_j, s_j} with s_0 = n_1
     and r_{k+1} = n_{k+2}.
     """
-    k = p.k
-    s_full = (p.n[0],) + p.s
-    r_full = (None,) + p.r + (p.n[k + 1],)
-    val = mp.mpf(1)
-    for j in range(1, k + 1):
-        val *= recoupling_R(p.x, s_full[j - 1], p.n[j], r_full[j + 1],
-                            r_full[j], s_full[j], ctx)
-    return val
+    return _chain(_R_labels(p.x, p.n, p.r, p.s), ctx)
 
 
 @at_working_precision
@@ -216,14 +332,7 @@ def threenj_S(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     prod_{j=1..k} R^{s_{j+1}, n_1, r_{j-1}, n_{j+2}}_{r_j, s_j} with
     s_{k+1} = x and r_0 = n_2.  Lacks the reversal self-duality of threenj_R.
     """
-    k = p.k
-    s_full = (None,) + p.s + (p.x,)
-    r_full = (p.n[1],) + p.r
-    val = mp.mpf(1)
-    for j in range(1, k + 1):
-        val *= recoupling_R(s_full[j + 1], p.n[0], r_full[j - 1], p.n[j + 1],
-                            r_full[j], s_full[j], ctx)
-    return val
+    return _chain(_S_labels(p.x, p.n, p.r, p.s), ctx)
 
 
 @at_working_precision
@@ -267,17 +376,14 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
 
     nprime = drop_first(p.n)
     rprime = drop_first(p.r)
+    weight = _weights(ctx)
 
     def s_term(tvec):
-        S = threenj_S(ThreeNJParams(p.x, p.n, tuple(tvec) + (p.r[0],), p.s), ctx)
-        if k == 2:
-            R2 = recoupling_R(p.r[0], nprime[0], nprime[1], nprime[2],
-                              rprime[0], tvec[0], ctx)
-        else:
-            R2 = threenj_R(ThreeNJParams(p.r[0], nprime, rprime, tuple(tvec)), ctx)
-        return S * R2
+        # S^{x,n}_{(t,r_1),s} R^{r_1,n'}_{r',t}
+        return _product(_S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
+                        + _R_labels(p.r[0], nprime, rprime, tvec), weight)
 
-    s_rhs = _nested_vector_sum(s_term, k - 1, policy).value
+    s_rhs = _nested_vector_sum(s_term, k - 1, policy, ctx).value
     s_resid = abs(lhs - s_rhs)
 
     a_resid = mp.mpf("nan")
@@ -288,31 +394,44 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
         nu_in = (p.n[1],) + tuple(p.r[0] + p.n[j] for j in range(2, k + 1)) + (p.n[k + 1],)
         lhsJ = multi_qbessel(MultiBesselParams(nu_out, p.r, p.s), ctx)
         s_ext = p.s + (p.x,)
+        J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
+        sign_power = _fixed(lambda expo: (-mp.sqrt(q)) ** expo)
 
         def a_term(tvec):
-            t_full = (p.n[1],) + tuple(tvec) + (p.r[0],)
+            # (-q^{1/2})^expo prod_j J(...) times J_{nu_in}(r', t)
+            t_full = (p.n[1],) + tvec + (p.r[0],)
             expo = sum(tvec) + sum(p.s) - sum(p.n) - (k - 2) * p.n[0] \
                 - p.s[k - 1] + p.r[1]
-            A = (-mp.sqrt(q)) ** expo
-            for j in range(1, k + 1):
-                A *= qbessel_lattice(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
-                                     s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1], ctx)
-            return A * multi_qbessel(MultiBesselParams(nu_in, rprime, tuple(tvec)), ctx)
+            labels = [(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
+                       s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1]) for j in range(1, k + 1)]
+            m, e = _product(labels + _factor_labels(nu_in, rprime, tvec), J)
+            am, ae = sign_power(expo)
+            return m * am, e + ae
 
-        a_rhs = _nested_vector_sum(a_term, k - 1, policy).value
+        a_rhs = _nested_vector_sum(a_term, k - 1, policy, ctx).value
         a_resid = abs(lhsJ - a_rhs)
         gate = mp.mpf("1e-7")
         agree = bool((s_resid <= gate) == (a_resid <= gate))
     return MultivariateBEResult(s_resid, a_resid, agree)
 
 
-def _nested_vector_sum(term, dim: int, policy: TruncationPolicy,
+def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
                        inner=None) -> SeriesResult:
     """Sum term(tvec) over tvec in Z^dim, one bilateral level per coordinate.
 
-    The first coordinate is innermost.  When ``inner`` is given, each
-    nonzero term is multiplied by ``inner(tvec).value``, where ``inner``
-    returns the SeriesResult of a further nested sum.
+    term(tvec) returns an exact pair (m, e) for m 2^e; (0, 0) is zero.  The
+    first coordinate is innermost.  When ``inner`` is given, each nonzero
+    term is multiplied by ``inner(tvec).value``, where ``inner`` returns the
+    SeriesResult of a further nested sum; its mpf value enters as its
+    integer mantissa and exponent.
+
+    Each level is a ``bilateral_window`` over its exact terms (its window
+    and stop rule are ``bilateral_sum``'s, the comparisons exact).  It adds
+    the terms on integers at the scale 2^-P whose unit lies ``_level_bits``
+    (the working precision in bits plus 64) below its largest term, so its
+    value is right to about (terms used) 2^-_level_bits times that term
+    whatever the magnitudes; no mpf arithmetic is done per term.  The value
+    is returned as the exact mpf of that integer sum.
 
     Each level combines its own bilateral sum with every inner result it
     used (its coordinate sub-sums, or the ``inner`` results): the estimates
@@ -326,29 +445,73 @@ def _nested_vector_sum(term, dim: int, policy: TruncationPolicy,
     used = []  # inner SeriesResults, one per index that used one
     if dim > 1:
         def level(t):
-            sub = _nested_vector_sum(lambda rest: term(rest + (t,)), dim - 1, policy,
+            sub = _nested_vector_sum(lambda rest: term(rest + (t,)), dim - 1, policy, ctx,
                                      None if inner is None else lambda rest: inner(rest + (t,)))
             used.append(sub)
-            return sub.value
+            return _mantissa(sub.value)
     elif inner is None:
         def level(t):
             return term((t,))
     else:
         def level(t):
             tvec = (t,)
-            v = term(tvec)
-            if not v:
-                return v
+            m, e = term(tvec)
+            if not m:
+                return m, e
             r = inner(tvec)
             used.append(r)
-            return v * r.value
+            im, ie = _mantissa(r.value)
+            return m * im, e + ie
 
-    own = bilateral_sum(level, policy)
+    vals, lo, hi, edge = bilateral_window(level, policy, _below)
+    boundary = [vals[p] for p in edge]
+    low = min(e for _, e in boundary)
+    est, converged = tail_estimate(_exact(sum(abs(m) << (e - low) for m, e in boundary), low),
+                                   policy)
+    own = SeriesResult(_fixed_sum([vals[p] for p in range(lo, hi + 1)], _level_bits(ctx)),
+                       est, len(vals), converged)
     if not used:
         return own
     return SeriesResult(own.value, own.est_error + mp.fsum(r.est_error for r in used),
                         own.terms_used + sum(r.terms_used for r in used),
                         own.converged and all(r.converged for r in used))
+
+
+def _level_bits(ctx: QContext) -> int:
+    """Bits a nested-sum level keeps below its largest term."""
+    return math.ceil(ctx.working_precision * math.log2(10)) + 64
+
+
+def _exact(m: int, e: int) -> mp.mpf:
+    """The mpf m 2^e, unrounded."""
+    return mp.make_mpf(from_man_exp(m, e))
+
+
+def _below(v: Tuple[int, int], bnd: mp.mpf) -> bool:
+    """|m 2^e| < bnd for v = (m, e), compared exactly."""
+    m, e = v
+    if not m:
+        return True
+    m = abs(m)
+    _, bm, be, bbits = bnd._mpf_
+    top, btop = e + m.bit_length(), be + bbits
+    if top != btop:
+        return top < btop
+    return m << (e - be) < bm if e >= be else m < bm << (be - e)
+
+
+def _fixed_sum(terms, bits: int) -> mp.mpf:
+    """Sum of the (m, e) terms, in order, on integers in units of 2^scale,
+    ``bits`` below the largest term's leading bit; each term is cut to that
+    unit (floored), so the error is below one unit per term."""
+    tops = [e + abs(m).bit_length() for m, e in terms if m]
+    if not tops:
+        return mp.mpf(0)
+    scale = max(tops) - bits
+    total = 0
+    for m, e in terms:
+        total += m << (e - scale) if e >= scale else m >> (scale - e)
+    return _exact(total, scale)
 
 
 @at_working_precision
@@ -412,6 +575,7 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
         return tuple(n[(k + 2 - j + i) % (k + 2)] for i in range(k + 2))
 
     lhs = threenj_S(ThreeNJParams(x, n, s, r), ctx)
+    weight = _weights(ctx)
 
     def level(l, prev):
         # sum over s_l of S^{x,n_l}_{s_{l-1},s_l} times level l+1 at s_l; level k
@@ -419,12 +583,12 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
         rot, last = rotation(l), rotation(k + 1)
 
         def term(tvec):
-            val = threenj_S(ThreeNJParams(x, rot, prev, tvec), ctx)
-            if l < k or not val:
-                return val
-            return val * threenj_S(ThreeNJParams(x, last, tvec, s), ctx)
+            labels = _S_labels(x, rot, prev, tvec)
+            if l == k:
+                labels += _S_labels(x, last, tvec, s)
+            return _product(labels, weight)
 
-        return _nested_vector_sum(term, k, policy,
+        return _nested_vector_sum(term, k, policy, ctx,
                                   None if l == k else lambda tvec: level(l + 1, tvec))
 
     rhs = level(1, r)
@@ -460,12 +624,15 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
     n = tuple(int(v) for v in n)
     k = len(r)
     lhs = mp.mpf(multi_cg(x, r, n, ctx))
+    weight = _weights(ctx)
 
     def term(svec):
         c = multi_cg(x, hat(svec), hat(n), ctx)
         if c == 0.0:
-            return mp.mpf(0)
-        return threenj_R(ThreeNJParams(x, n, r, tuple(svec)), ctx) * c
+            return 0, 0
+        m, e = _product(_R_labels(x, n, r, svec), weight)
+        num, den = c.as_integer_ratio()  # den = 2^(bit_length - 1)
+        return m * num, e + 1 - den.bit_length()
 
-    rhs = _nested_vector_sum(term, k, policy).value
+    rhs = _nested_vector_sum(term, k, policy, ctx).value
     return abs(lhs - rhs)

@@ -27,6 +27,8 @@ __all__ = [
     "qpoch_infinite",
     "rphis",
     "bilateral_sum",
+    "bilateral_window",
+    "tail_estimate",
     "at_working_precision",
 ]
 
@@ -278,45 +280,72 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
                 raise NonConvergent("rphis exhausted max_terms")
 
 
+def bilateral_window(term: Callable[[int], object], policy: TruncationPolicy,
+                     below: Callable[[object, mp.mpf], bool]):
+    """The window and stop rule of ``bilateral_sum``, for terms of any kind.
+
+    term(p) is evaluated on the policy's window; in adaptive mode each side
+    then grows until its three boundary terms are below tail_tol / 30, the
+    threshold that lands the doubled 6-term estimate of ``tail_estimate``
+    under tail_tol.  below(v, bnd) says whether |v| < bnd for the mpf bnd.
+    Returns (vals, lo, hi, edge): every term evaluated by index, the window
+    reached, and the indices of the boundary terms (three per side, shared
+    when the window is narrower than six).
+    """
+    lo, hi = policy.bilateral_window
+    bnd = mp.mpf(policy.tail_tol) / 30
+
+    vals = {p: term(p) for p in range(lo, hi + 1)}
+
+    def side_ok(ps):
+        return all(below(vals[p], bnd) for p in ps)
+
+    if policy.adaptive:
+        while not side_ok(range(lo, min(lo + 3, hi + 1))):
+            lo -= 1
+            vals[lo] = term(lo)
+            if len(vals) > policy.max_terms:
+                raise NonConvergent("bilateral_sum: left tail did not settle")
+        while not side_ok(range(max(hi - 2, lo), hi + 1)):
+            hi += 1
+            vals[hi] = term(hi)
+            if len(vals) > policy.max_terms:
+                raise NonConvergent("bilateral_sum: right tail did not settle")
+    edge = list(range(lo, min(lo + 3, hi + 1))) + list(range(max(hi - 2, lo), hi + 1))
+    return vals, lo, hi, edge
+
+
+def tail_estimate(boundary: mp.mpf, policy: TruncationPolicy):
+    """(estimate, converged) of a truncated sum from the exact sum of its
+    boundary magnitudes.
+
+    The sum is doubled and extrapolated geometrically with the policy's
+    tail_ratio; the sum converged when that is at most tail_tol.
+    """
+    ratio = mp.mpf(policy.tail_ratio)
+    est = 2 * boundary * (1 + ratio / (1 - ratio))
+    return est, bool(est <= mp.mpf(policy.tail_tol))
+
+
+def _abs_below(v, bnd) -> bool:
+    return abs(v) < bnd
+
+
 def bilateral_sum(term: Callable[[int], mp.mpf],
                   policy: Optional[TruncationPolicy] = None) -> SeriesResult:
     """Deterministic sum of term(p) over an integer window.
 
     Summation is in ascending index order for bit-reproducibility.  In
     adaptive mode the window grows until three consecutive boundary terms
-    are below tail_tol on each side.  The error estimate is the last three
-    boundary magnitudes per side with a doubled geometric extrapolation.
+    are below tail_tol on each side (``bilateral_window``).  The error
+    estimate is the last three boundary magnitudes per side with a doubled
+    geometric extrapolation (``tail_estimate``).  Terms are used as
+    returned: an mpf at the current precision, a float or an int.
     """
     policy = policy or TruncationPolicy()
-    lo, hi = policy.bilateral_window
-    tol = mp.mpf(policy.tail_tol)
-    ratio = mp.mpf(policy.tail_ratio)
-    # boundary threshold sized so the doubled 6-term estimate lands under tol
-    bnd = tol / 30
-
-    vals = {p: mp.mpf(term(p)) for p in range(lo, hi + 1)}
-
-    def side_ok(ps):
-        return all(abs(vals[p]) < bnd for p in ps)
-
-    if policy.adaptive:
-        guard = 0
-        while not side_ok(range(lo, min(lo + 3, hi + 1))):
-            lo -= 1
-            vals[lo] = mp.mpf(term(lo))
-            guard += 1
-            if len(vals) > policy.max_terms:
-                raise NonConvergent("bilateral_sum: left tail did not settle")
-        while not side_ok(range(max(hi - 2, lo), hi + 1)):
-            hi += 1
-            vals[hi] = mp.mpf(term(hi))
-            if len(vals) > policy.max_terms:
-                raise NonConvergent("bilateral_sum: right tail did not settle")
-
+    vals, lo, hi, edge = bilateral_window(term, policy, _abs_below)
     total = mp.mpf(0)
     for p in range(lo, hi + 1):
         total += vals[p]
-    boundary = [abs(vals[p]) for p in range(lo, min(lo + 3, hi + 1))]
-    boundary += [abs(vals[p]) for p in range(max(hi - 2, lo), hi + 1)]
-    est = 2 * mp.fsum(boundary) * (1 + ratio / (1 - ratio))
-    return SeriesResult(total, est, len(vals), bool(est <= tol))
+    est, converged = tail_estimate(mp.fsum(abs(vals[p]) for p in edge), policy)
+    return SeriesResult(total, est, len(vals), converged)

@@ -15,7 +15,8 @@ import mpmath as mp
 from mpmath.libmp import mpf_pow_int, to_fixed
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
-from .qcore import QContext, SeriesResult, TruncationPolicy, qpoch_finite, qpoch_infinite, rphis
+from .qcore import (QContext, SeriesResult, TruncationPolicy, qpoch_finite, qpoch_infinite, rphis,
+                    tail_estimate)
 
 __all__ = [
     "WallParams",
@@ -346,10 +347,12 @@ def _times(man: int, exp: int, factor: int, prec: int):
     return man >> shift, exp - prec + shift
 
 
-def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy, name: str):
-    """(sum_m q^{-nu m/2} J_nu(x q^m) z^m/(q;q)_m, terms used), truncated.
+def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy,
+                   name: str) -> SeriesResult:
+    """sum_m q^{-nu m/2} J_nu(x q^m) z^m/(q;q)_m, truncated.
 
-    Stops after three consecutive terms below the policy's tail tolerance.
+    Stops after three consecutive terms below the policy's tail tolerance;
+    the estimate is ``tail_estimate`` of those three terms' magnitudes.
     """
     q = ctx.q
     tol = mp.mpf(policy.tail_tol)
@@ -357,6 +360,7 @@ def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy, name:
     coef = mp.mpf(1)  # z^m / (q;q)_m
     m = 0
     small = 0
+    last = []  # magnitudes of the terms below tol
     while True:
         term = q ** (-mp.mpf(nu) * m / 2) * qbessel(nu, x * q ** m, ctx, policy) * coef
         total += term
@@ -364,8 +368,10 @@ def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy, name:
         m += 1
         if abs(term) < tol:
             small += 1
+            last.append(abs(term))
             if small >= 3:
-                return total, m
+                est, converged = tail_estimate(mp.fsum(last[-3:]), policy)
+                return SeriesResult(total, est, m, converged)
         else:
             small = 0
         if m > policy.max_terms:
@@ -377,7 +383,9 @@ def genfun_check(nu: int, x, t, ctx: QContext,
     """Residual of the q-Bessel generating relation at (nu, x, t), |t| < 1.
 
     LHS: sum_m q^{-nu m/2} J_nu(x q^m) t^m/(q;q)_m; RHS: the 1phi1 with
-    numerator parameter t.  Both sides are truncated independently.  The
+    numerator parameter t.  Both sides are truncated independently; the
+    estimate adds the LHS tail estimate and the 1phi1's, times its
+    prefactor, and ``converged`` holds when both sums converged.  The
     relation needs nu >= 0: below that the 1phi1's lower parameter q^{nu+1}
     is q^0 or a negative power of q, and (q^{nu+1}; q)_m vanishes.
     """
@@ -391,19 +399,22 @@ def genfun_check(nu: int, x, t, ctx: QContext,
     if not abs(t) < 1:
         raise DomainError("generating relation needs |t| < 1")
     with ctx.workdps(15):
-        lhs, m = _shifted_j_sum(nu, x, t, ctx, policy, "genfun_check")
-        rhs = x ** (mp.mpf(nu) / 2) * qpoch_infinite(q ** (nu + 1), ctx).value \
-            / (qpoch_infinite(q, ctx).value * qpoch_infinite(t, ctx).value) \
-            * rphis([t], [q ** (nu + 1)], ctx, q * x, policy).value
-        resid = abs(lhs - rhs)
-    return SeriesResult(+resid, mp.mpf(policy.tail_tol), m, True)
+        lhs = _shifted_j_sum(nu, x, t, ctx, policy, "genfun_check")
+        pref = x ** (mp.mpf(nu) / 2) * qpoch_infinite(q ** (nu + 1), ctx).value \
+            / (qpoch_infinite(q, ctx).value * qpoch_infinite(t, ctx).value)
+        phi = rphis([t], [q ** (nu + 1)], ctx, q * x, policy)
+        resid = abs(lhs.value - pref * phi.value)
+        est = lhs.est_error + abs(pref) * phi.est_error
+    return SeriesResult(+resid, +est, lhs.terms_used, lhs.converged and phi.converged)
 
 
 def wall_genfun_check(n: int, nu: int, x, ctx: QContext,
                       policy: Optional[TruncationPolicy] = None) -> SeriesResult:
     """Residual of the Wall-polynomial specialization of the generating relation.
 
-    The generating relation at order nu-n and t = q^{nu+1}.
+    The generating relation at order nu-n and t = q^{nu+1}; the estimate
+    and ``converged`` combine the LHS's and the Wall polynomial's (which
+    terminates, with estimate 0) as in ``genfun_check``.
     """
     if n < 0:
         raise DomainError("wall_genfun_check needs n >= 0")
@@ -411,9 +422,10 @@ def wall_genfun_check(n: int, nu: int, x, ctx: QContext,
     q = ctx.q
     with ctx.workdps(15):
         x = mp.mpf(x)
-        lhs, m = _shifted_j_sum(nu - n, x, q ** (nu + 1), ctx, policy, "wall_genfun_check")
-        wall = rphis([q ** (-n), mp.mpf(0)], [x * q], ctx, q ** (nu + 1), policy).value
-        rhs = x ** (mp.mpf(nu - n) / 2) * qpoch_infinite(q * x, ctx).value \
-            / qpoch_infinite(q, ctx).value * wall
-        resid = abs(lhs - rhs)
-    return SeriesResult(+resid, mp.mpf(policy.tail_tol), m, True)
+        lhs = _shifted_j_sum(nu - n, x, q ** (nu + 1), ctx, policy, "wall_genfun_check")
+        pref = x ** (mp.mpf(nu - n) / 2) * qpoch_infinite(q * x, ctx).value \
+            / qpoch_infinite(q, ctx).value
+        wall = rphis([q ** (-n), mp.mpf(0)], [x * q], ctx, q ** (nu + 1), policy)
+        resid = abs(lhs.value - pref * wall.value)
+        est = lhs.est_error + abs(pref) * wall.est_error
+    return SeriesResult(+resid, +est, lhs.terms_used, lhs.converged and wall.converged)

@@ -52,6 +52,12 @@ def _ints(v) -> tuple:
     return (_int(v),)
 
 
+def _residual(total: qcore.SeriesResult, target) -> qcore.SeriesResult:
+    """|total - target|, with the estimate, terms and ``converged`` of the sum."""
+    return qcore.SeriesResult(abs(total.value - target), total.est_error, total.terms_used,
+                              total.converged)
+
+
 def _eval_qpoch_recurrence(a, n, ctx, policy):
     lhs = qcore.qpoch_finite(a, ctx, n + 1)
     rhs = qcore.qpoch_finite(a, ctx, n) * (1 - a * ctx.q ** n)
@@ -72,7 +78,7 @@ def _eval_hankel(nu, m, n, ctx, policy):
         lambda x: qfunctions.qbessel_lattice(nu, x + m, ctx)
         * qfunctions.qbessel_lattice(nu, x + n, ctx) * q ** x, policy)
     target = q ** (-n) if m == n else mp.mpf(0)
-    return abs(s.value - target)
+    return _residual(s, target)
 
 
 def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
@@ -84,7 +90,7 @@ def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
     s = qcore.bilateral_sum(
         lambda p1: coupling.sixj_closed(p1, r, p2, r, ctx)
         * coupling.sixj_closed(p1, r, p3, r, ctx), policy)
-    return abs(s.value - (1 if p2 == p3 else 0))
+    return _residual(s, 1 if p2 == p3 else 0)
 
 
 def _eval_yang_baxter(u, v, w, lo, hi, ctx, policy):
@@ -127,13 +133,15 @@ def _eval_threenj_corollary(x, n, r, s, ctx, policy):
 
 def _eval_s_lemma(x, n, s, s2, ctx, policy):
     # chain coefficients are a unitary change of basis: sum_r S_{r,s} S_{r,s'} = delta
-    def term(rvec):
-        a = multivariate.threenj_S(multivariate.ThreeNJParams(x, n, tuple(rvec), s), ctx)
-        b = multivariate.threenj_S(multivariate.ThreeNJParams(x, n, tuple(rvec), s2), ctx)
-        return a * b
+    multivariate.ThreeNJParams(x, n, s, s2)  # DomainError unless len(n) = len(s) + 2 = len(s2) + 2
+    weight = multivariate._weights(ctx)
 
-    total = multivariate._nested_vector_sum(term, len(s), policy).value
-    return abs(total - (1 if s == s2 else 0))
+    def term(rvec):
+        return multivariate._product(multivariate._S_labels(x, n, rvec, s)
+                                     + multivariate._S_labels(x, n, rvec, s2), weight)
+
+    return _residual(multivariate._nested_vector_sum(term, len(s), policy, ctx),
+                     1 if s == s2 else 0)
 
 
 def _eval_multi_be(x, n, r, s, ctx, policy):
@@ -198,8 +206,9 @@ def _labels(ints: str = "", vectors: str = "", reals: str = "", **optional) -> D
 class Identity:
     """An identity, and the labels its evaluator takes as keywords besides ctx
     and policy.  The evaluator returns the residual as an mpf, a float or a
-    SeriesResult.  ``check``, if given, takes the cast labels and raises
-    PlanInvalid for values that name no instance."""
+    SeriesResult, whose ``est_error`` the case reports.  ``check``, if given,
+    takes the cast labels and raises PlanInvalid for values that name no
+    instance."""
 
     name: str
     description: str
@@ -393,7 +402,9 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
     PlanInvalid instead: the instance cannot be set up at all.  Each label
     is cast as ``IDENTITIES[identity].labels`` declares, a left-out optional
     one from its default; a failed cast is an evaluation error.  The report
-    echoes ``params`` as given.
+    echoes ``params`` as given.  ``est_error`` is the truncation estimate
+    of an evaluator that returns a SeriesResult, and the policy's tail_tol
+    for any other evaluator or a failed case.
     """
     if identity not in IDENTITIES:
         raise PlanInvalid(f"unknown identity id {identity!r}")
@@ -402,18 +413,20 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
     policy = policy or TruncationPolicy()
     ctx = _context(q, precision)
     t0 = time.perf_counter()
+    est = float(policy.tail_tol)
     try:
         with ctx.workdps(10):
             result = ident.evaluator(**ident.cast(params), ctx=ctx, policy=policy)
         residual = abs(float(result))
+        if isinstance(result, qcore.SeriesResult):
+            est = float(result.est_error)
         err = ""
     except (QCouplingError, ArithmeticError, TypeError, ValueError) as exc:
         residual = float("inf")
         err = f"{type(exc).__name__}: {exc}"
     dt = time.perf_counter() - t0
     passed = residual <= tolerance and not err
-    return CaseResult(identity, params, float(q), residual,
-                      float(policy.tail_tol), passed, dt, err)
+    return CaseResult(identity, params, float(q), residual, est, passed, dt, err)
 
 
 def _run_case(args):

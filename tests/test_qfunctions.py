@@ -372,6 +372,23 @@ def test_genfun_residuals(ctx05):
         genfun_check(1, 0.5, 1.0, ctx05)
 
 
+def test_genfun_checks_report_the_estimates_their_sums_reached(ctx05):
+    # the LHS tail and the 1phi1 (or Wall polynomial) estimates, not the
+    # policy's tail_tol with converged=True
+    loose, default = TruncationPolicy(tail_tol=1e-8), TruncationPolicy()
+    cases = [(genfun_check, (1, 0.5, 0.25)), (wall_genfun_check, (2, 3, 0.5))]
+    for check, args in cases:
+        ests = []
+        for pol in (loose, default):
+            res = check(*args, ctx05, pol)
+            assert res.est_error != pol.tail_tol
+            assert res.value <= res.est_error
+            assert res.converged == (res.est_error <= pol.tail_tol)
+            ests.append(res.est_error)
+        # the looser tolerance stops earlier, with a larger estimate
+        assert ests[0] > ests[1] > 0
+
+
 def test_wall_genfun_residuals():
     ctx05 = QContext("0.5")
     ctx03 = QContext("0.3")

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from qcoupling import CampaignPlan, QContext, TruncationPolicy, coupling, eval_single, run_campaign
+from qcoupling import (CampaignPlan, QContext, TruncationPolicy, coupling, eval_single,
+                       genfun_check, run_campaign)
 from qcoupling.cli import main as cli_main
 from qcoupling.errors import PlanInvalid
 from qcoupling.verifier import IDENTITIES, identity_descriptions
@@ -58,6 +59,28 @@ def test_eval_single_genfun_negative_order_is_a_domain_error():
         assert not res.passed and res.residual == float("inf")
         assert res.error.startswith("DomainError: generating relation needs nu >= 0")
     assert eval_single("genfun", {"nu": 0, "x": 0.5, "t": 0.25}, 0.5, tolerance=1e-10).passed
+
+
+def test_eval_single_reports_the_evaluators_estimate(ctx05):
+    # a SeriesResult's est_error is reported, not the policy's tail_tol
+    loose = TruncationPolicy(tail_tol=1e-8)
+    res = eval_single("genfun", {"nu": 1, "x": 0.5, "t": 0.25}, 0.5, tolerance=1e-6, policy=loose)
+    direct = genfun_check(1, 0.5, 0.25, ctx05, loose)
+    assert res.passed and res.est_error == float(direct.est_error) != loose.tail_tol
+    # s-lemma returns its engine's result: on a narrow fixed window the
+    # estimate is large, and the verdict still reads only the residual
+    narrow = TruncationPolicy(bilateral_window=(-4, 4), adaptive=False)
+    labels = {"x": 1, "n": [0, 1, 0, -1], "s": [1, 0], "s2": [1, 0]}
+    res = eval_single("s-lemma", labels, 0.5, tolerance=1.0, policy=narrow)
+    assert res.passed and res.est_error > narrow.tail_tol
+    # the lattice orthogonality on a fixed window: its residual is the cut-off
+    # tail q^60, and the reported estimate covers it
+    window = TruncationPolicy(bilateral_window=(-60, 60))
+    res = eval_single("hankel-orthogonality", {"nu": 0, "m": 0, "n": 0}, 0.5, policy=window)
+    assert res.passed and res.residual <= res.est_error != window.tail_tol
+    # an evaluator returning an mpf still reports tail_tol
+    res = eval_single("qpoch-recurrence", {"a": 0.5, "n": 3}, 0.5)
+    assert res.passed and res.est_error == TruncationPolicy().tail_tol
 
 
 def test_eval_single_unknown_identity():
