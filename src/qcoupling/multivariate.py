@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
 from .qcore import (at_working_precision, QContext, SeriesResult, TruncationPolicy,
@@ -472,7 +472,7 @@ def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
                        est, len(vals), converged)
     if not used:
         return own
-    return SeriesResult(own.value, own.est_error + mp.fsum(r.est_error for r in used),
+    return SeriesResult(own.value, own.est_error + _rounded_sum([r.est_error for r in used]),
                         own.terms_used + sum(r.terms_used for r in used),
                         own.converged and all(r.converged for r in used))
 
@@ -485,6 +485,28 @@ def _level_bits(ctx: QContext) -> int:
 def _exact(m: int, e: int) -> mp.mpf:
     """The mpf m 2^e, unrounded."""
     return mp.make_mpf(from_man_exp(m, e))
+
+
+def _rounded_sum(values) -> mp.mpf:
+    """Sum of the mpf values, exact on their mantissas (in units of the
+    lowest exponent so far) and rounded once to the current precision, as
+    ``mp.fsum`` rounds it."""
+    total, low = 0, None
+    for v in values:
+        sign, m, e, _ = v._mpf_
+        if not m:
+            continue
+        if sign:
+            m = -m
+        if low is None:
+            total, low = m, e
+        elif e >= low:
+            total += m << (e - low)
+        else:
+            total, low = (total << (low - e)) + m, e
+    if low is None:
+        return mp.mpf(0)
+    return mp.make_mpf(from_man_exp(total, low, mp.mp.prec, round_nearest))
 
 
 def _below(v: Tuple[int, int], bnd: mp.mpf) -> bool:

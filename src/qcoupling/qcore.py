@@ -29,6 +29,7 @@ __all__ = [
     "bilateral_sum",
     "bilateral_window",
     "tail_estimate",
+    "tail_threshold",
     "at_working_precision",
 ]
 
@@ -293,7 +294,7 @@ def bilateral_window(term: Callable[[int], object], policy: TruncationPolicy,
     when the window is narrower than six).
     """
     lo, hi = policy.bilateral_window
-    bnd = mp.mpf(policy.tail_tol) / 30
+    bnd = tail_threshold(policy)
 
     vals = {p: term(p) for p in range(lo, hi + 1)}
 
@@ -313,6 +314,12 @@ def bilateral_window(term: Callable[[int], object], policy: TruncationPolicy,
                 raise NonConvergent("bilateral_sum: right tail did not settle")
     edge = list(range(lo, min(lo + 3, hi + 1))) + list(range(max(hi - 2, lo), hi + 1))
     return vals, lo, hi, edge
+
+
+def tail_threshold(policy: TruncationPolicy) -> mp.mpf:
+    """tail_tol / 30, below which a boundary term counts as small: six such
+    terms keep the doubled estimate of ``tail_estimate`` under tail_tol."""
+    return mp.mpf(policy.tail_tol) / 30
 
 
 def tail_estimate(boundary: mp.mpf, policy: TruncationPolicy):

@@ -16,7 +16,7 @@ from mpmath.libmp import mpf_pow_int, to_fixed
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 from .qcore import (QContext, SeriesResult, TruncationPolicy, qpoch_finite, qpoch_infinite, rphis,
-                    tail_estimate)
+                    tail_estimate, tail_threshold)
 
 __all__ = [
     "WallParams",
@@ -95,46 +95,79 @@ def wall_orthonormal(p: WallParams, ctx: QContext) -> mp.mpf:
 def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int) -> list:
     """Orthonormal Wall values for degrees 0..nmax-1 at fixed (x, a).
 
-    Three-term recurrence in the degree.  Forward recurrence is stable only
-    while the wanted (recessive) solution dominates; since the true values
-    are bounded by 1, a rebound after the decay has passed 1e-12 marks
-    contamination by the dominant solution and the tail is zeroed, as is
-    everything below 1e-28.
+    Three-term recurrence in the degree,
+    b_n p_{n+1} = (q^x - d_n) p_n - b_{n-1} p_{n-1}, started from
+    p_0 = (-1)^x sqrt((aq)^x (aq;q)_inf / (q;q)_x) and run on Python
+    integers in units of 2^-P.  q and a are converted once, a read at the
+    working precision plus 25 digits whatever the caller's precision; q^x,
+    (aq)^x, (aq;q)_inf, (q;q)_x, d_n and b_n (through ``math.isqrt``) are
+    formed on integers in those units, and each step costs one floor
+    division.  P is the bits of that precision plus 64, plus x times the
+    larger of log2(1/(aq)) / 2 and log2(1/q), rounded up: p_0 is about
+    (aq)^{x/2}, as small as 1e-58 on the benchmark's columns, and near its
+    peak at degree x the column divides by b_n ~ q^x, so both keep their
+    full relative precision.  q^x must carry the same units: the recurrence is
+    stable only while the wanted (recessive) solution dominates, and a q^x
+    rounded off the spectrum grows along the dominant one, as it did when
+    q^x was an mpf of 186 bits.
+
+    The true values are bounded by 1.  Stopping engages only past a peak
+    of 0.01 (the column has unit l2 norm): a value below 1e-28 ends the
+    column, and so does a rebound above the largest of the last three
+    values once they are below 1e-12, the dominant solution surfacing.
+    The short window keeps isolated near-zeros of the polynomial from
+    passing for that.  The rest of the column is 0.0; each value is the
+    float nearest its integer.
     """
     q = ctx.q
-    a = mp.mpf(a)
-    if not (0 < a < 1 / q):
-        raise DomainError("orthonormal Wall needs 0 < a < 1/q")
     with ctx.workdps(25):
-        y = q ** x
-        p0 = (-1) ** x * mp.sqrt((a * q) ** x * qpoch_infinite(a * q, ctx).value
-                                 / qpoch_finite(q, ctx, x))
-        vals = [p0]
-        pm1 = mp.mpf(0)
-        bm1 = mp.mpf(0)
-        floor_ = mp.mpf(1e-28)
-        deep = mp.mpf("1e-12")
-        vmax = abs(p0)
-        for n in range(nmax - 1):
-            bn = q ** n * mp.sqrt(a * q * (1 - q ** (n + 1)) * (1 - a * q ** (n + 1)))
-            dn = q ** n * (1 - a * q ** (n + 1)) + a * q ** n * (1 - q ** n)
-            pn1 = ((y - dn) * vals[n] - bm1 * pm1) / bn
-            # deep-x columns start tiny and climb to an O(0.1) peak (the
-            # column has unit l2 norm); stopping rules engage only past it.
-            # The rebound test uses a short window max so isolated near-zeros
-            # of the polynomial do not masquerade as contamination.
-            recent = max(abs(v) for v in vals[-3:])
-            if vmax > mp.mpf("0.01") and (abs(pn1) < floor_
-                                          or (abs(pn1) > recent and recent < deep)):
-                break
-            pm1 = vals[n]
-            vals.append(pn1)
-            bm1 = bn
-            if abs(pn1) > vmax:
-                vmax = abs(pn1)
-    out = [float(v) for v in vals]
+        a = mp.mpf(a)
+        if not (0 < a < 1 / q):
+            raise DomainError("orthonormal Wall needs 0 < a < 1/q")
+        # headroom per unit of x: log2(1/(aq)) / 2 or log2(1/q), rounded up
+        head = max((2 - mp.mag(a * q)) // 2, 1 - mp.mag(q))
+        prec = mp.mp.prec + 64 + x * head
+    one = 1 << prec
+    floor_, deep, peak = one // 10 ** 28, one // 10 ** 12, one // 100
+    qf, af = to_fixed(q._mpf_, prec), to_fixed(a._mpf_, prec)
+    aq = af * qf >> prec
+    y = _fixed_pow(qf, x, prec)
+    poch = one  # (aq;q)_inf / (q;q)_x
+    t = aq
+    while t:
+        poch = poch * (one - t) >> prec
+        t = t * qf >> prec
+    t = one
+    for _ in range(x):
+        t = t * qf >> prec
+        poch = (poch << prec) // (one - t)
+    p0 = math.isqrt(_fixed_pow(af * qf, x, 2 * prec) * poch >> prec)
+    vals = [-p0 if x % 2 else p0]
+    pm1 = bm1 = 0
+    vmax = p0
+    qn, aqn1 = one, aq  # q^n, a q^{n+1}
+    for n in range(nmax - 1):
+        qn1 = qn * qf >> prec
+        bn = qn * math.isqrt(aq * (one - qn1) * (one - aqn1) >> prec) >> prec
+        dn = (qn * (one - aqn1) + (af * qn >> prec) * (one - qn)) >> prec
+        pn1 = ((y - dn) * vals[n] - bm1 * pm1) // bn
+        size = abs(pn1)
+        recent = max(map(abs, vals[-3:]))
+        if vmax > peak and (size < floor_ or (size > recent and recent < deep)):
+            break
+        pm1 = vals[n]
+        vals.append(pn1)
+        bm1 = bn
+        vmax = max(vmax, size)
+        qn, aqn1 = qn1, aqn1 * qf >> prec
+    out = [v / one for v in vals]
     out.extend([0.0] * (nmax - len(out)))
     return out
+
+
+def _fixed_pow(v: int, x: int, prec: int) -> int:
+    """v^x for v >= 0 in units of 2^-prec, exact and then floored to those units."""
+    return (v ** x << prec) >> (prec * x)
 
 
 _J_CACHE: dict = {}
@@ -351,11 +384,12 @@ def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy,
                    name: str) -> SeriesResult:
     """sum_m q^{-nu m/2} J_nu(x q^m) z^m/(q;q)_m, truncated.
 
-    Stops after three consecutive terms below the policy's tail tolerance;
-    the estimate is ``tail_estimate`` of those three terms' magnitudes.
+    Stops after three consecutive terms below ``tail_threshold`` (tail_tol
+    / 30, as ``bilateral_sum``'s boundary terms); the estimate is
+    ``tail_estimate`` of those three terms' magnitudes.
     """
     q = ctx.q
-    tol = mp.mpf(policy.tail_tol)
+    tol = tail_threshold(policy)
     total = mp.mpf(0)
     coef = mp.mpf(1)  # z^m / (q;q)_m
     m = 0

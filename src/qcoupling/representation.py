@@ -131,7 +131,10 @@ class CGTable:
         key = (x, s)
         col = self._cols.get(key)
         if col is None:
-            col = wall_orthonormal_run(x, self.ctx2.q ** s, self.ctx2, self.nmax)
+            # a = q^{2s} at the working precision plus ten digits, never the caller's
+            with self.ctx2.workdps(10):
+                a = self.ctx2.q ** s
+            col = wall_orthonormal_run(x, a, self.ctx2, self.nmax)
             while col and col[-1] == 0.0:
                 col.pop()
             self._cols[key] = col

@@ -9,11 +9,13 @@ magnitude of its top level.  The engine sums on integers, so its values
 must agree with the oracles' to 10^-wp times that scale, not bit for bit.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from qcoupling import (QContext, ThreeNJParams, TruncationPolicy, cg_expansion_residual,
                        multi_orthogonality_residual, verify_S_composition,
@@ -240,6 +242,21 @@ def test_engine_combines_every_level_it_used(ctx05):
     outer = bilateral_sum(lambda t: subs[t + 3].value, pol)
     assert grid.value == outer.value and grid.converged and grid.terms_used == 7 + 7 * 7
     assert grid.est_error == outer.est_error + mp.fsum(sub.est_error for sub in subs)
+
+
+@pytest.mark.parametrize("dps", [15, 40, 75])
+def test_estimate_fold_rounds_as_fsum(dps):
+    # the inner estimates add exactly on their mantissas and round once, bit
+    # for bit as mp.fsum: exponents 740 bits apart, zeros, and mantissas
+    # longer than the precision
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        for _ in range(400):
+            ests = [mp.mpf(0) if rng.random() < 0.1 else
+                    mp.make_mpf(from_man_exp(rng.getrandbits(rng.randint(1, 300)) | 1,
+                                             rng.randint(-700, 40)))
+                    for _ in range(rng.randint(0, 8))]
+            assert multivariate._rounded_sum(ests)._mpf_ == mp.fsum(ests)._mpf_
 
 
 @pytest.mark.parametrize("shift", [0, -600])

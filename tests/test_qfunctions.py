@@ -87,6 +87,79 @@ def test_wall_orthonormal_run_matches_direct(ctx05):
             assert abs(run[n] - float(direct)) < 1e-12
 
 
+def _mpf_wall_run(x, a, ctx, nmax, extra):
+    """The mpf recurrence ``wall_orthonormal_run`` replaced, at the working
+    precision plus ``extra`` digits, with its stop rule.  It reads a at that
+    precision (the replaced code read it at the caller's)."""
+    q = ctx.q
+    with ctx.workdps(extra):
+        a = mp.mpf(a)
+        y = q ** x
+        p0 = (-1) ** x * mp.sqrt((a * q) ** x * qpoch_infinite(a * q, ctx).value
+                                 / qpoch_finite(q, ctx, x))
+        vals, pm1, bm1, vmax = [p0], mp.mpf(0), mp.mpf(0), abs(p0)
+        for n in range(nmax - 1):
+            bn = q ** n * mp.sqrt(a * q * (1 - q ** (n + 1)) * (1 - a * q ** (n + 1)))
+            dn = q ** n * (1 - a * q ** (n + 1)) + a * q ** n * (1 - q ** n)
+            pn1 = ((y - dn) * vals[n] - bm1 * pm1) / bn
+            recent = max(abs(v) for v in vals[-3:])
+            if vmax > mp.mpf("0.01") and (abs(pn1) < mp.mpf(1e-28)
+                                          or (abs(pn1) > recent and recent < mp.mpf("1e-12"))):
+                break
+            pm1, bm1 = vals[n], bn
+            vals.append(pn1)
+            vmax = max(vmax, abs(pn1))
+    return [float(v) for v in vals] + [0.0] * (nmax - len(vals))
+
+
+# (q, working precision, x range, s range): the Clebsch-Gordan columns the
+# matrix-model and chain-campaign benchmark workloads build (q = 0.3 and
+# 0.5, nmax 70), then q = 0.7 and a wider working precision
+_WALL_GRID = [("0.3", 30, range(13), range(12)), ("0.5", 30, range(15), range(14)),
+              ("0.7", 30, range(0, 15, 2), range(0, 14, 3)),
+              ("0.5", 50, range(0, 15, 2), range(0, 14, 3))]
+
+
+def _wall_columns():
+    for qs, wp, xs, ss in _WALL_GRID:
+        ctx2 = QContext(qs, wp).base_squared()
+        for x in xs:
+            for s in ss:
+                with ctx2.workdps(10):
+                    a = ctx2.q ** s
+                yield ctx2, x, a, wall_orthonormal_run(x, a, ctx2, 70)
+
+
+def test_wall_run_matches_a_wide_precision_recurrence():
+    # the integer kernel against the mpf recurrence 170 digits above the
+    # working precision: the same support (no noise entries in the tail;
+    # the mpf recurrence 25 digits above left 368, up to 8.2e-15, in 260 of
+    # these 446 columns) and the same floats to 1e-16
+    for ctx2, x, a, col in _wall_columns():
+        ref = _mpf_wall_run(x, a, ctx2, 70, 170)
+        assert [v != 0.0 for v in col] == [v != 0.0 for v in ref], (ctx2.q, x, a)
+        assert max(abs(u - v) for u, v in zip(col, ref)) <= 1e-16
+
+
+def test_wall_run_matches_the_mpf_recurrence_it_replaced():
+    # at the replaced recurrence's own precision every entry above 1e-12
+    # agrees to 1e-14; below that its tail carries rounding noise
+    for ctx2, x, a, col in _wall_columns():
+        old = _mpf_wall_run(x, a, ctx2, 70, 25)
+        for u, v in zip(col, old):
+            if abs(v) > 1e-12:
+                assert abs(u - v) <= 1e-14
+
+
+def test_wall_run_ignores_ambient_precision():
+    ctx2 = QContext("0.3").base_squared()
+    a = ctx2.q ** 3
+    with mp.workdps(15):
+        low = wall_orthonormal_run(4, a, ctx2, 70)
+    with mp.workdps(80):
+        assert wall_orthonormal_run(4, a, ctx2, 70) == low
+
+
 def test_qbessel_at_zero(ctx05):
     assert qbessel(0, 0, ctx05) == 1
     for nu in (1, 2, 5):
@@ -387,6 +460,14 @@ def test_genfun_checks_report_the_estimates_their_sums_reached(ctx05):
             ests.append(res.est_error)
         # the looser tolerance stops earlier, with a larger estimate
         assert ests[0] > ests[1] > 0
+
+
+def test_genfun_lhs_stops_on_the_bilateral_threshold(ctx05):
+    # the LHS stops on three terms below tail_tol / 30, as bilateral_sum's
+    # boundary does, so the estimate lands under tail_tol; stopping below
+    # tail_tol itself reported est 3.3e-25 and converged=False here
+    for res in (genfun_check(1, 0.5, 0.25, ctx05), wall_genfun_check(2, 3, 0.5, ctx05)):
+        assert res.converged and res.est_error <= TruncationPolicy().tail_tol
 
 
 def test_wall_genfun_residuals():

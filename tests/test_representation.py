@@ -176,6 +176,16 @@ def test_cg_tables_keyed_by_precision():
     assert _cg_table(high).ctx2.working_precision == 50
 
 
+def test_cg_columns_ignore_ambient_precision():
+    # a = q^{2s} is formed at the table's own precision: the caller's mp.dps
+    # used to enter it, and 205 of these values differed between 15 and 60
+    tables = []
+    for dps in (15, 60):
+        with mp.workdps(dps):
+            tbl = CGTable(QContext("0.3"))
+            tables.append([tbl.column(x, s) for x in range(8) for s in range(6)])
+    assert tables[0] == tables[1]
+
 @functools.lru_cache(maxsize=None)
 def _padded_cg(q, nmax=70):
     """C(x, m, n) read from full-length Wall columns, zero tails included."""
