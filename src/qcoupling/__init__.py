@@ -11,8 +11,8 @@ verifier (campaign engine; ``qcoupling`` CLI).
 from .qcore import QContext, SeriesResult, TruncationPolicy, bilateral_sum, qpoch_finite, qpoch_infinite, rphis
 from .qfunctions import (WallParams, genfun_check, qbessel, qbessel_lattice, wall_genfun_check,
                          wall_orthonormal, wall_orthonormal_run, wall_poly, wall_poly_alt)
-from .representation import (CGTable, CoupledVector, TruncatedFock, cg_coefficient,
-                             check_defining_relations, coupled_vector, pi0_matrix, sixj_oracle)
+from .representation import (CoupledVector, TruncatedFock, cg_coefficient, check_defining_relations,
+                             coupled_vector, pi0_matrix, sixj_oracle)
 from .coupling import (cg_contraction_residual, qhankel_factorization_residual,
                        qhankel_transform, recoupling_R, sixj_closed, verify_backcoupling,
                        verify_biedenharn_elliott, verify_hexagon, yang_baxter_residual,

@@ -23,7 +23,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InsufficientWindow
-from .qcore import at_working_precision, QContext, SeriesResult, TruncationPolicy, bilateral_sum
+from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
+                    bilateral_sum)
 from .qfunctions import qbessel_lattice
 
 __all__ = [
@@ -97,7 +98,7 @@ def verify_backcoupling(x: int, n1: int, n2: int, n3: int, p1: int, p2: int,
         return qbessel_lattice(r132, p + p1, ctx) * qbessel_lattice(r312, p + p2, ctx) * q ** p
 
     rhs = bilateral_sum(term, policy)
-    return SeriesResult(abs(lhs - rhs.value), rhs.est_error, rhs.terms_used, rhs.converged)
+    return rhs.residual(lhs)
 
 
 @at_working_precision
@@ -145,7 +146,7 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
         return A * qbessel_lattice(nu + mu, P - R, ctx)
 
     rhs = bilateral_sum(term, policy)
-    return SeriesResult(abs(lhs - rhs.value), rhs.est_error, rhs.terms_used, rhs.converged)
+    return rhs.residual(lhs)
 
 
 def _hexagon_weight_terms(x: int, n1: int, n2: int, n3: int, n4: int,
@@ -224,16 +225,11 @@ _YB_OPS: Dict[tuple, sparse.csr_matrix] = {}
 
 def _yb_sector_kernel(nu: int, offsets, ctx: QContext) -> Dict[int, float]:
     """Toeplitz kernel K(d) = (-q)^d J_nu(q^{2d}; q^2) over the given offsets."""
-    key = (nu, min(offsets), max(offsets), ctx.q_key, ctx.working_precision)
-    hit = _YB_KERNELS.get(key)
-    if hit is not None:
-        return hit
-    ctx2 = ctx.base_squared()
-    out = {}
-    for d in offsets:
-        out[d] = float((-ctx.q) ** d * qbessel_lattice(nu, d, ctx2))
-    _YB_KERNELS[key] = out
-    return out
+    def build():
+        ctx2 = ctx.base_squared()
+        return {d: float((-ctx.q) ** d * qbessel_lattice(nu, d, ctx2)) for d in offsets}
+
+    return cached(_YB_KERNELS, ctx, (nu, min(offsets), max(offsets)), build)
 
 
 def _yb_operator(u: int, v: int, window: Tuple[int, int], ctx: QContext) -> sparse.csr_matrix:
@@ -244,33 +240,30 @@ def _yb_operator(u: int, v: int, window: Tuple[int, int], ctx: QContext) -> spar
     so that the coefficient depends only on (t1, t2, y).  Depends on u, v
     only through u+v, which the cache exploits.
     """
-    key = (u + v, window, ctx.q_key, ctx.working_precision)
-    hit = _YB_OPS.get(key)
-    if hit is not None:
-        return hit
-    lo, hi = window
-    pts = list(range(lo, hi + 1))
-    npts = len(pts)
-    idx = {t: i for i, t in enumerate(pts)}
-    rows, cols, vals = [], [], []
-    offs = range(lo - hi, hi - lo + 1)
-    for t1 in pts:
-        for t2 in pts:
-            s = t1 + t2
-            ker = _yb_sector_kernel(u + v - s, offs, ctx)
-            col = idx[t1] * npts + idx[t2]
-            for y in pts:
-                k = s - y
-                if lo <= k <= hi:
-                    c = ker[y - t2]
-                    if c != 0.0:
-                        rows.append(idx[k] * npts + idx[y])
-                        cols.append(col)
-                        vals.append(c)
-    n = npts * npts
-    R = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    _YB_OPS[key] = R
-    return R
+    def build():
+        lo, hi = window
+        pts = list(range(lo, hi + 1))
+        npts = len(pts)
+        idx = {t: i for i, t in enumerate(pts)}
+        rows, cols, vals = [], [], []
+        offs = range(lo - hi, hi - lo + 1)
+        for t1 in pts:
+            for t2 in pts:
+                s = t1 + t2
+                ker = _yb_sector_kernel(u + v - s, offs, ctx)
+                col = idx[t1] * npts + idx[t2]
+                for y in pts:
+                    k = s - y
+                    if lo <= k <= hi:
+                        c = ker[y - t2]
+                        if c != 0.0:
+                            rows.append(idx[k] * npts + idx[y])
+                            cols.append(col)
+                            vals.append(c)
+        n = npts * npts
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    return cached(_YB_OPS, ctx, (u + v, window), build)
 
 
 _YB_NORM_TOL = 1e-9  # a column this close to unit norm lost no kernel mass to the window

@@ -35,7 +35,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
-from .qcore import (at_working_precision, QContext, SeriesResult, TruncationPolicy,
+from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
                     bilateral_window, tail_estimate)
 from .qfunctions import qbessel_lattice
 from .coupling import recoupling_weight, verify_biedenharn_elliott
@@ -269,13 +269,12 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     lamp_full = (nu[0],) + lamp
     if memo is None:
         memo = {}
-    base = (ctx.q_key, ctx.working_precision, policy, nu)
     J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
     qpow = _fixed(lambda x: q ** x)
 
     def level(j):
         # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam') * (q^{x_1} or level j-1)
-        table = memo.setdefault(base + (lam_full[:j + 1], lamp_full[:j + 1]), {})
+        table = cached(memo, ctx, (policy, nu, lam_full[:j + 1], lamp_full[:j + 1]), dict)
         inner = level(j - 1) if j > 1 else None
         # factor_j = J_{nu_j - x_{j+1} - lam_{j-1}}(q^{x_j - x_{j+1} + lam_j - lam_{j-1}})
         order, order_p = nu[j] - lam_full[j - 1], nu[j] - lamp_full[j - 1]
@@ -302,8 +301,7 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
 
     total = level(d)((nu[d + 1],))
     target = q ** (nu[d + 1] + nu[0] - lam[d - 1]) if lam == lamp else mp.mpf(0)
-    resid = abs(total.value - target)
-    return SeriesResult(resid, total.est_error, total.terms_used, total.converged)
+    return total.residual(target)
 
 
 def _chain(labels, ctx: QContext) -> mp.mpf:
@@ -614,7 +612,7 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
                                   None if l == k else lambda tvec: level(l + 1, tvec))
 
     rhs = level(1, r)
-    return SeriesResult(abs(lhs - rhs.value), rhs.est_error, rhs.terms_used, rhs.converged)
+    return rhs.residual(lhs)
 
 
 def multi_cg(x: int, r: Sequence[int], n: Sequence[int], ctx: QContext) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "tail_estimate",
     "tail_threshold",
     "at_working_precision",
+    "cached",
 ]
 
 
@@ -94,7 +95,8 @@ class QContext:
         q is printed with the working precision plus twelve digits, or two
         more than its own mantissa needs to be read back (``repr_dps``),
         whichever is more, so distinct bases print apart and the caller's
-        mp.dps never enters.  Caches key on (q_key, working_precision).
+        mp.dps never enters.  Every process cache keys on (q_key,
+        working_precision) through ``cached``.
         """
         bits = self.q._mpf_[3]
         with mp.workdps(max(self.working_precision + 12, repr_dps(bits) + 2)):
@@ -138,22 +140,35 @@ class TruncationPolicy:
             raise DomainError("max_terms and tail_tol must be positive")
 
 
+def cached(table: dict, ctx: QContext, labels: tuple, compute: Callable[[], object]):
+    """table's value at labels for the base and precision of ctx.
+
+    The key is labels + (ctx.q_key, ctx.working_precision), so no entry
+    serves another q or precision; compute() fills it on the first call.
+    """
+    key = labels + (ctx.q_key, ctx.working_precision)
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = compute()
+    return hit
+
+
 @dataclass(frozen=True)
 class SeriesResult:
-    """A numeric value with an estimated truncation error.
-
-    max_term is the largest term magnitude of a series (rphis sets it), so
-    max_term / |value| measures the sum's cancellation.
-    """
+    """A numeric value with an estimated truncation error."""
 
     value: mp.mpf
     est_error: mp.mpf
     terms_used: int
     converged: bool
-    max_term: Optional[mp.mpf] = None
 
     def __float__(self):
         return float(self.value)
+
+    def residual(self, target) -> "SeriesResult":
+        """|value - target|, with this sum's estimate, terms and ``converged``."""
+        return SeriesResult(abs(self.value - target), self.est_error, self.terms_used,
+                            self.converged)
 
 
 def qpoch_finite(a, ctx: QContext, n: int) -> mp.mpf:
@@ -251,7 +266,7 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
     while True:
         total += term
         if nterm is not None and k == nterm:
-            return SeriesResult(total, mp.mpf(0), k + 1, True, max_term)
+            return SeriesResult(total, mp.mpf(0), k + 1, True)
         qk = q ** k
         num = mp.mpf(1)
         for a in upper:
@@ -274,7 +289,7 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
                 if small >= 3:
                     total += term
                     est = 2 * thr / (1 - q)
-                    return SeriesResult(total, est, k + 1, bool(est <= tol), max_term)
+                    return SeriesResult(total, est, k + 1, bool(est <= tol))
             else:
                 small = 0
             if k > policy.max_terms:

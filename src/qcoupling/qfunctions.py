@@ -193,8 +193,10 @@ def _canonical(nu: int, y: int):
 def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     """J_nu(q^y; q) on the lattice, cached by (nu, y, ctx.q_key, working precision).
 
-    The base enters the key as the decimal ``QContext.q_key``, so the
-    value is the one for this exact q whatever the caller's mp.dps.  A miss
+    That is the key ``qcore.cached`` builds from (nu, y), written out here
+    so a warm lookup costs one tuple and one dict get.  The base enters it
+    as the decimal ``QContext.q_key``, so the value is the one for this
+    exact q whatever the caller's mp.dps.  A miss
     maps (nu, y) to its orbit's canonical pair 0 <= n <= m (``_canonical``),
     reads or sums J_n(q^m) through this same table, and applies the factor
     (-q^{1/2})^e at the working precision plus ten digits.  So only

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DomainError, InsufficientTruncation
-from .qcore import QContext
+from .qcore import cached, QContext
 from .qfunctions import wall_orthonormal_run
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "pi0_matrix",
     "check_defining_relations",
     "cg_coefficient",
-    "CGTable",
     "coupled_vector",
     "sixj_oracle",
     "coproduct_terms",
@@ -111,62 +110,44 @@ def check_defining_relations(fock: TruncatedFock, ctx: QContext) -> float:
     return max(float(np.abs(r[:cut, :cut]).max()) for r in rels)
 
 
-class CGTable:
-    """Cached Clebsch-Gordan coefficients for one (q, working precision, nmax).
+_CG_COLUMNS: Dict[tuple, list] = {}
+_CG_NMAX = 70  # degrees of a column read by cg_coefficient
 
-    C(x, m, n) is an orthonormal Wall value in base q^2 with degree
-    min(m, n), parameter q^{2|n-m|} and argument q^{2x}; it vanishes for any
-    negative index.  Columns are recurrence runs shared across lookups, each
-    kept without its trailing zeros, so a column's length is its support and
-    C is 0.0 past it.  Degrees at or past nmax return 0.0 without building a
-    column.
+
+def _cg_column(x: int, s: int, ctx: QContext, nmax: int = _CG_NMAX) -> list:
+    """C(x, d, d + s) over the degrees d < nmax, without its trailing zeros.
+
+    An orthonormal Wall run in base q^2 with parameter q^{2s} and argument
+    q^{2x}, built once per (x, s, nmax) and context.  Its length is its
+    support: C is 0.0 past it.
     """
-
-    def __init__(self, ctx: QContext, nmax: int = 70):
-        self.ctx2 = ctx.base_squared()
-        self.nmax = nmax
-        self._cols: Dict[Tuple[int, int], list] = {}
-
-    def column(self, x: int, s: int) -> list:
-        key = (x, s)
-        col = self._cols.get(key)
-        if col is None:
-            # a = q^{2s} at the working precision plus ten digits, never the caller's
-            with self.ctx2.workdps(10):
-                a = self.ctx2.q ** s
-            col = wall_orthonormal_run(x, a, self.ctx2, self.nmax)
-            while col and col[-1] == 0.0:
-                col.pop()
-            self._cols[key] = col
+    def build():
+        ctx2 = ctx.base_squared()
+        # a = q^{2s} at the working precision plus ten digits, never the caller's
+        with ctx2.workdps(10):
+            a = ctx2.q ** s
+        col = wall_orthonormal_run(x, a, ctx2, nmax)
+        while col and col[-1] == 0.0:
+            col.pop()
         return col
 
-    def C(self, x: int, m: int, n: int) -> float:
-        deg = min(m, n)
-        if x < 0 or deg < 0 or deg >= self.nmax:
-            return 0.0
-        col = self.column(x, abs(n - m))
-        return col[deg] if deg < len(col) else 0.0
-
-
-_CG_TABLES: Dict[Tuple[str, int, int], CGTable] = {}
-
-
-def _cg_table(ctx: QContext, nmax: int = 70) -> CGTable:
-    key = (ctx.q_key, ctx.working_precision, nmax)
-    tbl = _CG_TABLES.get(key)
-    if tbl is None:
-        tbl = CGTable(ctx, nmax)
-        _CG_TABLES[key] = tbl
-    return tbl
+    return cached(_CG_COLUMNS, ctx, (x, s, nmax), build)
 
 
 def cg_coefficient(x: int, m: int, n: int, ctx: QContext) -> float:
     """Clebsch-Gordan coefficient C_{x,m,n}; zero on any negative index.
 
+    An orthonormal Wall value in base q^2 with degree min(m, n), parameter
+    q^{2|n-m|} and argument q^{2x}, read from its column (``_cg_column``).
     Symmetric in (m, n).  The branch with degree min(m, n) is the one under
     which the coupled-pair family is orthonormal in both index groups.
+    Degrees at or past _CG_NMAX return 0.0 without building a column.
     """
-    return _cg_table(ctx).C(x, m, n)
+    deg = min(m, n)
+    if x < 0 or deg < 0 or deg >= _CG_NMAX:
+        return 0.0
+    col = _cg_column(x, abs(n - m), ctx)
+    return col[deg] if deg < len(col) else 0.0
 
 
 @dataclass(frozen=True)
@@ -207,18 +188,18 @@ def coupled_vector(scheme: str, x: int, p: int, r: int,
     if x < 0:
         raise DomainError("coupled_vector needs x >= 0")
     N = fock.dim
-    cg = _cg_table(ctx, max(70, N + 10))
+    nmax = max(_CG_NMAX, N + 10)
 
     def run(x, shift, limit):
         # (i, i + shift, C(x, i, i + shift)) with a nonzero coefficient, i
         # ascending, over degrees min(i, i + shift) below limit and inside
         # the column's support; a limit <= 0 builds no column.  x >= 0 and
-        # every degree lies inside the column, so C's guards never apply and
-        # the column is read directly
+        # every degree lies inside the column, so cg_coefficient's guards
+        # never apply and the column is read directly
         if limit <= 0:
             return
         lo = max(0, -shift)
-        col = cg.column(x, abs(shift))
+        col = _cg_column(x, abs(shift), ctx, nmax)
         for deg in range(min(len(col), limit)):
             c = col[deg]
             if c != 0.0:

@@ -52,12 +52,6 @@ def _ints(v) -> tuple:
     return (_int(v),)
 
 
-def _residual(total: qcore.SeriesResult, target) -> qcore.SeriesResult:
-    """|total - target|, with the estimate, terms and ``converged`` of the sum."""
-    return qcore.SeriesResult(abs(total.value - target), total.est_error, total.terms_used,
-                              total.converged)
-
-
 def _eval_qpoch_recurrence(a, n, ctx, policy):
     lhs = qcore.qpoch_finite(a, ctx, n + 1)
     rhs = qcore.qpoch_finite(a, ctx, n) * (1 - a * ctx.q ** n)
@@ -78,7 +72,7 @@ def _eval_hankel(nu, m, n, ctx, policy):
         lambda x: qfunctions.qbessel_lattice(nu, x + m, ctx)
         * qfunctions.qbessel_lattice(nu, x + n, ctx) * q ** x, policy)
     target = q ** (-n) if m == n else mp.mpf(0)
-    return _residual(s, target)
+    return s.residual(target)
 
 
 def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
@@ -90,7 +84,7 @@ def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
     s = qcore.bilateral_sum(
         lambda p1: coupling.sixj_closed(p1, r, p2, r, ctx)
         * coupling.sixj_closed(p1, r, p3, r, ctx), policy)
-    return _residual(s, 1 if p2 == p3 else 0)
+    return s.residual(1 if p2 == p3 else 0)
 
 
 def _eval_yang_baxter(u, v, w, lo, hi, ctx, policy):
@@ -140,8 +134,8 @@ def _eval_s_lemma(x, n, s, s2, ctx, policy):
         return multivariate._product(multivariate._S_labels(x, n, rvec, s)
                                      + multivariate._S_labels(x, n, rvec, s2), weight)
 
-    return _residual(multivariate._nested_vector_sum(term, len(s), policy, ctx),
-                     1 if s == s2 else 0)
+    return multivariate._nested_vector_sum(term, len(s), policy, ctx).residual(
+        1 if s == s2 else 0)
 
 
 def _eval_multi_be(x, n, r, s, ctx, policy):

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoupling import QContext, TruncationPolicy, bilateral_sum, qpoch_finite, qpoch_infinite, rphis
+from qcoupling import (QContext, TruncationPolicy, bilateral_sum, coupling,
+                       multi_orthogonality_residual, qbessel_lattice, qfunctions, qpoch_finite,
+                       qpoch_infinite, representation, rphis)
 from qcoupling.errors import DomainError, NonConvergent, PoleInLowerParameter
 
 
@@ -59,6 +63,50 @@ def test_q_key_separates_bases_and_ignores_ambient_precision():
             assert QContext(q).q_key == low
         keys.add(low)
     assert len(keys) == 3
+
+
+with mp.workdps(45):
+    _NEAR_BASES = (QContext(mp.mpf("0.5")), QContext(mp.mpf("0.5") + mp.mpf("1e-20")))
+_PRECISIONS = (QContext("0.5", 30), QContext("0.5", 50))
+_LEVELS = SimpleNamespace(memo={})  # the memo handed to the orthogonality residual
+
+# (holder, table attribute, evaluation) of every user of qcore.cached
+_CACHE_USERS = {
+    "j": (qfunctions, "_J_CACHE", lambda ctx: qbessel_lattice(1, -5, ctx)),
+    "cg-column": (representation, "_CG_COLUMNS",
+                  lambda ctx: representation._cg_column(2, 1, ctx)),
+    "yang-baxter-kernel": (coupling, "_YB_KERNELS",
+                           lambda ctx: coupling._yb_sector_kernel(1, range(-4, 5), ctx)),
+    "yang-baxter-operator": (coupling, "_YB_OPS", lambda ctx: coupling._yb_operator(
+        0, 1, (-4, 4), ctx).toarray().tolist()),
+    "orthogonality-level": (_LEVELS, "memo", lambda ctx: multi_orthogonality_residual(
+        (0, 1, 0), (1,), (1,), ctx, memo=_LEVELS.memo).value),
+}
+
+
+def _empty_caches(monkeypatch):
+    for holder, name, _ in _CACHE_USERS.values():
+        monkeypatch.setattr(holder, name, {})
+
+
+@pytest.mark.parametrize("ctxs", [_NEAR_BASES, _PRECISIONS], ids=["q", "precision"])
+@pytest.mark.parametrize("user", list(_CACHE_USERS))
+def test_cached_tables_key_on_exact_q_and_precision(monkeypatch, user, ctxs):
+    # two bases that print alike at 15 digits, or one base at precisions 30
+    # and 50: each gets its own entries, equal to a fresh evaluation
+    holder, name, evaluate = _CACHE_USERS[user]
+    _empty_caches(monkeypatch)
+    with mp.workdps(15):
+        shared = [evaluate(ctxs[0])]
+        per_context = len(getattr(holder, name))
+        shared.append(evaluate(ctxs[1]))
+    assert per_context > 0 and len(getattr(holder, name)) == 2 * per_context
+    fresh = []
+    for ctx in ctxs:
+        _empty_caches(monkeypatch)
+        with mp.workdps(15):
+            fresh.append(evaluate(ctx))
+    assert shared == fresh
 
 
 def test_truncation_policy_validation():

@@ -6,6 +6,7 @@ from qcoupling import (QContext, TruncationPolicy, WallParams, genfun_check, qbe
                        qbessel_lattice, qpoch_finite, qpoch_infinite, rphis, wall_genfun_check,
                        wall_orthonormal, wall_orthonormal_run, wall_poly, wall_poly_alt)
 from qcoupling import qfunctions
+from qcoupling.qcore import cached
 from qcoupling.errors import DomainError, NonConvergent
 
 
@@ -243,6 +244,23 @@ def test_qbessel_series_max_terms_raise(ctx05):
     assert qbessel(0, 1, ctx05, TruncationPolicy(max_terms=30)) != 0
 
 
+def _largest_phi11_term(nu, z, ctx):
+    """Largest term magnitude of 1phi1(0; q^{nu+1}; q, z).
+
+    The term ratio -q^k z / ((1 - q^{k+1}) (1 - q^{nu+1+k})) falls in
+    magnitude with k, so the terms peak once and the walk stops when they
+    are below the current precision of that peak.
+    """
+    q = ctx.q
+    term = top = mp.mpf(1)
+    k = 0
+    while abs(term) >= top * mp.eps:
+        term *= -q ** k * z / ((1 - q ** (k + 1)) * (1 - q ** (nu + 1 + k)))
+        top = max(top, abs(term))
+        k += 1
+    return top
+
+
 def _rphis_j(nu, x, ctx):
     """J_nu(x) for nu >= 0 from ``rphis`` and ``qpoch_finite``, at a precision
     that covers the series' cancellation: the reference for the fixed-point kernel."""
@@ -254,7 +272,7 @@ def _rphis_j(nu, x, ctx):
     while True:
         with ctx.workdps(extra):
             series = rphis([mp.mpf(0)], [q ** (nu + 1)], ctx, q * x)
-            lost = mp.log10(series.max_term / abs(series.value))
+            lost = mp.log10(_largest_phi11_term(nu, q * x, ctx) / abs(series.value))
             if lost < extra - 20:
                 return x ** (mp.mpf(nu) / 2) / qpoch_finite(q, ctx, nu) * series.value
         extra = int(lost) + 40
@@ -378,6 +396,37 @@ def test_qbessel_lattice_keys_on_exact_q():
     qfunctions._J_CACHE.clear()
     assert len(entries) == 2
     assert shared == fresh and shared[0] != shared[1]
+
+
+class _CountingDict(dict):
+    """A dict that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_qbessel_lattice_warm_lookup_is_one_get_of_the_cached_key(monkeypatch):
+    # a count guard: a warm value costs one dict get, and the key written out
+    # inline is the one qcore.cached builds, so cached reads the stored value
+    ctx = QContext("0.5")
+    table = _CountingDict()
+    monkeypatch.setattr(qfunctions, "_J_CACHE", table)
+    want = qbessel_lattice(1, -5, ctx)
+    assert cached(table, ctx, (1, -5), lambda: None) is want
+    table.lookups = 0
+    assert qbessel_lattice(1, -5, ctx) is want
+    assert table.lookups == 1
 
 
 def test_qbessel_lattice_one_entry_per_ambient_precision():

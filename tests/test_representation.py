@@ -6,11 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcoupling import (CGTable, QContext, TruncatedFock, cg_coefficient,
+from qcoupling import (QContext, TruncatedFock, cg_coefficient,
                        check_defining_relations, coupled_vector, pi0_matrix, qpoch_infinite,
                        sixj_oracle, wall_orthonormal_run)
 from qcoupling.errors import DomainError, InsufficientTruncation
-from qcoupling.representation import (_cg_table, coproduct_terms, threefold_operator,
+from qcoupling import representation
+from qcoupling.representation import (_cg_column, coproduct_terms, threefold_operator,
                                      threefold_terms)
 
 
@@ -169,21 +170,15 @@ def test_oracle_truncation_guard(ctx05):
         sixj_oracle(2, 3, 3, 3, 3, TruncatedFock(6), ctx05)
 
 
-def test_cg_tables_keyed_by_precision():
-    low, high = QContext("0.5", 30), QContext("0.5", 50)
-    assert _cg_table(low) is _cg_table(QContext("0.5", 30))
-    assert _cg_table(low) is not _cg_table(high)
-    assert _cg_table(high).ctx2.working_precision == 50
-
-
-def test_cg_columns_ignore_ambient_precision():
-    # a = q^{2s} is formed at the table's own precision: the caller's mp.dps
+def test_cg_columns_ignore_ambient_precision(monkeypatch):
+    # a = q^{2s} is formed at the context's own precision: the caller's mp.dps
     # used to enter it, and 205 of these values differed between 15 and 60
     tables = []
     for dps in (15, 60):
+        monkeypatch.setattr(representation, "_CG_COLUMNS", {})
         with mp.workdps(dps):
-            tbl = CGTable(QContext("0.3"))
-            tables.append([tbl.column(x, s) for x in range(8) for s in range(6)])
+            ctx = QContext("0.3")
+            tables.append([_cg_column(x, s, ctx) for x in range(8) for s in range(6)])
     assert tables[0] == tables[1]
 
 @functools.lru_cache(maxsize=None)
@@ -263,8 +258,9 @@ def test_coupled_vector_visits_only_the_support(monkeypatch, ctx05):
     fock = TruncatedFock(60)
     coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
     calls = []
-    lookup = CGTable.C
-    monkeypatch.setattr(CGTable, "C", lambda self, *a: calls.append(a) or lookup(self, *a))
+    lookup = representation.cg_coefficient
+    monkeypatch.setattr(representation, "cg_coefficient",
+                        lambda *a: calls.append(a) or lookup(*a))
     v = coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
     assert len(v.coeffs) > 100
     assert len(calls) <= 300
@@ -277,15 +273,15 @@ def test_coupled_vector_reads_each_column_once(monkeypatch, ctx05):
     fock = TruncatedFock(60)
     coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
     calls = []
-    column = CGTable.column
-    monkeypatch.setattr(CGTable, "column", lambda self, *a: calls.append(a) or column(self, *a))
+    monkeypatch.setattr(representation, "_cg_column",
+                        lambda *a: calls.append(a) or _cg_column(*a))
     v = coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
     assert len(calls) <= 1 + len({key[0] for key in v.coeffs})
 
 
 def test_cg_columns_kept_without_trailing_zeros(ctx05):
-    tbl = _cg_table(ctx05)
-    col = tbl.column(1, 0)
-    assert 0 < len(col) < tbl.nmax and col[-1] != 0.0
-    assert tbl.C(1, len(col), len(col)) == 0.0
-    assert tbl.C(1, tbl.nmax, tbl.nmax) == 0.0
+    nmax = representation._CG_NMAX
+    col = _cg_column(1, 0, ctx05)
+    assert 0 < len(col) < nmax and col[-1] != 0.0
+    assert cg_coefficient(1, len(col), len(col), ctx05) == 0.0
+    assert cg_coefficient(1, nmax, nmax, ctx05) == 0.0

@@ -7,7 +7,7 @@ import pytest
 from qcoupling import (CampaignPlan, QContext, TruncationPolicy, coupling, eval_single,
                        genfun_check, run_campaign)
 from qcoupling.cli import main as cli_main
-from qcoupling.errors import PlanInvalid
+from qcoupling.errors import DomainError, PlanInvalid
 from qcoupling.verifier import IDENTITIES, identity_descriptions
 
 
@@ -59,6 +59,18 @@ def test_eval_single_genfun_negative_order_is_a_domain_error():
         assert not res.passed and res.residual == float("inf")
         assert res.error.startswith("DomainError: generating relation needs nu >= 0")
     assert eval_single("genfun", {"nu": 0, "x": 0.5, "t": 0.25}, 0.5, tolerance=1e-10).passed
+
+
+def test_genfun_negative_order_directly_and_through_the_cli(capsys, ctx05):
+    # the relation itself raises; the CLI reports a failed case, exit 1,
+    # whose error names the domain, not a traceback
+    with pytest.raises(DomainError, match="generating relation needs nu >= 0"):
+        genfun_check(-1, 0.5, 0.25, ctx05)
+    rc = cli_main(["eval", "genfun", "--param", "nu=-1", "--param", "x=0.5",
+                   "--param", "t=0.25"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1 and doc["pass"] is False
+    assert doc["error"].startswith("DomainError: generating relation needs nu >= 0")
 
 
 def test_eval_single_reports_the_evaluators_estimate(ctx05):
