@@ -9,6 +9,7 @@ import mpmath as mp
 
 from qcoupling import (QContext, TruncationPolicy, bilateral_sum, qbessel_lattice,
                        qpoch_finite, qpoch_infinite, rphis)
+from qcoupling.qcore import exact_product, mantissa, qpower
 
 ctx = QContext("0.5")
 q = ctx.q
@@ -31,10 +32,13 @@ for nu, y in [(0, 0), (1, 0), (2, -3), (-2, 1)]:
     print(f"  nu={nu:+d} y={y:+d}:", mp.nstr(qbessel_lattice(nu, y, ctx), 12))
 
 print("\northogonality on the lattice: sum_x J_nu(q^{x+m}) J_nu(q^{x+n}) q^x")
+# bilateral_sum adds exact terms, pairs (m, e) for m 2^e, on integers; q^x is
+# the power of q^{1/2} at 2x
 pol = TruncationPolicy(tail_tol=1e-16)
 for nu, m, n in [(1, 0, 0), (1, 2, 2), (1, 2, -1), (-2, 1, 1)]:
-    s = bilateral_sum(lambda x: qbessel_lattice(nu, x + m, ctx)
-                      * qbessel_lattice(nu, x + n, ctx) * q ** x, pol)
+    s = bilateral_sum(lambda x: exact_product(mantissa(qbessel_lattice(nu, x + m, ctx)),
+                                              mantissa(qbessel_lattice(nu, x + n, ctx)),
+                                              qpower(2 * x, ctx)), pol, ctx)
     target = q ** (-n) if m == n else mp.mpf(0)
     print(f"  nu={nu:+d} m={m:+d} n={n:+d}: sum={mp.nstr(s.value, 10)}"
           f"  target={mp.nstr(target, 10)}  |diff|={mp.nstr(abs(s.value - target), 3)}")

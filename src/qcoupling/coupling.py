@@ -4,7 +4,10 @@ The recoupling (6j) coefficient of three coupled factors is a third Jackson
 q-Bessel value in base q^2.  This module provides the closed forms, the
 bilateral-sum residuals for the backcoupling, Biedenharn-Elliott and hexagon
 identities, the lattice Hankel-type transform with q-Bessel kernel, and the
-truncated Yang-Baxter operator built from the recoupling weights.
+truncated Yang-Baxter operator built from the recoupling weights.  Every
+bilateral sum here is one ``qcore.bilateral_sum`` over exact (m, e) terms,
+built from J table entries, recoupling weights (``weight_pair``) and the
+powers of q in ``qcore.qpower``.
 
 Verification status at the shipped tolerances: Biedenharn-Elliott holds;
 orthogonality, translation invariance and duality of the closed form hold;
@@ -20,17 +23,19 @@ from typing import Dict, Optional, Tuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, round_nearest
 from scipy import sparse
 
 from .errors import InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum)
+                    bilateral_sum, exact_product, mantissa, qpower)
 from .qfunctions import qbessel_lattice
 
 __all__ = [
     "sixj_closed",
     "recoupling_R",
     "recoupling_weight",
+    "weight_pair",
     "verify_backcoupling",
     "backcoupling_forms_gap",
     "verify_biedenharn_elliott",
@@ -69,10 +74,33 @@ def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
 def recoupling_weight(order: int, e: int, ctx: QContext) -> mp.mpf:
     """(-q)^e J_order(q^{2e}; q^2), the tree-move weight at its two labels.
 
-    Rounded to the working precision plus five digits.
+    ``weight_pair`` rounded to the working precision plus five digits.
     """
+    wm, we = weight_pair(order, e, ctx)
     with ctx.workdps(5):
-        return (-ctx.q) ** e * qbessel_lattice(order, e, ctx.base_squared())
+        return mp.make_mpf(from_man_exp(wm, we, mp.mp.prec, round_nearest))
+
+
+def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
+    """(-q)^e J_order(q^{2e}; q^2) as an exact pair (m, k) for m 2^k.
+
+    The exact product of the lattice J value in base q^2 and of the power
+    (-q)^e from ``qcore.qpower``.
+    """
+    pm, pe = qpower(2 * e, ctx)
+    jm, je = mantissa(qbessel_lattice(order, e, ctx.base_squared()))
+    return (-pm if e & 1 else pm) * jm, pe + je
+
+
+def _R_pair(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
+            ctx: QContext) -> Tuple[int, int]:
+    """``recoupling_R`` as an exact pair (``weight_pair``)."""
+    return weight_pair(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx)
+
+
+def _J(order: int, y: int, ctx: QContext) -> Tuple[int, int]:
+    """The lattice value J_order(q^y) as an exact pair."""
+    return mantissa(qbessel_lattice(order, y, ctx))
 
 
 @at_working_precision
@@ -88,16 +116,15 @@ def verify_backcoupling(x: int, n1: int, n2: int, n3: int, p1: int, p2: int,
     s -> +inf, so J would vanish on the lattice, which orthogonality rules out.
     """
     policy = policy or TruncationPolicy()
-    q = ctx.q
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
     lhs = qbessel_lattice(r123, p1 + p2, ctx)
 
     def term(p):
-        return qbessel_lattice(r132, p + p1, ctx) * qbessel_lattice(r312, p + p2, ctx) * q ** p
+        return exact_product(_J(r132, p + p1, ctx), _J(r312, p + p2, ctx), qpower(2 * p, ctx))
 
-    rhs = bilateral_sum(term, policy)
+    rhs = bilateral_sum(term, policy, ctx)
     return rhs.residual(lhs)
 
 
@@ -114,9 +141,10 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
     lhsR = recoupling_R(x, n1, n2, n3, p1p, p2p, ctx)
 
     def termR(p):
-        return recoupling_R(x, n1, n3, n2, p1p, p, ctx) * recoupling_R(x, n3, n1, n2, p, p2p, ctx)
+        return exact_product(_R_pair(x, n1, n3, n2, p1p, p, ctx),
+                             _R_pair(x, n3, n1, n2, p, p2p, ctx))
 
-    rhsR = bilateral_sum(termR, policy)
+    rhsR = bilateral_sum(termR, policy, ctx)
     res_R = abs(lhsR - rhsR.value)
     # J-form with p1 = p1p-n1, p2 = p2p-n3 in base q^2, scaled by the common prefactor
     e = p1p + p2p - n1 - n3
@@ -136,31 +164,34 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
         * J_{mu1-mu2+Q-R}(q^{mu-mu2}).
     """
     policy = policy or TruncationPolicy()
-    q = ctx.q
     lhs = qbessel_lattice(nu + mu1, P - Q, ctx) * qbessel_lattice(nu + mu2, Q - R, ctx)
+    odd = (mu1 + mu2) & 1
 
     def term(mu):
-        A = (-1) ** (mu1 + mu2) * q ** (mu - mp.mpf(mu1 + mu2) / 2) \
-            * qbessel_lattice(mu2 - mu1 + P - Q, mu - mu1, ctx) \
-            * qbessel_lattice(mu1 - mu2 + Q - R, mu - mu2, ctx)
-        return A * qbessel_lattice(nu + mu, P - R, ctx)
+        # q^{mu-(mu1+mu2)/2} is the table's power of q^{1/2} at 2 mu - mu1 - mu2
+        m, e = exact_product(qpower(2 * mu - mu1 - mu2, ctx),
+                             _J(mu2 - mu1 + P - Q, mu - mu1, ctx),
+                             _J(mu1 - mu2 + Q - R, mu - mu2, ctx),
+                             _J(nu + mu, P - R, ctx))
+        return (-m if odd else m), e
 
-    rhs = bilateral_sum(term, policy)
+    rhs = bilateral_sum(term, policy, ctx)
     return rhs.residual(lhs)
 
 
 def _hexagon_weight_terms(x: int, n1: int, n2: int, n3: int, n4: int,
                           p1: int, p2: int, p3: int, p4: int, ctx: QContext):
-    """Summands over the internal label of the hexagon's two sides, weight form."""
+    """Exact summands over the internal label of the hexagon's two sides,
+    weight form."""
     def lhs_term(r):
-        return recoupling_R(x, p1, n3, n4, p2, r, ctx) \
-            * recoupling_R(r, n2, n1, n3, p3, p1, ctx) \
-            * recoupling_R(x, p3, n2, n4, p4, r, ctx)
+        return exact_product(_R_pair(x, p1, n3, n4, p2, r, ctx),
+                             _R_pair(r, n2, n1, n3, p3, p1, ctx),
+                             _R_pair(x, p3, n2, n4, p4, r, ctx))
 
     def rhs_term(r):
-        return recoupling_R(x, n1, n2, p2, r, p1, ctx) \
-            * recoupling_R(r, n2, n4, n3, p2, p4, ctx) \
-            * recoupling_R(x, n1, n3, p4, r, p3, ctx)
+        return exact_product(_R_pair(x, n1, n2, p2, r, p1, ctx),
+                             _R_pair(r, n2, n4, n3, p2, p4, ctx),
+                             _R_pair(x, n1, n3, p4, r, p3, ctx))
 
     return lhs_term, rhs_term
 
@@ -177,8 +208,8 @@ def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
     """
     policy = policy or TruncationPolicy()
     lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
-    lhs = bilateral_sum(lhs_term, policy)
-    rhs = bilateral_sum(rhs_term, policy)
+    lhs = bilateral_sum(lhs_term, policy, ctx)
+    rhs = bilateral_sum(rhs_term, policy, ctx)
     est = lhs.est_error + rhs.est_error
     return SeriesResult(abs(lhs.value - rhs.value), est,
                         lhs.terms_used + rhs.terms_used, lhs.converged and rhs.converged)
@@ -203,19 +234,22 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
 
     def j_side(m1, m2, m3, m4, q1, q2, q3, q4):
         # stated form with q -> q^2 so both sides live in the same base
+        odd = (q2 + q4) & 1
+
         def term(r):
-            return (-1) ** (q2 + q4) * q ** (2 * r - 2 * m4 + q2 + q4) \
-                * qbessel_lattice(r - m2 + m1 - m3, q1 + q3 - m2 - m3, ctx2) \
-                * qbessel_lattice(x - q1 + m3 - m4, r + q2 - q1 - m4, ctx2) \
-                * qbessel_lattice(x - q3 + m2 - m4, r + q4 - q3 - m4, ctx2)
-        return bilateral_sum(term, policy).value
+            m, e = exact_product(qpower(2 * (2 * r - 2 * m4 + q2 + q4), ctx),
+                                 _J(r - m2 + m1 - m3, q1 + q3 - m2 - m3, ctx2),
+                                 _J(x - q1 + m3 - m4, r + q2 - q1 - m4, ctx2),
+                                 _J(x - q3 + m2 - m4, r + q4 - q3 - m4, ctx2))
+            return (-m if odd else m), e
+        return bilateral_sum(term, policy, ctx).value
 
     lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
     restore = (-q) ** (n2 + n3)
     gap_lhs = abs(j_side(n1, n2, n3, n4, p1, p2, p3, p4)
-                  - bilateral_sum(lhs_term, policy).value * restore)
+                  - bilateral_sum(lhs_term, policy, ctx).value * restore)
     gap_rhs = abs(j_side(n4, n3, n2, n1, p2, p1, p4, p3)
-                  - bilateral_sum(rhs_term, policy).value * restore)
+                  - bilateral_sum(rhs_term, policy, ctx).value * restore)
     return gap_lhs, gap_rhs
 
 
@@ -399,15 +433,20 @@ def cg_contraction_residual(x: int, n: int, m: int, k: int, p1: int, ctx: QConte
 
     C_{x,n+p1,n} C_{n+p1,m,k} = sum_{p2} R_{p1,r;p2,r} C_{x,k-p2,k} C_{k-p2,m,n}
     with x-r = n-m+k; the zero convention kills terms with p2 > k, so the sum
-    runs over all p2 (|p2| <= 40) and the cutoff is checked rather than imposed.
+    runs over all p2 (|p2| <= 40, a fixed window) and the cutoff is checked
+    rather than imposed.  R_{p1,r;p2,r} = sixj_closed is the recoupling
+    weight at order r and e = p1 - p2.
     """
     from .representation import cg_coefficient
 
     r = x - (n - m + k)
     lhs = cg_coefficient(x, n + p1, n, ctx) * cg_coefficient(n + p1, m, k, ctx)
-    tot = mp.mpf(0)
-    for p2 in range(-40, 41):
+
+    def term(p2):
         c = cg_coefficient(x, k - p2, k, ctx) * cg_coefficient(k - p2, m, n, ctx)
-        if c != 0.0:
-            tot += sixj_closed(p1, r, p2, r, ctx) * c
-    return float(abs(lhs - tot))
+        if c == 0.0:
+            return 0, 0
+        return exact_product(weight_pair(r, p1 - p2, ctx), mantissa(mp.mpf(c)))
+
+    window = TruncationPolicy(bilateral_window=(-40, 40), adaptive=False)
+    return float(abs(lhs - bilateral_sum(term, window, ctx).value))

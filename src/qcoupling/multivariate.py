@@ -5,29 +5,30 @@ the (k+2)-fold tree recoupling coefficients factor into products of
 three-factor recoupling weights and are, up to a sign-power prefactor, the
 same multivariate q-Bessel functions in base q^2.
 
-Every nested lattice sum runs through one engine, ``_nested_vector_sum``:
-one bilateral level per coordinate, innermost-first, and optionally an
-``inner`` nested sum multiplied into each nonzero term.  The raw box sum
-has individually astronomical terms that cancel, while each inner level
-collapses to a near-delta.  The engine returns a SeriesResult whose
+Every nested lattice sum runs through ``_nested_vector_sum``: one
+bilateral level per coordinate, innermost-first, each level one call of
+the library's single summation engine ``qcore.bilateral_sum``, and
+optionally an ``inner`` nested sum multiplied into each nonzero term.  The
+raw box sum has individually astronomical terms that cancel, while each
+inner level collapses to a near-delta.  The engine returns a SeriesResult whose
 estimate, term count and ``converged`` flag cover every level the value
 rests on.
 
-The engine sums on Python integers.  A term is an exact pair (m, e) for
+The levels sum on Python integers.  A term is an exact pair (m, e) for
 m 2^e, built with integer products from factors that each evaluation
 converts once per distinct label: recoupling weights
 (-q)^e J_order(q^{2e}; q^2) along a chain (``_weights``, read by
 ``_R_labels`` and ``_S_labels``) or lattice J values (``_fixed``, read by
-``_factor_labels``).  Each level adds its terms at a
-scale 2^-P chosen from its own largest term, so it keeps the working
-precision plus 64 bits relative to that term whatever the magnitudes.
+``_factor_labels``); powers of q come from ``qcore.qpower``.  Each level
+adds its terms at a scale 2^-P chosen from its own largest term, so it
+keeps the working precision plus 64 bits relative to that term whatever
+the magnitudes.
 The mpf ``threenj_R``, ``threenj_S`` and ``multi_qbessel`` read the same
 label walks for the identities that are not sums.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -36,9 +37,9 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_window, tail_estimate)
+                    bilateral_sum, mantissa, qpower)
 from .qfunctions import qbessel_lattice
-from .coupling import recoupling_weight, verify_biedenharn_elliott
+from .coupling import recoupling_weight, verify_biedenharn_elliott, weight_pair
 from .representation import cg_coefficient
 
 __all__ = [
@@ -163,12 +164,6 @@ def _S_labels(x: int, n, r, s) -> List[Tuple[int, int]]:
     return out
 
 
-def _mantissa(v: mp.mpf) -> Tuple[int, int]:
-    """(m, e) with v = m 2^e exactly."""
-    sign, man, exp, _ = v._mpf_
-    return (-man if sign else man), exp
-
-
 def _memo(fn: Callable) -> Callable:
     """fn, computed once per argument tuple.
 
@@ -188,30 +183,16 @@ def _memo(fn: Callable) -> Callable:
 
 def _fixed(value: Callable[..., mp.mpf]) -> Callable[..., Tuple[int, int]]:
     """value(*key), an mpf, as an exact (m, e) pair, converted once per key."""
-    return _memo(lambda *key: _mantissa(value(*key)))
+    return _memo(lambda *key: mantissa(value(*key)))
 
 
 def _weights(ctx: QContext) -> Callable[[int, int], Tuple[int, int]]:
     """(order, e) -> the recoupling weight (-q)^e J_order(q^{2e}; q^2) as (m, e).
 
-    The exact product of the lattice J value and of (-q)^e, the power
-    formed once per e at the working precision plus ten digits; each weight
-    is converted once per call of ``_weights``.
+    ``coupling.weight_pair``, formed once per label pair and call of
+    ``_weights``.
     """
-    ctx2 = ctx.base_squared()
-
-    def power(e):
-        with ctx.workdps(10):
-            return (-ctx.q) ** e
-
-    powers = _fixed(power)
-
-    def weight(order, e):
-        pm, pe = powers(e)
-        jm, je = _mantissa(qbessel_lattice(order, e, ctx2))
-        return pm * jm, pe + je
-
-    return _memo(weight)
+    return _memo(lambda order, e: weight_pair(order, e, ctx))
 
 
 def _product(labels, factor) -> Tuple[int, int]:
@@ -254,8 +235,8 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     and ``converged`` is False as soon as one of those sums did not
     converge.  None of the three depends on what a shared ``memo`` holds.
 
-    The J factors and the powers q^{x_1} are converted to integers once per
-    call; the memo holds only level results.
+    The J factors are converted to integers, and the powers q^{x_1} read
+    from ``qcore.qpower``, once per call; the memo holds only level results.
     """
     policy = policy or TruncationPolicy()
     nu = tuple(int(v) for v in nu)
@@ -270,7 +251,7 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     if memo is None:
         memo = {}
     J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
-    qpow = _fixed(lambda x: q ** x)
+    qpow = _memo(lambda x: qpower(2 * x, ctx))
 
     def level(j):
         # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam') * (q^{x_1} or level j-1)
@@ -369,7 +350,6 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
     if p.k < 2:
         raise DomainError("multivariate pentagon needs k >= 2")
     k = p.k
-    q = ctx.q
     lhs = threenj_R(p, ctx)
 
     nprime = drop_first(p.n)
@@ -393,7 +373,6 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
         lhsJ = multi_qbessel(MultiBesselParams(nu_out, p.r, p.s), ctx)
         s_ext = p.s + (p.x,)
         J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
-        sign_power = _fixed(lambda expo: (-mp.sqrt(q)) ** expo)
 
         def a_term(tvec):
             # (-q^{1/2})^expo prod_j J(...) times J_{nu_in}(r', t)
@@ -403,8 +382,8 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
             labels = [(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
                        s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1]) for j in range(1, k + 1)]
             m, e = _product(labels + _factor_labels(nu_in, rprime, tvec), J)
-            am, ae = sign_power(expo)
-            return m * am, e + ae
+            am, ae = qpower(expo, ctx)
+            return (-m if expo & 1 else m) * am, e + ae
 
         a_rhs = _nested_vector_sum(a_term, k - 1, policy, ctx).value
         a_resid = abs(lhsJ - a_rhs)
@@ -423,13 +402,10 @@ def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
     SeriesResult of a further nested sum; its mpf value enters as its
     integer mantissa and exponent.
 
-    Each level is a ``bilateral_window`` over its exact terms (its window
-    and stop rule are ``bilateral_sum``'s, the comparisons exact).  It adds
-    the terms on integers at the scale 2^-P whose unit lies ``_level_bits``
-    (the working precision in bits plus 64) below its largest term, so its
-    value is right to about (terms used) 2^-_level_bits times that term
-    whatever the magnitudes; no mpf arithmetic is done per term.  The value
-    is returned as the exact mpf of that integer sum.
+    Each level is one ``qcore.bilateral_sum`` over its exact terms: its
+    window, stop rule and estimate are that engine's, and it adds the terms
+    on integers at a scale set by its own largest term, so no mpf arithmetic
+    is done per term.
 
     Each level combines its own bilateral sum with every inner result it
     used (its coordinate sub-sums, or the ``inner`` results): the estimates
@@ -446,7 +422,7 @@ def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
             sub = _nested_vector_sum(lambda rest: term(rest + (t,)), dim - 1, policy, ctx,
                                      None if inner is None else lambda rest: inner(rest + (t,)))
             used.append(sub)
-            return _mantissa(sub.value)
+            return mantissa(sub.value)
     elif inner is None:
         def level(t):
             return term((t,))
@@ -458,31 +434,15 @@ def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
                 return m, e
             r = inner(tvec)
             used.append(r)
-            im, ie = _mantissa(r.value)
+            im, ie = mantissa(r.value)
             return m * im, e + ie
 
-    vals, lo, hi, edge = bilateral_window(level, policy, _below)
-    boundary = [vals[p] for p in edge]
-    low = min(e for _, e in boundary)
-    est, converged = tail_estimate(_exact(sum(abs(m) << (e - low) for m, e in boundary), low),
-                                   policy)
-    own = SeriesResult(_fixed_sum([vals[p] for p in range(lo, hi + 1)], _level_bits(ctx)),
-                       est, len(vals), converged)
+    own = bilateral_sum(level, policy, ctx)
     if not used:
         return own
     return SeriesResult(own.value, own.est_error + _rounded_sum([r.est_error for r in used]),
                         own.terms_used + sum(r.terms_used for r in used),
                         own.converged and all(r.converged for r in used))
-
-
-def _level_bits(ctx: QContext) -> int:
-    """Bits a nested-sum level keeps below its largest term."""
-    return math.ceil(ctx.working_precision * math.log2(10)) + 64
-
-
-def _exact(m: int, e: int) -> mp.mpf:
-    """The mpf m 2^e, unrounded."""
-    return mp.make_mpf(from_man_exp(m, e))
 
 
 def _rounded_sum(values) -> mp.mpf:
@@ -505,33 +465,6 @@ def _rounded_sum(values) -> mp.mpf:
     if low is None:
         return mp.mpf(0)
     return mp.make_mpf(from_man_exp(total, low, mp.mp.prec, round_nearest))
-
-
-def _below(v: Tuple[int, int], bnd: mp.mpf) -> bool:
-    """|m 2^e| < bnd for v = (m, e), compared exactly."""
-    m, e = v
-    if not m:
-        return True
-    m = abs(m)
-    _, bm, be, bbits = bnd._mpf_
-    top, btop = e + m.bit_length(), be + bbits
-    if top != btop:
-        return top < btop
-    return m << (e - be) < bm if e >= be else m < bm << (be - e)
-
-
-def _fixed_sum(terms, bits: int) -> mp.mpf:
-    """Sum of the (m, e) terms, in order, on integers in units of 2^scale,
-    ``bits`` below the largest term's leading bit; each term is cut to that
-    unit (floored), so the error is below one unit per term."""
-    tops = [e + abs(m).bit_length() for m, e in terms if m]
-    if not tops:
-        return mp.mpf(0)
-    scale = max(tops) - bits
-    total = 0
-    for m, e in terms:
-        total += m << (e - scale) if e >= scale else m >> (scale - e)
-    return _exact(total, scale)
 
 
 @at_working_precision

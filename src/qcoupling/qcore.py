@@ -1,21 +1,28 @@
 """Foundational q-arithmetic.
 
 q-Pochhammer symbols, basic hypergeometric series in the Gasper-Rahman
-convention, and deterministic truncated summation over the natural numbers
-and over all integers, with tail-error estimates.
+convention, and the one engine for truncated sums over all integers,
+``bilateral_sum``, with its tail-error estimate.
 
-All series evaluation runs on mpmath reals at the precision carried by the
-QContext; every public value is an ``mpmath.mpf``.
+Every value is carried at the precision of its QContext and every public
+value is an ``mpmath.mpf``.  The q-Pochhammer symbols and ``rphis`` run on
+mpmath reals.  ``bilateral_sum`` adds its terms on Python integers: a term
+is an exact pair (m, e) for m 2^e (``mantissa`` turns an mpf into one), and
+a window's terms are added in units lying ``_level_bits`` (the working
+precision in bits plus 64) below its largest term.  Powers of q^{1/2} come
+as such pairs from one process table (``qpower``), each formed once per
+exponent, base and precision.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import repr_dps
+from mpmath.libmp import from_man_exp, repr_dps
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 
@@ -32,6 +39,9 @@ __all__ = [
     "tail_threshold",
     "at_working_precision",
     "cached",
+    "mantissa",
+    "exact_product",
+    "qpower",
 ]
 
 
@@ -124,6 +134,7 @@ class TruncationPolicy:
     bilateral_window fixes [lo, hi] for sums over the integers; when
     adaptive is set the window is extended until three consecutive boundary
     terms fall below tail_tol on each side (or max_terms is hit).
+    tail_ratio, the ratio of the geometric tail extrapolation, lies in [0, 1).
     """
 
     max_terms: int = 4000
@@ -138,6 +149,8 @@ class TruncationPolicy:
             raise DomainError("bilateral window needs lo <= hi")
         if self.max_terms <= 0 or self.tail_tol <= 0:
             raise DomainError("max_terms and tail_tol must be positive")
+        if not 0 <= self.tail_ratio < 1:
+            raise DomainError(f"tail_ratio must lie in [0, 1), got {self.tail_ratio}")
 
 
 def cached(table: dict, ctx: QContext, labels: tuple, compute: Callable[[], object]):
@@ -296,14 +309,82 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
                 raise NonConvergent("rphis exhausted max_terms")
 
 
-def bilateral_window(term: Callable[[int], object], policy: TruncationPolicy,
-                     below: Callable[[object, mp.mpf], bool]):
-    """The window and stop rule of ``bilateral_sum``, for terms of any kind.
+def mantissa(v: mp.mpf) -> Tuple[int, int]:
+    """(m, e) with v = m 2^e exactly."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), exp
+
+
+def exact_product(*pairs: Tuple[int, int]) -> Tuple[int, int]:
+    """The exact product of (m, e) pairs, as one pair."""
+    m, e = 1, 0
+    for fm, fe in pairs:
+        m *= fm
+        e += fe
+    return m, e
+
+
+def _exact(m: int, e: int) -> mp.mpf:
+    """The mpf m 2^e, unrounded."""
+    return mp.make_mpf(from_man_exp(m, e))
+
+
+_POWERS: dict = {}
+
+
+def qpower(k: int, ctx: QContext) -> Tuple[int, int]:
+    """q^{k/2} as an exact (m, e) pair.
+
+    Formed as q ** (k/2) at the working precision plus ten digits (an
+    integer power for even k, an integer power of sqrt(q) for odd k) once
+    per exponent, base and precision, in a process table.
+    """
+    def form():
+        with ctx.workdps(10):
+            return mantissa(ctx.q ** (mp.mpf(k) / 2))
+
+    return cached(_POWERS, ctx, (k,), form)
+
+
+def _level_bits(ctx: QContext) -> int:
+    """Bits a window's sum keeps below its largest term."""
+    return math.ceil(ctx.working_precision * math.log2(10)) + 64
+
+
+def _below(v: Tuple[int, int], bnd: mp.mpf) -> bool:
+    """|m 2^e| < bnd for v = (m, e), compared exactly."""
+    m, e = v
+    if not m:
+        return True
+    m = abs(m)
+    _, bm, be, bbits = bnd._mpf_
+    top, btop = e + m.bit_length(), be + bbits
+    if top != btop:
+        return top < btop
+    return m << (e - be) < bm if e >= be else m < bm << (be - e)
+
+
+def _fixed_sum(terms, bits: int) -> mp.mpf:
+    """Sum of the (m, e) terms, in order, on integers in units of 2^scale,
+    ``bits`` below the largest term's leading bit; each term is cut to that
+    unit (floored), so the error is below one unit per term."""
+    tops = [e + abs(m).bit_length() for m, e in terms if m]
+    if not tops:
+        return mp.mpf(0)
+    scale = max(tops) - bits
+    total = 0
+    for m, e in terms:
+        total += m << (e - scale) if e >= scale else m >> (scale - e)
+    return _exact(total, scale)
+
+
+def bilateral_window(term: Callable[[int], Tuple[int, int]], policy: TruncationPolicy):
+    """The window and stop rule of ``bilateral_sum``.
 
     term(p) is evaluated on the policy's window; in adaptive mode each side
     then grows until its three boundary terms are below tail_tol / 30, the
     threshold that lands the doubled 6-term estimate of ``tail_estimate``
-    under tail_tol.  below(v, bnd) says whether |v| < bnd for the mpf bnd.
+    under tail_tol, compared exactly.
     Returns (vals, lo, hi, edge): every term evaluated by index, the window
     reached, and the indices of the boundary terms (three per side, shared
     when the window is narrower than six).
@@ -314,7 +395,7 @@ def bilateral_window(term: Callable[[int], object], policy: TruncationPolicy,
     vals = {p: term(p) for p in range(lo, hi + 1)}
 
     def side_ok(ps):
-        return all(below(vals[p], bnd) for p in ps)
+        return all(_below(vals[p], bnd) for p in ps)
 
     if policy.adaptive:
         while not side_ok(range(lo, min(lo + 3, hi + 1))):
@@ -349,25 +430,25 @@ def tail_estimate(boundary: mp.mpf, policy: TruncationPolicy):
     return est, bool(est <= mp.mpf(policy.tail_tol))
 
 
-def _abs_below(v, bnd) -> bool:
-    return abs(v) < bnd
+def bilateral_sum(term: Callable[[int], Tuple[int, int]], policy: Optional[TruncationPolicy],
+                  ctx: QContext) -> SeriesResult:
+    """Deterministic sum of term(p) over an integer window, on integers.
 
-
-def bilateral_sum(term: Callable[[int], mp.mpf],
-                  policy: Optional[TruncationPolicy] = None) -> SeriesResult:
-    """Deterministic sum of term(p) over an integer window.
-
-    Summation is in ascending index order for bit-reproducibility.  In
+    term(p) returns an exact pair (m, e) for m 2^e; (0, 0) is zero.  In
     adaptive mode the window grows until three consecutive boundary terms
-    are below tail_tol on each side (``bilateral_window``).  The error
-    estimate is the last three boundary magnitudes per side with a doubled
-    geometric extrapolation (``tail_estimate``).  Terms are used as
-    returned: an mpf at the current precision, a float or an int.
+    are below tail_tol / 30 on each side (``bilateral_window``).  The terms
+    are added on integers in units lying ``_level_bits(ctx)`` (the working
+    precision in bits plus 64) below the largest term, so the value is right
+    to about (terms used) 2^-_level_bits times that term whatever the
+    magnitudes; it is returned as the exact mpf of that integer sum.  The
+    error estimate is the exact sum of the boundary magnitudes, three per
+    side, with a doubled geometric extrapolation (``tail_estimate``).
     """
     policy = policy or TruncationPolicy()
-    vals, lo, hi, edge = bilateral_window(term, policy, _abs_below)
-    total = mp.mpf(0)
-    for p in range(lo, hi + 1):
-        total += vals[p]
-    est, converged = tail_estimate(mp.fsum(abs(vals[p]) for p in edge), policy)
-    return SeriesResult(total, est, len(vals), converged)
+    vals, lo, hi, edge = bilateral_window(term, policy)
+    boundary = [vals[p] for p in edge]
+    low = min(e for _, e in boundary)
+    est, converged = tail_estimate(_exact(sum(abs(m) << (e - low) for m, e in boundary), low),
+                                   policy)
+    value = _fixed_sum([vals[p] for p in range(lo, hi + 1)], _level_bits(ctx))
+    return SeriesResult(value, est, len(vals), converged)

@@ -67,11 +67,13 @@ def _eval_wall_consistency(n, x, a, ctx, policy):
 
 
 def _eval_hankel(nu, m, n, ctx, policy):
-    q = ctx.q
-    s = qcore.bilateral_sum(
-        lambda x: qfunctions.qbessel_lattice(nu, x + m, ctx)
-        * qfunctions.qbessel_lattice(nu, x + n, ctx) * q ** x, policy)
-    target = q ** (-n) if m == n else mp.mpf(0)
+    def term(x):
+        return qcore.exact_product(qcore.mantissa(qfunctions.qbessel_lattice(nu, x + m, ctx)),
+                                   qcore.mantissa(qfunctions.qbessel_lattice(nu, x + n, ctx)),
+                                   qcore.qpower(2 * x, ctx))
+
+    s = qcore.bilateral_sum(term, policy, ctx)
+    target = ctx.q ** (-n) if m == n else mp.mpf(0)
     return s.residual(target)
 
 
@@ -81,9 +83,10 @@ def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
 
 
 def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
+    # sixj_closed(p1, r, p, r) is the recoupling weight at order r and e = p1 - p
+    weight = multivariate._weights(ctx)
     s = qcore.bilateral_sum(
-        lambda p1: coupling.sixj_closed(p1, r, p2, r, ctx)
-        * coupling.sixj_closed(p1, r, p3, r, ctx), policy)
+        lambda p1: qcore.exact_product(weight(r, p1 - p2), weight(r, p1 - p3)), policy, ctx)
     return s.residual(1 if p2 == p3 else 0)
 
 

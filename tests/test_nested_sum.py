@@ -1,12 +1,15 @@
-"""The one fixed-point nested-sum engine against the mpf recursions it replaced.
+"""The one fixed-point summation engine against the mpf sums it replaced.
 
-``_old_nested_vector_sum``, ``_old_orthogonality``, ``_old_S_composition``
-and ``_old_chain_residuals`` are kept here, and only here, as oracles: the
-coordinate recursion the chain identities used, the memoized ``inner()``
-level recursion of the multivariate orthogonality, and the mpf terms of the
-chain evaluators.  Each oracle also returns its scale, the largest term
-magnitude of its top level.  The engine sums on integers, so its values
-must agree with the oracles' to 10^-wp times that scale, not bit for bit.
+``_old_bilateral_sum`` (the mpf ``qcore.bilateral_sum``),
+``_old_nested_vector_sum``, ``_old_orthogonality``, ``_old_S_composition``,
+``_old_chain_residuals`` and ``_old_one_variable`` are kept here, and only
+here, as oracles: the mpf engine itself, the coordinate recursion the chain
+identities used, the memoized ``inner()`` level recursion of the
+multivariate orthogonality, and the mpf terms of the chain evaluators and
+of the one-variable identities.  Each oracle also returns its scale, the
+largest term magnitude of its top level.  The engine sums on integers, so
+its values must agree with the oracles' to 10^-wp times that scale, not bit
+for bit.
 """
 
 import random
@@ -20,14 +23,47 @@ from mpmath.libmp import from_man_exp
 from qcoupling import (QContext, ThreeNJParams, TruncationPolicy, cg_expansion_residual,
                        multi_orthogonality_residual, verify_S_composition,
                        verify_multivariate_BE)
-from qcoupling import multivariate, verifier
+from qcoupling import coupling, multivariate, verifier
+from qcoupling.errors import NonConvergent
 from qcoupling.multivariate import (MultiBesselParams, drop_first, hat, multi_cg,
                                     multi_qbessel, threenj_R, threenj_S)
-from qcoupling.qcore import SeriesResult, at_working_precision, bilateral_sum
+from qcoupling.qcore import (SeriesResult, at_working_precision, bilateral_sum, mantissa,
+                             tail_estimate, tail_threshold)
 from qcoupling.qfunctions import qbessel_lattice
 
-CTXS = {"0.3": QContext("0.3"), "0.5": QContext("0.5")}
+CTXS = {"0.3": QContext("0.3"), "0.5": QContext("0.5"), "0.7": QContext("0.7")}
 WINDOWS = [(-3, 3), (-4, 2)]
+
+
+def _old_bilateral_sum(term, policy=None):
+    """The mpf bilateral sum the integer engine replaced: the same window and
+    stop rule with mpf comparisons, the terms added one by one at the
+    current precision, and the estimate from ``mp.fsum`` of the boundary."""
+    policy = policy or TruncationPolicy()
+    lo, hi = policy.bilateral_window
+    bnd = tail_threshold(policy)
+    vals = {p: term(p) for p in range(lo, hi + 1)}
+
+    def side_ok(ps):
+        return all(abs(vals[p]) < bnd for p in ps)
+
+    if policy.adaptive:
+        while not side_ok(range(lo, min(lo + 3, hi + 1))):
+            lo -= 1
+            vals[lo] = term(lo)
+            if len(vals) > policy.max_terms:
+                raise NonConvergent("bilateral_sum: left tail did not settle")
+        while not side_ok(range(max(hi - 2, lo), hi + 1)):
+            hi += 1
+            vals[hi] = term(hi)
+            if len(vals) > policy.max_terms:
+                raise NonConvergent("bilateral_sum: right tail did not settle")
+    edge = list(range(lo, min(lo + 3, hi + 1))) + list(range(max(hi - 2, lo), hi + 1))
+    total = mp.mpf(0)
+    for p in range(lo, hi + 1):
+        total += vals[p]
+    est, converged = tail_estimate(mp.fsum(abs(vals[p]) for p in edge), policy)
+    return SeriesResult(total, est, len(vals), converged)
 
 
 def _tracked(term, top):
@@ -43,12 +79,12 @@ def _old_nested_vector_sum(term, dim, policy):
     """(value, scale) of the coordinate recursion over Z^dim."""
     top = [mp.mpf(0)]
     if dim == 1:
-        return bilateral_sum(_tracked(lambda t: term((t,)), top), policy).value, top[0]
+        return _old_bilateral_sum(_tracked(lambda t: term((t,)), top), policy).value, top[0]
 
     def outer(t_last):
         return _old_nested_vector_sum(lambda rest: term(rest + (t_last,)), dim - 1, policy)[0]
 
-    return bilateral_sum(_tracked(outer, top), policy).value, top[0]
+    return _old_bilateral_sum(_tracked(outer, top), policy).value, top[0]
 
 
 @at_working_precision
@@ -75,7 +111,7 @@ def _old_orthogonality(nu, lam, lamp, ctx, policy):
                 def term(xj):
                     return factor(j, xj, xj1, lam_full) * factor(j, xj, xj1, lamp_full) \
                         * inner(j - 1, xj)
-            memo[key] = bilateral_sum(_tracked(term, top) if j == d else term, policy).value
+            memo[key] = _old_bilateral_sum(_tracked(term, top) if j == d else term, policy).value
         return memo[key]
 
     target = q ** (nu[d + 1] + nu[0] - lam[d - 1]) if lam == lamp else mp.mpf(0)
@@ -239,7 +275,7 @@ def test_engine_combines_every_level_it_used(ctx05):
     grid = multivariate._nested_vector_sum(term2, 2, pol, ctx05)
     subs = [multivariate._nested_vector_sum(lambda tv: term2(tv + (t,)), 1, pol, ctx05)
             for t in range(-3, 4)]
-    outer = bilateral_sum(lambda t: subs[t + 3].value, pol)
+    outer = bilateral_sum(lambda t: mantissa(subs[t + 3].value), pol, ctx05)
     assert grid.value == outer.value and grid.converged and grid.terms_used == 7 + 7 * 7
     assert grid.est_error == outer.est_error + mp.fsum(sub.est_error for sub in subs)
 
@@ -290,12 +326,12 @@ def test_engine_sums_exact_terms_exactly_on_the_bilateral_window(ctx05, shift):
         return mp.ldexp(*value(t))
 
     res = multivariate._nested_vector_sum(term, 1, pol, ctx05)
-    expected = bilateral_sum(ref, pol)
+    expected = _old_bilateral_sum(ref, pol)
     assert read == read_ref and (min(read), max(read)) == (-18, 12)
     assert res.terms_used == expected.terms_used == len(read)
     assert res.est_error == expected.est_error and res.converged == expected.converged
     exact = sum(Fraction(m) * Fraction(2) ** e for m, e in map(value, read))
-    man, exp = multivariate._mantissa(res.value)
+    man, exp = mantissa(res.value)
     assert Fraction(man) * Fraction(2) ** exp == exact
 
 
@@ -347,3 +383,120 @@ def test_orthogonality_reports_the_estimate_reached(ctx05):
     res = multi_orthogonality_residual((0, 1, 0, 1), (1, -1), (0, 1), ctx05, narrow)
     assert not res.converged and res.est_error > narrow.tail_tol
     assert res.terms_used == 7 + 7 * 7
+
+
+def _old_weight(order, e, ctx):
+    # the mpf recoupling weight (-q)^e J_order(q^{2e}; q^2) at wp + 5 digits
+    with ctx.workdps(5):
+        return (-ctx.q) ** e * qbessel_lattice(order, e, ctx.base_squared())
+
+
+def _old_R(x, n1, n2, n3, p1p, p2p, ctx):
+    return _old_weight(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx)
+
+
+def _old_sum(term, policy):
+    """(SeriesResult, scale) of the mpf bilateral sum of term."""
+    top = [mp.mpf(0)]
+    return _old_bilateral_sum(_tracked(term, top), policy), top[0]
+
+
+@at_working_precision
+def _old_one_variable(kind, labels, ctx, policy):
+    """[(SeriesResult or mpf, scale)] of the mpf one-variable identity sums."""
+    q = ctx.q
+    J = qbessel_lattice
+    if kind == "hankel-orthogonality":
+        nu, m, n = labels
+        res, scale = _old_sum(lambda x: J(nu, x + m, ctx) * J(nu, x + n, ctx) * q ** x, policy)
+        return [(res.residual(q ** (-n) if m == n else mp.mpf(0)), scale)]
+    if kind == "sixj-orthogonality":
+        r, p2, p3 = labels
+        res, scale = _old_sum(lambda p1: _old_weight(r, p1 - p2, ctx)
+                              * _old_weight(r, p1 - p3, ctx), policy)
+        return [(res.residual(1 if p2 == p3 else 0), scale)]
+    if kind == "biedenharn-elliott":
+        P, Q, R, nu, mu1, mu2 = labels
+
+        def term(mu):
+            return (-1) ** (mu1 + mu2) * q ** (mu - mp.mpf(mu1 + mu2) / 2) \
+                * J(mu2 - mu1 + P - Q, mu - mu1, ctx) * J(mu1 - mu2 + Q - R, mu - mu2, ctx) \
+                * J(nu + mu, P - R, ctx)
+
+        res, scale = _old_sum(term, policy)
+        return [(res.residual(J(nu + mu1, P - Q, ctx) * J(nu + mu2, Q - R, ctx)), scale)]
+    if kind == "backcoupling":
+        x, n1, n2, n3, p1, p2 = labels
+        r123, r132, r312 = x - n1 + n2 - n3, x - n1 + n3 - n2, x - n3 + n1 - n2
+        res, scale = _old_sum(lambda p: J(r132, p + p1, ctx) * J(r312, p + p2, ctx) * q ** p,
+                              policy)
+        return [(res.residual(J(r123, p1 + p2, ctx)), scale)]
+    x, n1, n2, n3, n4, p1, p2, p3, p4 = labels
+    lhs, lscale = _old_sum(lambda r: _old_R(x, p1, n3, n4, p2, r, ctx)
+                           * _old_R(r, n2, n1, n3, p3, p1, ctx)
+                           * _old_R(x, p3, n2, n4, p4, r, ctx), policy)
+    rhs, rscale = _old_sum(lambda r: _old_R(x, n1, n2, p2, r, p1, ctx)
+                           * _old_R(r, n2, n4, n3, p2, p4, ctx)
+                           * _old_R(x, n1, n3, p4, r, p3, ctx), policy)
+    if kind == "hexagon":
+        return [(SeriesResult(abs(lhs.value - rhs.value), lhs.est_error + rhs.est_error,
+                              lhs.terms_used + rhs.terms_used, lhs.converged and rhs.converged),
+                 max(lscale, rscale))]
+    ctx2 = ctx.base_squared()
+    restore = (-q) ** (n2 + n3)
+
+    def j_side(m1, m2, m3, m4, q1, q2, q3, q4):
+        return _old_sum(lambda r: (-1) ** (q2 + q4) * q ** (2 * r - 2 * m4 + q2 + q4)
+                        * J(r - m2 + m1 - m3, q1 + q3 - m2 - m3, ctx2)
+                        * J(x - q1 + m3 - m4, r + q2 - q1 - m4, ctx2)
+                        * J(x - q3 + m2 - m4, r + q4 - q3 - m4, ctx2), policy)
+
+    jl, jlscale = j_side(n1, n2, n3, n4, p1, p2, p3, p4)
+    jr, jrscale = j_side(n4, n3, n2, n1, p2, p1, p4, p3)
+    return [(abs(jl.value - lhs.value * restore), max(jlscale, lscale * abs(restore))),
+            (abs(jr.value - rhs.value * restore), max(jrscale, rscale * abs(restore)))]
+
+
+def _one_variable(kind, labels, ctx, policy):
+    if kind == "hankel-orthogonality":
+        with ctx.workdps(10):  # the precision eval_single gives it
+            return [verifier._eval_hankel(*labels, ctx, policy)]
+    if kind == "sixj-orthogonality":
+        with ctx.workdps(10):
+            return [verifier._eval_sixj_orthogonality(*labels, ctx, policy)]
+    if kind == "hexagon-j-form":
+        return list(coupling.hexagon_j_form_residual(*labels, ctx, policy))
+    verify = {"biedenharn-elliott": coupling.verify_biedenharn_elliott,
+              "backcoupling": coupling.verify_backcoupling,
+              "hexagon": coupling.verify_hexagon}[kind]
+    return [verify(*labels, ctx, policy)]
+
+
+_ONE_VARIABLE = {  # identity -> (label count, label range, policy)
+    "hankel-orthogonality": (3, (-3, 3), TruncationPolicy(tail_tol=1e-16, max_terms=600)),
+    "sixj-orthogonality": (3, (-2, 2), None),
+    "biedenharn-elliott": (6, (-1, 1), None),
+    "backcoupling": (6, (-1, 1), None),
+    "hexagon": (9, (-1, 1), None),
+    "hexagon-j-form": (9, (-1, 1), None),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_VARIABLE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from(sorted(CTXS)))
+def test_one_variable_sums_match_the_mpf_engine(kind, data, q):
+    # residuals and estimates to 10^-wp times the oracle's largest term, on
+    # the same window reached by the same number of terms
+    size, (lo, hi), policy = _ONE_VARIABLE[kind]
+    labels = data.draw(_vec(size, lo, hi))
+    ctx = CTXS[q]
+    got = _one_variable(kind, labels, ctx, policy)
+    old = _old_one_variable(kind, labels, ctx, policy)
+    assert len(got) == len(old)
+    for new, (ref, scale) in zip(got, old):
+        if isinstance(ref, SeriesResult):
+            assert (new.terms_used, new.converged) == (ref.terms_used, ref.converged)
+            _assert_close(new.est_error, ref.est_error, scale, ctx)
+            new, ref = new.value, ref.value
+        _assert_close(new, ref, scale, ctx)

@@ -4,10 +4,11 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoupling import (QContext, TruncationPolicy, bilateral_sum, coupling,
+from qcoupling import (QContext, TruncationPolicy, bilateral_sum, coupling, qcore,
                        multi_orthogonality_residual, qbessel_lattice, qfunctions, qpoch_finite,
                        qpoch_infinite, representation, rphis)
 from qcoupling.errors import DomainError, NonConvergent, PoleInLowerParameter
+from qcoupling.qcore import mantissa
 
 
 def test_qcontext_validation():
@@ -81,6 +82,7 @@ _CACHE_USERS = {
         0, 1, (-4, 4), ctx).toarray().tolist()),
     "orthogonality-level": (_LEVELS, "memo", lambda ctx: multi_orthogonality_residual(
         (0, 1, 0), (1,), (1,), ctx, memo=_LEVELS.memo).value),
+    "q-power": (qcore, "_POWERS", lambda ctx: [qcore.qpower(k, ctx) for k in (-3, 1, 4)]),
 }
 
 
@@ -109,11 +111,35 @@ def test_cached_tables_key_on_exact_q_and_precision(monkeypatch, user, ctxs):
     assert shared == fresh
 
 
+@pytest.mark.parametrize("k", [-7, -2, 0, 1, 6, 41])
+def test_qpower_is_a_power_of_the_square_root(ctx03, k):
+    # q^{k/2} at the working precision plus ten digits, odd k included
+    m, e = qcore.qpower(k, ctx03)
+    with mp.workdps(80):
+        exact = mp.sqrt(ctx03.q) ** k
+        assert abs(mp.ldexp(m, e) - exact) <= exact * mp.mpf(10) ** -(ctx03.working_precision + 9)
+
+
 def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(bilateral_window=(5, -5))
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=0)
+
+
+@pytest.mark.parametrize("ratio", [1, 2, -0.5, float("nan")])
+def test_truncation_policy_rejects_tail_ratio_outside_unit_interval(ratio):
+    # the geometric tail extrapolation 1 + r / (1 - r) is finite and positive
+    # only for 0 <= r < 1: r = 2 reported est_error -3.5 on a converged sum
+    with pytest.raises(DomainError):
+        TruncationPolicy(tail_ratio=ratio)
+
+
+@pytest.mark.parametrize("ratio", [0, 0.5, 0.99])
+def test_truncation_policy_keeps_tail_ratio_inside_unit_interval(ratio, ctx05):
+    pol = TruncationPolicy(tail_ratio=ratio, bilateral_window=(-3, 3), adaptive=False)
+    res = bilateral_sum(lambda p: mantissa(mp.mpf(0.5) ** abs(p)), pol, ctx05)
+    assert res.est_error > 0
 
 
 def test_qpoch_finite_values(ctx05):
@@ -215,33 +241,34 @@ def test_rphis_nonconvergent(ctx05):
         rphis([0.5, 0.3], [0.2], ctx05, 1.5, TruncationPolicy(max_terms=50))
 
 
-def test_bilateral_sum_zero():
-    res = bilateral_sum(lambda p: mp.mpf(0))
+def test_bilateral_sum_zero(ctx05):
+    res = bilateral_sum(lambda p: mantissa(mp.mpf(0)), None, ctx05)
     assert res.value == 0 and res.est_error == 0 and res.converged
 
 
 def test_bilateral_sum_geometric(ctx05):
-    res = bilateral_sum(lambda p: ctx05.q ** abs(p))
+    res = bilateral_sum(lambda p: mantissa(ctx05.q ** abs(p)), None, ctx05)
     assert abs(res.value - 3) < 1e-12
     assert res.converged
 
 
 def test_bilateral_sum_one_sided_consistency(ctx05):
-    one_sided = bilateral_sum(lambda p: ctx05.q ** p if p >= 0 else mp.mpf(0))
+    one_sided = bilateral_sum(lambda p: mantissa(ctx05.q ** p if p >= 0 else mp.mpf(0)),
+                              None, ctx05)
     assert abs(one_sided.value - 2) < 1e-12
 
 
 def test_bilateral_sum_window_enlargement(ctx05):
     pol1 = TruncationPolicy(bilateral_window=(-30, 40))
     pol2 = TruncationPolicy(bilateral_window=(-40, 50))
-    f = lambda p: ctx05.q ** abs(p)
-    a, b = bilateral_sum(f, pol1), bilateral_sum(f, pol2)
+    f = lambda p: mantissa(ctx05.q ** abs(p))
+    a, b = bilateral_sum(f, pol1, ctx05), bilateral_sum(f, pol2, ctx05)
     assert abs(a.value - b.value) < 2 * pol1.tail_tol
 
 
-def test_bilateral_sum_nonconvergent():
+def test_bilateral_sum_nonconvergent(ctx05):
     with pytest.raises(NonConvergent):
-        bilateral_sum(lambda p: mp.mpf(1), TruncationPolicy(max_terms=50))
+        bilateral_sum(lambda p: mantissa(mp.mpf(1)), TruncationPolicy(max_terms=50), ctx05)
 
 
 @pytest.mark.parametrize("module", ["qcore", "qfunctions", "representation", "coupling",

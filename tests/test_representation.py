@@ -253,17 +253,35 @@ def test_coupled_vector_matches_full_grid_loops(q, dim):
                     assert got == _coupled_coeffs_full_grid(scheme, x, p, r, dim, C)
 
 
+class _CountedColumn(list):
+    """A Clebsch-Gordan column that records each entry read and length probe."""
+
+    def __init__(self, col, accesses):
+        super().__init__(col)
+        self.accesses = accesses
+
+    def __getitem__(self, i):
+        self.accesses.append(i)
+        return super().__getitem__(i)
+
+    def __len__(self):
+        self.accesses.append(None)
+        return super().__len__()
+
+
 def test_coupled_vector_visits_only_the_support(monkeypatch, ctx05):
-    # a count guard, not a timing: the full-grid loops made 773 lookups here
+    # a count guard, not a timing: every access to a column that
+    # coupled_vector makes, an entry read or a length probe.  Walking each
+    # column's support makes 171 here (159 reads); loops over the full
+    # index grid probe a column at every grid point and made 833
     fock = TruncatedFock(60)
     coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
-    calls = []
-    lookup = representation.cg_coefficient
-    monkeypatch.setattr(representation, "cg_coefficient",
-                        lambda *a: calls.append(a) or lookup(*a))
+    accesses = []
+    monkeypatch.setattr(representation, "_cg_column",
+                        lambda *a: _CountedColumn(_cg_column(*a), accesses))
     v = coupled_vector("1(23)", 1, 0, 0, fock, ctx05)
     assert len(v.coeffs) > 100
-    assert len(calls) <= 300
+    assert 0 < len(accesses) <= 300
 
 
 def test_coupled_vector_reads_each_column_once(monkeypatch, ctx05):

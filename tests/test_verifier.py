@@ -266,9 +266,15 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
                                               "r": [[0, 1, 0]], "s": [[1, 0, 0]], "k1": [1, 5]}}, 2),
     ({"identity": "threenj-product", "grid": {"x": [0], "n": [[0, 1, 0, -1, 1]],
                                               "r": [[0, 1, 0]], "s": [[1, 0, 0]], "k1": ["a"]}}, 1),
+    # a tail ratio of 2 gave a negative est_error, and 1 a ZeroDivisionError per case
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"tail_ratio": 2}}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"tail_ratio": 1}}, 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
-        "grid-split-out-of-range", "split-not-int"])
+        "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
+        "policy-tail-ratio-1"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case
