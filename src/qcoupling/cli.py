@@ -68,15 +68,20 @@ def _plan_entries(doc) -> list:
     return entries
 
 
-def _emit(results, summary, out_path):
-    lines = [r.to_json() for r in results]
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
+def _emit(lines: list, out_path) -> int:
+    """Write the report lines to ``out_path``, or to stdout without one; 2,
+    after a one-line message, when they cannot be written, else 0."""
     text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:
@@ -117,13 +122,7 @@ def main(argv=None) -> int:
         except PlanInvalid as exc:
             print(f"plan invalid: {exc}", file=sys.stderr)
             return 2
-        text = result.to_json() + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0 if result.passed else 1
+        return _emit([result.to_json()], args.out) or (0 if result.passed else 1)
 
     # verify
     try:
@@ -140,8 +139,8 @@ def main(argv=None) -> int:
     except PlanInvalid as exc:
         print(f"plan invalid: {exc}", file=sys.stderr)
         return 2
-    _emit(results, summary, args.out)
-    return 0 if summary["failed"] == 0 else 1
+    lines = [r.to_json() for r in results] + [json.dumps({"summary": summary}, sort_keys=True)]
+    return _emit(lines, args.out) or (0 if summary["failed"] == 0 else 1)
 
 
 if __name__ == "__main__":

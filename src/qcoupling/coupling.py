@@ -7,7 +7,8 @@ identities, the lattice Hankel-type transform with q-Bessel kernel, and the
 truncated Yang-Baxter operator built from the recoupling weights.  Every
 bilateral sum here is one ``qcore.bilateral_sum`` over exact (m, e) terms,
 built from J table entries, recoupling weights (``weight_pair``) and the
-powers of q in ``qcore.qpower``.
+powers of q in ``qcore.qpower``; a product that is not a sum is the exact
+product of such pairs, rounded once by ``qcore.rounded``.
 
 Verification status at the shipped tolerances: Biedenharn-Elliott holds;
 orthogonality, translation invariance and duality of the closed form hold;
@@ -23,18 +24,17 @@ from typing import Dict, Optional, Tuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_float
 from scipy import sparse
 
 from .errors import InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum, exact_product, mantissa, qpower)
+                    bilateral_sum, exact_product, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
 
 __all__ = [
     "sixj_closed",
     "recoupling_R",
-    "recoupling_weight",
     "weight_pair",
     "verify_backcoupling",
     "backcoupling_forms_gap",
@@ -67,29 +67,24 @@ def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
 
     Value depends on the labels only through e = p1p+p2p-n1-n3 and the order
     x-n1+n2-n3; equals sixj_closed under p1p = n1+p1, p2p = n3-p2.
+    ``weight_pair`` rounded once.
     """
-    return recoupling_weight(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx)
+    return rounded(_R_pair(x, n1, n2, n3, p1p, p2p, ctx), ctx)
 
 
-def recoupling_weight(order: int, e: int, ctx: QContext) -> mp.mpf:
-    """(-q)^e J_order(q^{2e}; q^2), the tree-move weight at its two labels.
-
-    ``weight_pair`` rounded to the working precision plus five digits.
-    """
-    wm, we = weight_pair(order, e, ctx)
-    with ctx.workdps(5):
-        return mp.make_mpf(from_man_exp(wm, we, mp.mp.prec, round_nearest))
+def _minus_q_power(e: int, ctx: QContext) -> Tuple[int, int]:
+    """(-q)^e as an exact pair, from ``qcore.qpower``."""
+    m, k = qpower(2 * e, ctx)
+    return (-m if e & 1 else m), k
 
 
 def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
     """(-q)^e J_order(q^{2e}; q^2) as an exact pair (m, k) for m 2^k.
 
-    The exact product of the lattice J value in base q^2 and of the power
-    (-q)^e from ``qcore.qpower``.
+    The exact product of the lattice J value in base q^2 and of (-q)^e.
     """
-    pm, pe = qpower(2 * e, ctx)
-    jm, je = mantissa(qbessel_lattice(order, e, ctx.base_squared()))
-    return (-pm if e & 1 else pm) * jm, pe + je
+    return exact_product(_minus_q_power(e, ctx),
+                         mantissa(qbessel_lattice(order, e, ctx.base_squared())))
 
 
 def _R_pair(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
@@ -150,7 +145,7 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
     e = p1p + p2p - n1 - n3
     res_J = verify_backcoupling(x, n1, n2, n3, p1p - n1, p2p - n3, ctx.base_squared(),
                                 policy).value
-    return abs(res_R - abs((-ctx.q) ** e) * res_J)
+    return abs(res_R - rounded(exact_product(qpower(2 * e, ctx), mantissa(res_J)), ctx))
 
 
 @at_working_precision
@@ -164,7 +159,7 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
         * J_{mu1-mu2+Q-R}(q^{mu-mu2}).
     """
     policy = policy or TruncationPolicy()
-    lhs = qbessel_lattice(nu + mu1, P - Q, ctx) * qbessel_lattice(nu + mu2, Q - R, ctx)
+    lhs = rounded(exact_product(_J(nu + mu1, P - Q, ctx), _J(nu + mu2, Q - R, ctx)), ctx)
     odd = (mu1 + mu2) & 1
 
     def term(mu):
@@ -225,11 +220,11 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
     recoupling-weight form before being trusted.  The J form is a base
     statement; rebasing it to the weight form's squared base shows the two
     printed forms agree termwise up to a constant (-q)^{n2+n3} the J display
-    drops, and that factor is restored here.  The swap between the two sides
-    is (n1,n2,p1,p3) <-> (n4,n3,p2,p4).
+    drops, and that factor is restored here, multiplying each weight-form
+    sum exactly.  The swap between the two sides is
+    (n1,n2,p1,p3) <-> (n4,n3,p2,p4).
     """
     policy = policy or TruncationPolicy()
-    q = ctx.q
     ctx2 = ctx.base_squared()
 
     def j_side(m1, m2, m3, m4, q1, q2, q3, q4):
@@ -244,12 +239,13 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
             return (-m if odd else m), e
         return bilateral_sum(term, policy, ctx).value
 
+    def restore(term):
+        value = bilateral_sum(term, policy, ctx).value
+        return rounded(exact_product(_minus_q_power(n2 + n3, ctx), mantissa(value)), ctx)
+
     lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
-    restore = (-q) ** (n2 + n3)
-    gap_lhs = abs(j_side(n1, n2, n3, n4, p1, p2, p3, p4)
-                  - bilateral_sum(lhs_term, policy, ctx).value * restore)
-    gap_rhs = abs(j_side(n4, n3, n2, n1, p2, p1, p4, p3)
-                  - bilateral_sum(rhs_term, policy, ctx).value * restore)
+    gap_lhs = abs(j_side(n1, n2, n3, n4, p1, p2, p3, p4) - restore(lhs_term))
+    gap_rhs = abs(j_side(n4, n3, n2, n1, p2, p1, p4, p3) - restore(rhs_term))
     return gap_lhs, gap_rhs
 
 
@@ -258,10 +254,11 @@ _YB_OPS: Dict[tuple, sparse.csr_matrix] = {}
 
 
 def _yb_sector_kernel(nu: int, offsets, ctx: QContext) -> Dict[int, float]:
-    """Toeplitz kernel K(d) = (-q)^d J_nu(q^{2d}; q^2) over the given offsets."""
+    """Toeplitz kernel K(d) = (-q)^d J_nu(q^{2d}; q^2), ``weight_pair`` rounded
+    once to a float, over the given offsets."""
     def build():
-        ctx2 = ctx.base_squared()
-        return {d: float((-ctx.q) ** d * qbessel_lattice(nu, d, ctx2)) for d in offsets}
+        return {d: to_float(from_man_exp(*weight_pair(nu, d, ctx), 53, round_nearest))
+                for d in offsets}
 
     return cached(_YB_KERNELS, ctx, (nu, min(offsets), max(offsets)), build)
 
@@ -384,25 +381,30 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     return float(np.abs(D.data[interior[D.row] & interior[D.col]]).max(initial=0.0))
 
 
-@at_working_precision
 def qhankel_transform(f: Dict[int, mp.mpf], nu: int, ctx: QContext,
                       policy: Optional[TruncationPolicy] = None,
                       out_window: Optional[Tuple[int, int]] = None) -> Dict[int, mp.mpf]:
     """Lattice Hankel-type transform (H_nu f)(n) = sum_x f(q^x) J_nu(q^{x+n}) q^x.
 
-    f maps lattice exponents to values; the sum runs over the support of f.
+    f maps lattice exponents to mpf values; each output is one
+    ``bilateral_sum`` on the fixed window spanning the support of f, whose
+    products f(q^x) q^x are formed once, exactly.
     """
     policy = policy or TruncationPolicy()
-    q = ctx.q
     if out_window is None:
         out_window = policy.bilateral_window
     lo, hi = out_window
-    out = {}
-    items = sorted(f.items())
-    for n in range(lo, hi + 1):
-        out[n] = mp.fsum(mp.mpf(val) * qbessel_lattice(nu, xx + n, ctx) * q ** xx
-                         for xx, val in items)
-    return out
+    weighted = {xx: exact_product(mantissa(val), qpower(2 * xx, ctx)) for xx, val in f.items()}
+    support = TruncationPolicy(bilateral_window=(min(f, default=0), max(f, default=0)),
+                               adaptive=False)
+
+    def output(n):
+        def term(xx):
+            v = weighted.get(xx)
+            return (0, 0) if v is None else exact_product(v, _J(nu, xx + n, ctx))
+        return bilateral_sum(term, support, ctx).value
+
+    return {n: output(n) for n in range(lo, hi + 1)}
 
 
 @at_working_precision

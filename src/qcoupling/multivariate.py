@@ -22,14 +22,15 @@ converts once per distinct label: recoupling weights
 ``_factor_labels``); powers of q come from ``qcore.qpower``.  Each level
 adds its terms at a scale 2^-P chosen from its own largest term, so it
 keeps the working precision plus 64 bits relative to that term whatever
-the magnitudes.
-The mpf ``threenj_R``, ``threenj_S`` and ``multi_qbessel`` read the same
-label walks for the identities that are not sums.
+the magnitudes.  The values that are not sums, ``threenj_R``,
+``threenj_S`` and ``multi_qbessel``, are exact products along the same label
+walks, rounded once by ``qcore.rounded``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -37,9 +38,9 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum, mantissa, qpower)
+                    bilateral_sum, exact_product, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
-from .coupling import recoupling_weight, verify_biedenharn_elliott, weight_pair
+from .coupling import _minus_q_power, verify_biedenharn_elliott, weight_pair
 from .representation import cg_coefficient
 
 __all__ = [
@@ -195,23 +196,16 @@ def _weights(ctx: QContext) -> Callable[[int, int], Tuple[int, int]]:
     return _memo(lambda order, e: weight_pair(order, e, ctx))
 
 
-def _product(labels, factor) -> Tuple[int, int]:
-    """Exact (m, e) product of factor(*label) over ``labels``."""
-    m, e = 1, 0
-    for label in labels:
-        fm, fe = factor(*label)
-        m *= fm
-        e += fe
-    return m, e
+def _J_product(p: MultiBesselParams, ctx: QContext) -> Tuple[int, int]:
+    """The exact product of the q-Bessel factors of ``multi_qbessel``."""
+    return exact_product(*(mantissa(qbessel_lattice(order, expo, ctx))
+                           for order, expo in _factor_labels(p.nu, p.x, p.lam)))
 
 
-@at_working_precision
 def multi_qbessel(p: MultiBesselParams, ctx: QContext) -> mp.mpf:
-    """Coupled product of q-Bessel factors J_{nu_j - x_{j+1} - lam_{j-1}}(...)."""
-    val = mp.mpf(1)
-    for order, expo in _factor_labels(p.nu, p.x, p.lam):
-        val *= qbessel_lattice(order, expo, ctx)
-    return val
+    """Coupled product of q-Bessel factors J_{nu_j - x_{j+1} - lam_{j-1}}(...),
+    exact and rounded once."""
+    return rounded(_J_product(p, ctx), ctx)
 
 
 @at_working_precision
@@ -285,33 +279,26 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     return total.residual(target)
 
 
-def _chain(labels, ctx: QContext) -> mp.mpf:
-    """Product of the recoupling weights at ``labels`` (at least one), in order."""
-    val = None
-    for order, e in labels:
-        w = recoupling_weight(order, e, ctx)
-        val = w if val is None else val * w
-    return val
-
-
-@at_working_precision
 def threenj_R(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     """Chain product of recoupling weights along the right-comb tree.
 
     prod_{j=1..k} R^{x, s_{j-1}, n_{j+1}, r_{j+1}}_{r_j, s_j} with s_0 = n_1
-    and r_{k+1} = n_{k+2}.
+    and r_{k+1} = n_{k+2}: the exact product of the weights' ``weight_pair``,
+    rounded once, so a k = 1 chain is ``recoupling_R``.
     """
-    return _chain(_R_labels(p.x, p.n, p.r, p.s), ctx)
+    return rounded(exact_product(*(weight_pair(o, e, ctx)
+                                   for o, e in _R_labels(p.x, p.n, p.r, p.s))), ctx)
 
 
-@at_working_precision
 def threenj_S(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     """Chain product for the left-hanging coupling scheme.
 
     prod_{j=1..k} R^{s_{j+1}, n_1, r_{j-1}, n_{j+2}}_{r_j, s_j} with
-    s_{k+1} = x and r_0 = n_2.  Lacks the reversal self-duality of threenj_R.
+    s_{k+1} = x and r_0 = n_2, exact and rounded once as in ``threenj_R``.
+    Lacks the reversal self-duality of threenj_R.
     """
-    return _chain(_S_labels(p.x, p.n, p.r, p.s), ctx)
+    return rounded(exact_product(*(weight_pair(o, e, ctx)
+                                   for o, e in _S_labels(p.x, p.n, p.r, p.s))), ctx)
 
 
 @at_working_precision
@@ -323,9 +310,9 @@ def threenj_corollary_gap(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     """
     k = p.k
     nu_vec = (p.n[0],) + tuple(p.x + p.n[j] for j in range(1, k + 1)) + (p.n[k + 1],)
-    pref = (-ctx.q) ** (p.r[0] + p.s[k - 1] - p.n[0] - p.n[k + 1])
-    jval = multi_qbessel(MultiBesselParams(nu_vec, p.r, p.s), ctx.base_squared())
-    return abs(threenj_R(p, ctx) - pref * jval)
+    pref = _minus_q_power(p.r[0] + p.s[k - 1] - p.n[0] - p.n[k + 1], ctx)
+    jval = _J_product(MultiBesselParams(nu_vec, p.r, p.s), ctx.base_squared())
+    return abs(threenj_R(p, ctx) - rounded(exact_product(pref, jval), ctx))
 
 
 @dataclass(frozen=True)
@@ -358,8 +345,8 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
 
     def s_term(tvec):
         # S^{x,n}_{(t,r_1),s} R^{r_1,n'}_{r',t}
-        return _product(_S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
-                        + _R_labels(p.r[0], nprime, rprime, tvec), weight)
+        return exact_product(*starmap(weight, _S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
+                                      + _R_labels(p.r[0], nprime, rprime, tvec)))
 
     s_rhs = _nested_vector_sum(s_term, k - 1, policy, ctx).value
     s_resid = abs(lhs - s_rhs)
@@ -381,7 +368,7 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
                 - p.s[k - 1] + p.r[1]
             labels = [(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
                        s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1]) for j in range(1, k + 1)]
-            m, e = _product(labels + _factor_labels(nu_in, rprime, tvec), J)
+            m, e = exact_product(*starmap(J, labels + _factor_labels(nu_in, rprime, tvec)))
             am, ae = qpower(expo, ctx)
             return (-m if expo & 1 else m) * am, e + ae
 
@@ -490,11 +477,13 @@ def multivariate_be_cross_check(p: ThreeNJParams, ctx: QContext,
     nu, mu1, mu2 = x - n1, n2 - r2, n1 - s1 + n3 - n4
     ctx2 = ctx.base_squared()
     res_pent = verify_biedenharn_elliott(P, Q, R, nu, mu1, mu2, ctx2, policy).value
-    # translation: tree-weight LHS = (-q)^(e1+e2) * pentagon LHS in base q^2
+    # translation: tree-weight LHS = (-q)^(e1+e2) * pentagon LHS in base q^2, exactly
     lhs_chain = threenj_R(p, ctx)
     e = (r1 + s1 - n1 - r2) + (r2 + s2 - s1 - n4)
-    lhs_pent = qbessel_lattice(nu + mu1, P - Q, ctx2) * qbessel_lattice(nu + mu2, Q - R, ctx2)
-    gap = abs(lhs_chain - (-ctx.q) ** e * lhs_pent)
+    lhs_pent = exact_product(_minus_q_power(e, ctx),
+                             mantissa(qbessel_lattice(nu + mu1, P - Q, ctx2)),
+                             mantissa(qbessel_lattice(nu + mu2, Q - R, ctx2)))
+    gap = abs(lhs_chain - rounded(lhs_pent, ctx))
     return res_chain, res_pent, gap
 
 
@@ -539,7 +528,7 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
             labels = _S_labels(x, rot, prev, tvec)
             if l == k:
                 labels += _S_labels(x, last, tvec, s)
-            return _product(labels, weight)
+            return exact_product(*starmap(weight, labels))
 
         return _nested_vector_sum(term, k, policy, ctx,
                                   None if l == k else lambda tvec: level(l + 1, tvec))
@@ -583,7 +572,7 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
         c = multi_cg(x, hat(svec), hat(n), ctx)
         if c == 0.0:
             return 0, 0
-        m, e = _product(_R_labels(x, n, r, svec), weight)
+        m, e = exact_product(*starmap(weight, _R_labels(x, n, r, svec)))
         num, den = c.as_integer_ratio()  # den = 2^(bit_length - 1)
         return m * num, e + 1 - den.bit_length()
 

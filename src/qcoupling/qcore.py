@@ -11,18 +11,20 @@ is an exact pair (m, e) for m 2^e (``mantissa`` turns an mpf into one), and
 a window's terms are added in units lying ``_level_bits`` (the working
 precision in bits plus 64) below its largest term.  Powers of q^{1/2} come
 as such pairs from one process table (``qpower``), each formed once per
-exponent, base and precision.
+exponent, base and precision.  A product of such pairs that is not a sum
+becomes an mpf in one place, ``rounded``, at the precision of every J value.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, repr_dps
+from mpmath.libmp import dps_to_prec, from_man_exp, repr_dps, round_nearest
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 
@@ -41,6 +43,7 @@ __all__ = [
     "cached",
     "mantissa",
     "exact_product",
+    "rounded",
     "qpower",
 ]
 
@@ -135,6 +138,7 @@ class TruncationPolicy:
     adaptive is set the window is extended until three consecutive boundary
     terms fall below tail_tol on each side (or max_terms is hit).
     tail_ratio, the ratio of the geometric tail extrapolation, lies in [0, 1).
+    Window bounds and max_terms are integers and adaptive is a bool.
     """
 
     max_terms: int = 4000
@@ -144,7 +148,15 @@ class TruncationPolicy:
     tail_ratio: float = 0.5  # geometric extrapolation ratio for tail bounds
 
     def __post_init__(self):
-        lo, hi = self.bilateral_window
+        try:
+            lo, hi = map(operator.index, self.bilateral_window)
+            operator.index(self.max_terms)
+        except TypeError:
+            raise DomainError(f"window bounds and max_terms must be integers, got "
+                              f"{self.bilateral_window!r} and {self.max_terms!r}") from None
+        if not isinstance(self.adaptive, bool):
+            raise DomainError(f"adaptive must be true or false, got {self.adaptive!r}")
+        object.__setattr__(self, "bilateral_window", (lo, hi))
         if lo > hi:
             raise DomainError("bilateral window needs lo <= hi")
         if self.max_terms <= 0 or self.tail_tol <= 0:
@@ -322,6 +334,13 @@ def exact_product(*pairs: Tuple[int, int]) -> Tuple[int, int]:
         m *= fm
         e += fe
     return m, e
+
+
+def rounded(v: Tuple[int, int], ctx: QContext) -> mp.mpf:
+    """The exact pair v = (m, e) rounded to nearest at the working precision
+    plus five digits, the precision every J value has."""
+    m, e = v
+    return mp.make_mpf(from_man_exp(m, e, dps_to_prec(ctx.working_precision + 5), round_nearest))
 
 
 def _exact(m: int, e: int) -> mp.mpf:

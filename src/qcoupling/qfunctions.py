@@ -1,8 +1,8 @@
 """One-variable special functions on the q-lattice.
 
-Wall polynomials (plain and orthonormalized), the third Jackson q-Bessel
-function for every integer order, and the generating-function residual
-checks that tie the two families together.
+Wall polynomials (plain, and orthonormalized columns in the degree), the
+third Jackson q-Bessel function for every integer order, and the
+generating-function residual checks that tie the two families together.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import mpmath as mp
 from mpmath.libmp import mpf_pow_int, to_fixed
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
-from .qcore import (QContext, SeriesResult, TruncationPolicy, qpoch_finite, qpoch_infinite, rphis,
-                    tail_estimate, tail_threshold)
+from .qcore import (QContext, SeriesResult, TruncationPolicy, exact_product, mantissa, qpoch_finite,
+                    qpoch_infinite, qpower, rounded, rphis, tail_estimate, tail_threshold)
 
 __all__ = [
     "WallParams",
     "wall_poly",
     "wall_poly_alt",
-    "wall_orthonormal",
     "wall_orthonormal_run",
     "qbessel",
     "qbessel_lattice",
@@ -69,27 +68,6 @@ def wall_poly_alt(p: WallParams, ctx: QContext) -> mp.mpf:
         r = rphis([q ** (-p.n), q ** (-p.x)], [], ctx, q ** p.x / a)
         out = pre * r.value
     return +out
-
-
-def _wall_bar_prefactor(p: WallParams, ctx: QContext) -> mp.mpf:
-    q = ctx.q
-    a = mp.mpf(p.a)
-    if not a < 1 / q:
-        raise DomainError("orthonormal Wall needs 0 < a < 1/q")
-    if not a > 0:
-        raise DomainError("orthonormal Wall needs a > 0")
-    rad = (a * q) ** (p.x - p.n) * qpoch_infinite(a * q, ctx).value \
-        * qpoch_finite(a * q, ctx, p.n) / (qpoch_finite(q, ctx, p.n) * qpoch_finite(q, ctx, p.x))
-    return (-1) ** (p.n + p.x) * mp.sqrt(rad)
-
-
-def wall_orthonormal(p: WallParams, ctx: QContext) -> mp.mpf:
-    """Orthonormalized Wall function: sum over x or over n of products gives deltas."""
-    # the 2phi1 alternates with terms up to ~q^{-n^2/2}; scale guard digits accordingly
-    guard = int(mp.ceil(p.n * p.n / 2 * mp.log(1 / ctx.q, 10))) + 10
-    with ctx.workdps(guard):
-        val = _wall_bar_prefactor(p, ctx) * wall_poly(p, ctx)
-    return +val
 
 
 def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int) -> list:
@@ -198,8 +176,8 @@ def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     as the decimal ``QContext.q_key``, so the value is the one for this
     exact q whatever the caller's mp.dps.  A miss
     maps (nu, y) to its orbit's canonical pair 0 <= n <= m (``_canonical``),
-    reads or sums J_n(q^m) through this same table, and applies the factor
-    (-q^{1/2})^e at the working precision plus ten digits.  So only
+    reads or sums J_n(q^m) through this same table, and multiplies it
+    exactly by the factor (-q^{1/2})^e (``_reflect``).  So only
     canonical pairs reach the series, each once per (q, precision), and
     always at an argument q^m <= 1, never in the deep cancellation of a
     large argument.
@@ -214,12 +192,16 @@ def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     else:
         val = qbessel_lattice(n, m, ctx)
         if e:
-            with ctx.workdps(10):
-                val = (-mp.sqrt(ctx.q)) ** e * val
-            with ctx.workdps(5):
-                val = +val
+            val = _reflect(val, e, ctx)
     _J_CACHE[key] = val
     return val
+
+
+def _reflect(val: mp.mpf, e: int, ctx: QContext) -> mp.mpf:
+    """(-q^{1/2})^e val: the exact product of val and ``qcore.qpower``,
+    rounded once."""
+    m, k = qpower(e, ctx)
+    return rounded(exact_product((-m if e & 1 else m, k), mantissa(val)), ctx)
 
 
 def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
@@ -228,7 +210,7 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
 
     The value is the series of ``_series``.  A negative order goes through
     the reflection J_{-n}(x) = (-1)^n q^{n/2} J_n(x q^n) once, with the
-    prefactor applied at the working precision and the value rounded, like
+    prefactor multiplied exactly (``_reflect``) and the value rounded, like
     every other, to the working precision plus five digits.  ``_lattice_y``
     gives the argument as q^y instead of x; ``qbessel_lattice`` passes only
     canonical pairs 0 <= nu <= y there.
@@ -248,12 +230,7 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
         n = -nu
         with ctx.workdps(10):
             xn = x * q ** n
-        val = qbessel(n, xn, ctx, policy)
-        # the prefactor is applied at the working precision, never the caller's
-        with ctx.workdps(10):
-            val *= (-1) ** n * mp.sqrt(q) ** n
-        with ctx.workdps(5):
-            return +val
+        return _reflect(qbessel(n, xn, ctx, policy), n, ctx)
     return _series(nu, x, None, ctx, policy)
 
 

@@ -18,6 +18,7 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import mpmath as mp
@@ -95,8 +96,7 @@ def _eval_yang_baxter(u, v, w, lo, hi, ctx, policy):
 
 
 def _eval_qhankel_factorization(x, n1, n2, n3, ctx, policy):
-    q = ctx.q
-    f = {xx: q ** (mp.mpf(xx * xx) / 2) for xx in range(-20, 25)}
+    f = {xx: qcore.rounded(qcore.qpower(xx * xx, ctx), ctx) for xx in range(-20, 25)}
     return coupling.qhankel_factorization_residual(x, n1, n2, n3, f, ctx, policy)
 
 
@@ -134,8 +134,8 @@ def _eval_s_lemma(x, n, s, s2, ctx, policy):
     weight = multivariate._weights(ctx)
 
     def term(rvec):
-        return multivariate._product(multivariate._S_labels(x, n, rvec, s)
-                                     + multivariate._S_labels(x, n, rvec, s2), weight)
+        return qcore.exact_product(*starmap(weight, multivariate._S_labels(x, n, rvec, s)
+                                            + multivariate._S_labels(x, n, rvec, s2)))
 
     return multivariate._nested_vector_sum(term, len(s), policy, ctx).residual(
         1 if s == s2 else 0)
@@ -337,7 +337,7 @@ class CampaignPlan:
             precision = _int(doc.get("precision", 30))
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanInvalid(f"malformed plan entry: {exc}")
-        if ident not in IDENTITIES:
+        if not isinstance(ident, str) or ident not in IDENTITIES:
             raise PlanInvalid(f"unknown identity id {ident!r}")
         for qv in qs:
             _context(qv, precision)
@@ -403,7 +403,7 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
     of an evaluator that returns a SeriesResult, and the policy's tail_tol
     for any other evaluator or a failed case.
     """
-    if identity not in IDENTITIES:
+    if not isinstance(identity, str) or identity not in IDENTITIES:
         raise PlanInvalid(f"unknown identity id {identity!r}")
     ident = IDENTITIES[identity]
     ident.check_case(params)

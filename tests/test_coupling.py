@@ -12,7 +12,7 @@ from qcoupling import (QContext, TruncatedFock, TruncationPolicy, bilateral_sum,
                        verify_backcoupling, verify_biedenharn_elliott, verify_hexagon,
                        yang_baxter_residual, yang_baxter_unitarity_defect)
 from qcoupling.coupling import _yb_operator, backcoupling_forms_gap, hexagon_j_form_residual
-from qcoupling.qcore import mantissa
+from qcoupling.qcore import at_working_precision, mantissa, qpower, rounded
 from qcoupling.errors import InsufficientWindow
 
 
@@ -257,6 +257,31 @@ def test_qhankel_transform_delta_property(ctx05):
 def test_qhankel_transform_zero(ctx05):
     out = qhankel_transform({0: mp.mpf(0), 1: mp.mpf(0)}, 2, ctx05, out_window=(-2, 2))
     assert all(v == 0 for v in out.values())
+
+
+@at_working_precision
+def _old_qhankel_transform(f, nu, ctx, out_window):
+    """The mpf transform ``qhankel_transform`` replaced, with each output's
+    largest term: mp.fsum of f(q^x) J_nu(q^{x+n}) q^x over the support of f."""
+    q = ctx.q
+    out = {}
+    for n in range(out_window[0], out_window[1] + 1):
+        terms = [mp.mpf(val) * qbessel_lattice(nu, xx + n, ctx) * q ** xx
+                 for xx, val in sorted(f.items())]
+        out[n] = mp.fsum(terms), max(abs(t) for t in terms)
+    return out
+
+
+@pytest.mark.parametrize("qs", ["0.3", "0.5", "0.7"])
+def test_qhankel_transform_matches_the_mpf_transform(qs):
+    # each output agrees with the mpf sum to 10^-wp times its largest term
+    ctx = QContext(qs)
+    gauss = {x: rounded(qpower(x * x, ctx), ctx) for x in range(-20, 25)}
+    sparse_f = {-3: mp.mpf(-2), 0: mp.mpf("0.25"), 4: mp.mpf(7)}
+    for f, nu in ((gauss, 1), (gauss, -2), (sparse_f, 0)):
+        got = qhankel_transform(f, nu, ctx, out_window=(-8, 8))
+        for n, (want, scale) in _old_qhankel_transform(f, nu, ctx, (-8, 8)).items():
+            assert abs(got[n] - want) <= mp.mpf(10) ** -ctx.working_precision * scale
 
 
 def test_qhankel_factorization_fails_as_stated(ctx05):

@@ -1,7 +1,9 @@
+import math
 import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock,
                        TruncationPolicy, cg_expansion_residual, coupled_vector, hat,
@@ -9,8 +11,12 @@ from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock
                        multivariate_be_cross_check, qbessel_lattice, recoupling_R,
                        threenj_R, threenj_S, threenj_corollary_gap, verify_S_composition,
                        verify_multivariate_BE)
+from qcoupling.coupling import _yb_sector_kernel
 from qcoupling.errors import DomainError
-from qcoupling.multivariate import drop_first
+from qcoupling.multivariate import _R_labels, _S_labels, _factor_labels, drop_first
+from qcoupling.qcore import at_working_precision
+
+CTXS = {"0.3": QContext("0.3"), "0.5": QContext("0.5"), "0.7": QContext("0.7")}
 
 
 def test_label_accessors():
@@ -248,3 +254,69 @@ def test_cg_expansion(ctx05):
     pol = TruncationPolicy(bilateral_window=(-10, 14), adaptive=False)
     for (x, r1, n) in [(2, 1, (0, 1, 1)), (3, 2, (1, 0, 1)), (2, 0, (0, 0, 2))]:
         assert cg_expansion_residual(x, (r1,), n, ctx05, pol) < 1e-7
+
+
+# The mpf products the exact chains replaced, kept as their oracles: each
+# recoupling weight (-q)^e J_order(q^{2e}; q^2) formed on mpf at the working
+# precision plus five digits, and the weights (or the J values) multiplied
+# one by one at the working precision plus ten.
+
+def _old_weight(order, e, ctx):
+    with ctx.workdps(5):
+        return (-ctx.q) ** e * qbessel_lattice(order, e, ctx.base_squared())
+
+
+@at_working_precision
+def _old_chain(labels, ctx):
+    val = mp.mpf(1)
+    for order, e in labels:
+        val *= _old_weight(order, e, ctx)
+    return val
+
+
+@at_working_precision
+def _old_multi_qbessel(p, ctx):
+    val = mp.mpf(1)
+    for order, expo in _factor_labels(p.nu, p.x, p.lam):
+        val *= qbessel_lattice(order, expo, ctx)
+    return val
+
+
+def _vec(size):
+    return st.lists(st.integers(-3, 3), min_size=size, max_size=size).map(tuple)
+
+
+@st.composite
+def _chain_labels(draw):
+    k = draw(st.integers(1, 3))
+    return draw(st.integers(0, 2)), draw(_vec(k + 2)), draw(_vec(k)), draw(_vec(k))
+
+
+def _assert_relative(new, old, ctx):
+    assert abs(new - old) <= mp.mpf(10) ** -(ctx.working_precision + 3) * abs(old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=_chain_labels(), q=st.sampled_from(sorted(CTXS)))
+def test_exact_chains_match_the_mpf_products(labels, q):
+    # one exact product rounded once, against k weights rounded and multiplied
+    x, n, r, s = labels
+    ctx = CTXS[q]
+    p = ThreeNJParams(x, n, r, s)
+    _assert_relative(threenj_R(p, ctx), _old_chain(_R_labels(x, n, r, s), ctx), ctx)
+    _assert_relative(threenj_S(p, ctx), _old_chain(_S_labels(x, n, r, s), ctx), ctx)
+    mb = MultiBesselParams(n, r, s)
+    _assert_relative(multi_qbessel(mb, ctx), _old_multi_qbessel(mb, ctx), ctx)
+
+
+@pytest.mark.parametrize("q", sorted(CTXS))
+def test_yang_baxter_kernel_matches_the_mpf_kernel(q):
+    # K(d) = (-q)^d J_nu(q^{2d}; q^2) rounded once to a float, within one ulp
+    # of the mpf product rounded to a float
+    ctx = CTXS[q]
+    for nu in range(-3, 4):
+        kernel = _yb_sector_kernel(nu, range(-8, 9), ctx)
+        for d, got in kernel.items():
+            with ctx.workdps(10):
+                old = float((-ctx.q) ** d * qbessel_lattice(nu, d, ctx.base_squared()))
+            assert abs(got - old) <= math.ulp(old)

@@ -135,6 +135,23 @@ def test_truncation_policy_rejects_tail_ratio_outside_unit_interval(ratio):
         TruncationPolicy(tail_ratio=ratio)
 
 
+@pytest.mark.parametrize("kwargs", [{"bilateral_window": (0.5, 3)}, {"bilateral_window": (-3, "3")},
+                                    {"max_terms": 2.5}, {"adaptive": "no"}, {"adaptive": 1}],
+                         ids=["window-float", "window-str", "max-terms-float", "adaptive-str",
+                              "adaptive-int"])
+def test_truncation_policy_rejects_non_integer_bounds_and_non_bool_adaptive(kwargs):
+    # a float window bound failed every case with TypeError, and adaptive="no"
+    # ran adaptive because a non-empty string is truthy
+    with pytest.raises(DomainError):
+        TruncationPolicy(**kwargs)
+
+
+def test_truncation_policy_keeps_integer_bounds():
+    pol = TruncationPolicy(max_terms=600, bilateral_window=[-3, 3], adaptive=False)
+    assert pol.bilateral_window == (-3, 3) and pol.max_terms == 600
+    hash(pol)  # a window given as a list is kept as a tuple
+
+
 @pytest.mark.parametrize("ratio", [0, 0.5, 0.99])
 def test_truncation_policy_keeps_tail_ratio_inside_unit_interval(ratio, ctx05):
     pol = TruncationPolicy(tail_ratio=ratio, bilateral_window=(-3, 3), adaptive=False)

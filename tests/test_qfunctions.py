@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcoupling import (QContext, TruncationPolicy, WallParams, genfun_check, qbessel,
                        qbessel_lattice, qpoch_finite, qpoch_infinite, rphis, wall_genfun_check,
-                       wall_orthonormal, wall_orthonormal_run, wall_poly, wall_poly_alt)
+                       wall_orthonormal_run, wall_poly, wall_poly_alt)
 from qcoupling import qfunctions
 from qcoupling.qcore import cached
 from qcoupling.errors import DomainError, NonConvergent
@@ -49,6 +49,28 @@ def test_wall_closed_form_consistency(qs):
                 v1 = wall_poly(WallParams(n, x, a), ctx)
                 v2 = wall_poly_alt(WallParams(n, x, a), ctx)
                 assert abs(v1 - v2) <= 1e-12 * max(abs(v1), mp.mpf("1e-30"))
+
+
+def _wall_bar_prefactor(p, ctx):
+    q = ctx.q
+    a = mp.mpf(p.a)
+    if not a < 1 / q:
+        raise DomainError("orthonormal Wall needs 0 < a < 1/q")
+    if not a > 0:
+        raise DomainError("orthonormal Wall needs a > 0")
+    rad = (a * q) ** (p.x - p.n) * qpoch_infinite(a * q, ctx).value \
+        * qpoch_finite(a * q, ctx, p.n) / (qpoch_finite(q, ctx, p.n) * qpoch_finite(q, ctx, p.x))
+    return (-1) ** (p.n + p.x) * mp.sqrt(rad)
+
+
+def wall_orthonormal(p, ctx):
+    """The orthonormal Wall value as the prefactor times the 2phi1 ``wall_poly``,
+    on mpf: the oracle of ``wall_orthonormal_run``."""
+    # the 2phi1 alternates with terms up to ~q^{-n^2/2}; scale guard digits accordingly
+    guard = int(mp.ceil(p.n * p.n / 2 * mp.log(1 / ctx.q, 10))) + 10
+    with ctx.workdps(guard):
+        val = _wall_bar_prefactor(p, ctx) * wall_poly(p, ctx)
+    return +val
 
 
 def test_wall_orthonormal_base_value(ctx05):

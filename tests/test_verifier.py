@@ -271,10 +271,21 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
       "policy": {"tail_ratio": 2}}, 2),
     ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
       "policy": {"tail_ratio": 1}}, 2),
+    # an identity that is not a string raised TypeError (unhashable) out of the CLI
+    ({"identity": ["a"], "grid": {"nu": [0], "m": [0], "n": [0]}}, 2),
+    # a float window bound failed every case with TypeError; a float max_terms was taken
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"window": [0.5, 3]}}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"max_terms": 2.5}}, 2),
+    # "no" is a non-empty string, so it ran adaptive
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"adaptive": "no"}}, 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
         "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
-        "policy-tail-ratio-1"])
+        "policy-tail-ratio-1", "identity-not-a-string", "policy-window-float",
+        "policy-max-terms-float", "policy-adaptive-string"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case
@@ -291,6 +302,27 @@ def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys
         report = [json.loads(line) for line in captured.out.strip().split("\n")]
         assert "ValueError" in report[0]["error"]
         assert report[-1]["summary"]["failed"] == 1
+
+
+def test_eval_single_rejects_an_identity_that_is_not_a_string():
+    with pytest.raises(PlanInvalid):
+        eval_single(["a"], {}, 0.5)
+
+
+@pytest.mark.parametrize("command", ["verify", "eval"])
+def test_cli_out_into_a_missing_directory_exits_two(command, tmp_path, capsys):
+    # the report's write failed with a FileNotFoundError traceback and exit 1
+    out = tmp_path / "missing" / "report.jsonl"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"identity": "hankel-orthogonality",
+                                "grid": {"nu": [0], "m": [0], "n": [0]}}))
+    argv = {"verify": ["verify", str(plan)],
+            "eval": ["eval", "hankel-orthogonality", "--param", "nu=0", "--param", "m=0",
+                     "--param", "n=0"]}[command]
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report:") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_eval_bad_vector_is_failed_case(capsys):
