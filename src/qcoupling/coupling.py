@@ -251,6 +251,7 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
 
 _YB_KERNELS: Dict[tuple, Dict[int, float]] = {}
 _YB_OPS: Dict[tuple, sparse.csr_matrix] = {}
+_YB_LIFTS: Dict[tuple, sparse.csr_matrix] = {}
 
 
 def _yb_sector_kernel(nu: int, offsets, ctx: QContext) -> Dict[int, float]:
@@ -319,19 +320,26 @@ def yang_baxter_unitarity_defect(u: int, v: int, window: Tuple[int, int],
     return float(np.abs(G).max())
 
 
-def _yb_lift(R: sparse.csr_matrix, legs: Tuple[int, int], npts: int) -> sparse.csr_matrix:
-    n = npts
-    I = sparse.identity(n, format="csr")
-    if legs == (0, 1):
-        return sparse.kron(R, I, format="csr")
-    if legs == (1, 2):
-        return sparse.kron(I, R, format="csr")
-    # legs (0, 2): conjugate by the swap of the last two legs, which sends
-    # column (a * n + b) * n + c to row (a * n + c) * n + b
-    perm_rows = np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).ravel()
-    P = sparse.csr_matrix((np.ones(n ** 3), (perm_rows, np.arange(n ** 3))),
-                          shape=(n ** 3, n ** 3))
-    return P.T @ sparse.kron(R, I, format="csr") @ P
+def _yb_lift(u: int, v: int, window: Tuple[int, int], legs: Tuple[int, int],
+             ctx: QContext) -> sparse.csr_matrix:
+    """``_yb_operator(u, v, window)`` lifted onto the given legs of the
+    three-fold space, built once per (u+v, window, legs) and context."""
+    def build():
+        R = _yb_operator(u, v, window, ctx)
+        n = window[1] - window[0] + 1
+        I = sparse.identity(n, format="csr")
+        if legs == (0, 1):
+            return sparse.kron(R, I, format="csr")
+        if legs == (1, 2):
+            return sparse.kron(I, R, format="csr")
+        # legs (0, 2): conjugate by the swap of the last two legs, which sends
+        # column (a * n + b) * n + c to row (a * n + c) * n + b
+        perm_rows = np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).ravel()
+        P = sparse.csr_matrix((np.ones(n ** 3), (perm_rows, np.arange(n ** 3))),
+                              shape=(n ** 3, n ** 3))
+        return P.T @ sparse.kron(R, I, format="csr") @ P
+
+    return cached(_YB_LIFTS, ctx, (u + v, window, legs), build)
 
 
 def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
@@ -348,6 +356,11 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     the window count (for the full products, both the row and the column).
     That interior is one boolean mask over the flattened n^3 index, and the
     defect is the largest absolute difference it selects (0.0 if none).
+    The full products restrict their left factor to the interior rows
+    before multiplying.  scipy's CSR product forms each output row on its
+    own, from that row's nonzeros in stored order, so those rows are
+    bit-identical to the rows of the whole product.  The three lifted
+    operators are cached per (u+v, window, legs) and context (``_yb_lift``).
 
     The operator is float64 whatever ctx.working_precision is: the kernel
     values are rounded to doubles when the sparse matrices are built, so a
@@ -357,9 +370,9 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     npts = hi - lo + 1
     if npts < 2 * _YB_MARGIN + 3:
         raise InsufficientWindow("window too small for the interior margin")
-    L12 = _yb_lift(_yb_operator(u, w, window, ctx), (0, 1), npts)
-    L13 = _yb_lift(_yb_operator(v, w, window, ctx), (0, 2), npts)
-    L23 = _yb_lift(_yb_operator(u, v, window, ctx), (1, 2), npts)
+    L12 = _yb_lift(u, w, window, (0, 1), ctx)
+    L13 = _yb_lift(v, w, window, (0, 2), ctx)
+    L23 = _yb_lift(u, v, window, (1, 2), ctx)
 
     inside = (np.arange(npts) >= _YB_MARGIN) & (np.arange(npts) < npts - _YB_MARGIN)
     interior = (inside[:, None, None] & inside[None, :, None] & inside[None, None, :]).ravel()
@@ -377,8 +390,9 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
             defect = max(defect, np.abs(left - right)[interior].max())
         return float(defect)
 
-    D = (L12 @ L13 @ L23 - L23 @ L13 @ L12).tocoo()
-    return float(np.abs(D.data[interior[D.row] & interior[D.col]]).max(initial=0.0))
+    rows = np.flatnonzero(interior)
+    D = (L12[rows] @ L13 @ L23 - L23[rows] @ L13 @ L12).tocoo()
+    return float(np.abs(D.data[interior[D.col]]).max(initial=0.0))
 
 
 def qhankel_transform(f: Dict[int, mp.mpf], nu: int, ctx: QContext,

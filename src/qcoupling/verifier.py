@@ -100,8 +100,14 @@ def _eval_qhankel_factorization(x, n1, n2, n3, ctx, policy):
     return coupling.qhankel_factorization_residual(x, n1, n2, n3, f, ctx, policy)
 
 
+# the orthogonality's level sums, shared by every case of the process; their
+# keys carry the base, the working precision and the policy
+_ORTHOGONALITY_LEVELS: dict = {}
+
+
 def _eval_multi_orthogonality(nu, lam, lam2, ctx, policy):
-    return multivariate.multi_orthogonality_residual(nu, lam, lam2, ctx, policy)
+    return multivariate.multi_orthogonality_residual(nu, lam, lam2, ctx, policy,
+                                                     memo=_ORTHOGONALITY_LEVELS)
 
 
 def _eval_multi_duality(nu, x, lam, ctx, policy):

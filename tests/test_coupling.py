@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from qcoupling import (QContext, TruncatedFock, TruncationPolicy, bilateral_sum,
+from qcoupling import (QContext, TruncatedFock, TruncationPolicy, bilateral_sum, coupling,
                        cg_contraction_residual, qbessel_lattice, qhankel_factorization_residual,
                        qhankel_transform, recoupling_R, sixj_closed, sixj_oracle,
                        verify_backcoupling, verify_biedenharn_elliott, verify_hexagon,
@@ -242,6 +242,30 @@ def test_yang_baxter_mask_matches_per_entry_loops(ctx05):
     probe = [(0, 0, 0), (1, -1, 0), (0, 1, -1)]
     assert yang_baxter_residual(1, 0, -1, (-10, 10), ctx05, probe=probe) \
         == _yb_residual_per_entry(1, 0, -1, (-10, 10), ctx05, probe=probe)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_yang_baxter_lift_cache_matches_empty_tables(monkeypatch, order):
+    # windows (-5, 6) and (-6, 6) at q = 0.3 and 0.5 in one process: each
+    # residual read through the cached lifts equals its value from empty tables
+    cases = [(QContext(q), window, uvw) for q in ("0.3", "0.5")
+             for window in ((-5, 6), (-6, 6)) for uvw in ((0, 0, 0), (1, 0, -1), (1, 1, 1))]
+    if order == "reversed":
+        cases.reverse()
+
+    def empty_tables():
+        for name in ("_YB_KERNELS", "_YB_OPS", "_YB_LIFTS"):
+            monkeypatch.setattr(coupling, name, {})
+
+    empty_tables()
+    shared = [yang_baxter_residual(*uvw, window, ctx) for ctx, window, uvw in cases]
+    # the three uvw lift eight distinct (u+v, legs) pairs per base and window
+    assert len(coupling._YB_LIFTS) == 2 * 2 * 8
+    fresh = []
+    for ctx, window, uvw in cases:
+        empty_tables()
+        fresh.append(yang_baxter_residual(*uvw, window, ctx))
+    assert shared == fresh
 
 
 def test_qhankel_transform_delta_property(ctx05):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcoupling import (QContext, TruncationPolicy, bilateral_sum, coupling, qcore,
                        multi_orthogonality_residual, qbessel_lattice, qfunctions, qpoch_finite,
-                       qpoch_infinite, representation, rphis)
+                       qpoch_infinite, representation, rphis, verifier)
 from qcoupling.errors import DomainError, NonConvergent, PoleInLowerParameter
 from qcoupling.qcore import mantissa
 
@@ -80,8 +80,15 @@ _CACHE_USERS = {
                            lambda ctx: coupling._yb_sector_kernel(1, range(-4, 5), ctx)),
     "yang-baxter-operator": (coupling, "_YB_OPS", lambda ctx: coupling._yb_operator(
         0, 1, (-4, 4), ctx).toarray().tolist()),
+    "yang-baxter-lift": (coupling, "_YB_LIFTS", lambda ctx: coupling._yb_lift(
+        0, 1, (-4, 4), (0, 2), ctx).toarray().tolist()),
+    "oracle-vector": (representation, "_ORACLE_VECTORS", lambda ctx: representation.sixj_oracle(
+        1, 0, 0, 1, 0, representation.TruncatedFock(60), ctx)),
     "orthogonality-level": (_LEVELS, "memo", lambda ctx: multi_orthogonality_residual(
         (0, 1, 0), (1,), (1,), ctx, memo=_LEVELS.memo).value),
+    "campaign-orthogonality-level": (verifier, "_ORTHOGONALITY_LEVELS",
+                                     lambda ctx: verifier._eval_multi_orthogonality(
+                                         (0, 1, 0), (1,), (1,), ctx, None).value),
     "q-power": (qcore, "_POWERS", lambda ctx: [qcore.qpower(k, ctx) for k in (-3, 1, 4)]),
 }
 

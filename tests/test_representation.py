@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -168,6 +170,64 @@ def test_oracle_total_label_independence(ctx05):
 def test_oracle_truncation_guard(ctx05):
     with pytest.raises(InsufficientTruncation):
         sixj_oracle(2, 3, 3, 3, 3, TruncatedFock(6), ctx05)
+
+
+def test_oracle_truncation_message_names_the_shortfall(ctx05):
+    # at dim 5 both norms are 0.99992357: printed with :.2e they read 1.00e+00
+    with pytest.raises(InsufficientTruncation) as err:
+        sixj_oracle(0, 0, 0, 0, 0, TruncatedFock(5), ctx05)
+    shortfalls = [float(v) for v in re.findall(r"by ([0-9.e+-]+) and ([0-9.e+-]+);",
+                                                str(err.value))[0]]
+    assert max(shortfalls) > 1e-8
+    assert abs(shortfalls[0] - 7.64e-05) < 1e-7
+
+
+_ORACLE_GRID = list(itertools.product(range(3), range(-3, 4), (0, 1), range(-3, 4)))
+
+
+def _oracle_by_vectors(x, p1, r1, p2, dim, ctx):
+    fock = TruncatedFock(dim)
+    return coupled_vector("1(23)", x, p1, r1, fock, ctx).inner(
+        coupled_vector("(12)3", x, p2, 0, fock, ctx))
+
+
+def test_oracle_vector_cache_matches_fresh_coupled_vectors(monkeypatch):
+    # cold, warm, and with q and dim changing every case: dim 12 keeps every
+    # norm inside the floor but changes some values against dim 60, so a
+    # vector served to another q or dim shows
+    ctxs = (QContext("0.3"), QContext("0.5"))
+    expect = {(i, dim, labels): _oracle_by_vectors(*labels, dim, ctxs[i])
+              for i in (0, 1) for dim in (60, 12) for labels in _ORACLE_GRID}
+    assert any(expect[(i, 60, labels)] != expect[(i, 12, labels)]
+               for i in (0, 1) for labels in _ORACLE_GRID)
+    monkeypatch.setattr(representation, "_ORACLE_VECTORS", {})
+    for _ in ("cold", "warm"):
+        for i in (0, 1):
+            for labels in _ORACLE_GRID:
+                x, p1, r1, p2 = labels
+                assert sixj_oracle(x, p1, r1, p2, 0, TruncatedFock(60), ctxs[i]) \
+                    == expect[(i, 60, labels)]
+    for n, labels in enumerate(_ORACLE_GRID * 2):
+        i, dim = n % 2, (60, 12)[n // 2 % 2]
+        x, p1, r1, p2 = labels
+        assert sixj_oracle(x, p1, r1, p2, 0, TruncatedFock(dim), ctxs[i]) \
+            == expect[(i, dim, labels)]
+
+
+def test_oracle_builds_each_coupled_vector_once(monkeypatch, ctx05):
+    built = []
+
+    def counting(*args):
+        built.append(args[:4])
+        return coupled_vector(*args)
+
+    monkeypatch.setattr(representation, "_ORACLE_VECTORS", {})
+    monkeypatch.setattr(representation, "coupled_vector", counting)
+    fock = TruncatedFock(60)
+    sixj_oracle(1, 2, 0, -1, 0, fock, ctx05)
+    assert built == [("1(23)", 1, 2, 0), ("(12)3", 1, -1, 0)]
+    sixj_oracle(1, 2, 0, 3, 0, fock, ctx05)
+    assert built[2:] == [("(12)3", 1, 3, 0)]
 
 
 def test_cg_columns_ignore_ambient_precision(monkeypatch):

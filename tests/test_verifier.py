@@ -5,7 +5,7 @@ import re
 import pytest
 
 from qcoupling import (CampaignPlan, QContext, TruncationPolicy, coupling, eval_single,
-                       genfun_check, run_campaign)
+                       genfun_check, multi_orthogonality_residual, run_campaign, verifier)
 from qcoupling.cli import main as cli_main
 from qcoupling.errors import DomainError, PlanInvalid
 from qcoupling.verifier import IDENTITIES, identity_descriptions
@@ -356,3 +356,18 @@ def test_integer_labels_are_not_truncated(capsys):
     for nu in (1, 1.0, "1"):
         res = eval_single("hankel-orthogonality", {"nu": nu, "m": 0, "n": 0}, 0.5)
         assert res.passed, res
+
+
+def test_campaign_orthogonality_levels_match_fresh_memos(monkeypatch):
+    # every multi-orthogonality case of a process reads one level table; a d = 2
+    # grid at two bases and two policies, interleaved, gives the fresh-memo
+    # residual, est_error, terms_used and converged
+    monkeypatch.setattr(verifier, "_ORTHOGONALITY_LEVELS", {})
+    nu = (0, 1, 0, 1)
+    policies = (TruncationPolicy(), TruncationPolicy(bilateral_window=(-4, 4), adaptive=False))
+    cases = [(lam, lam2, QContext(q), pol) for lam in ((0, 0), (1, -1)) for lam2 in ((0, 0), (0, 1))
+             for q in ("0.3", "0.5") for pol in policies]
+    for lam, lam2, ctx, pol in cases:
+        got = verifier._eval_multi_orthogonality(nu, lam, lam2, ctx, pol)
+        assert got == multi_orthogonality_residual(nu, lam, lam2, ctx, pol)
+    assert verifier._ORTHOGONALITY_LEVELS
