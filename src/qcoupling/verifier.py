@@ -436,20 +436,61 @@ def _run_case(args):
     return eval_single(*args)
 
 
+def _run_block(block):
+    # _run_case is read from the module at each call, so a rebinding of it
+    # (as span tracing does) is seen in the worker
+    return [_run_case(t) for t in block]
+
+
+def _blocks(keys: Sequence, jobs: int) -> List[List[int]]:
+    """Task indices dealt into at most ``jobs`` blocks, one block per worker.
+
+    The indices that share a key, which names the process tables their
+    cases fill, stay in one block unless there are more of them than the
+    even share ceil(len(keys) / jobs); such a group is cut into pieces of
+    that share.  Pieces go largest first to the block with the fewest
+    cases, so no block is empty.
+    """
+    share = -(-len(keys) // jobs)
+    groups: Dict[object, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    pieces = [g[i:i + share] for g in groups.values() for i in range(0, len(g), share)]
+    pieces.sort(key=len, reverse=True)
+    blocks: List[List[int]] = [[] for _ in range(min(jobs, len(pieces)))]
+    for piece in pieces:
+        min(blocks, key=len).extend(piece)
+    return blocks
+
+
 def run_campaign(plans: Sequence[CampaignPlan], jobs: int = 1):
     """Run every grid point of every plan; returns (results, summary).
 
-    Results keep deterministic grid order whatever the execution order.
+    With ``jobs`` > 1 the cases that share a base and a working precision,
+    and so the J table, the powers of q and the weight tables, run in one
+    worker process (see ``_blocks``); no more workers start than there are
+    blocks.  Results keep deterministic grid order whatever the execution
+    order.  A ``jobs`` below 1 raises PlanInvalid.
     """
-    tasks = []
+    if jobs < 1:
+        raise PlanInvalid(f"jobs must be at least 1, got {jobs}")
+    tasks, keys = [], []
     for plan in plans:
+        cases = plan.expand()
         for qv in plan.q_values:
-            for params in plan.expand():
+            key = (_context(qv, plan.precision).q_key, plan.precision)
+            for params in cases:
                 tasks.append((plan.identity, params, qv, plan.tolerance,
                               plan.precision, plan.policy))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case, tasks, chunksize=4))
+                keys.append(key)
+    if jobs > 1 and tasks:
+        blocks = _blocks(keys, jobs)
+        results = [None] * len(tasks)
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            done = pool.map(_run_block, [[tasks[i] for i in block] for block in blocks])
+            for block, block_results in zip(blocks, done):
+                for i, result in zip(block, block_results):
+                    results[i] = result
     else:
         results = [_run_case(t) for t in tasks]
 

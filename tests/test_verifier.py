@@ -3,6 +3,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcoupling import (CampaignPlan, QContext, TruncationPolicy, coupling, eval_single,
                        genfun_check, multi_orthogonality_residual, run_campaign, verifier)
@@ -172,6 +173,78 @@ def test_campaign_determinism():
     assert sa == sb
 
 
+def _report(results, summary):
+    return _strip_timing([r.to_json() for r in results]), summary
+
+
+def test_campaign_jobs_do_not_change_the_report():
+    # bases no other test uses, so the workers fill their tables cold; the
+    # pool runs first, so nothing is inherited from this process's tables
+    mixed = [CampaignPlan.from_dict({"identity": "hankel-orthogonality",
+                                     "grid": {"nu": [0], "m": [-1, 0, 1], "n": [0]},
+                                     "q": ["0.37", "0.61"]}),
+             CampaignPlan.from_dict({"identity": "sixj-orthogonality",
+                                     "grid": {"r": [0], "p2": [-1, 0, 1], "p3": [0]},
+                                     "q": ["0.37"]})]
+    single = [CampaignPlan.from_dict({"identity": "hankel-orthogonality",
+                                      "grid": {"nu": [1], "m": [0], "n": [0]}, "q": ["0.61"]})]
+    for plans, total in ((mixed, 9), (single, 1)):
+        pooled = _report(*run_campaign(plans, jobs=2))
+        assert pooled == _report(*run_campaign(plans, jobs=1))
+        assert pooled[1]["total"] == total and pooled[1]["failed"] == 0
+
+
+class _InProcessPool:
+    """Stands in for the process pool, mapping in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
+    # no real process starts, whatever jobs asks for
+    started = []
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor",
+                        lambda max_workers: started.append(max_workers) or _InProcessPool())
+    three = [CampaignPlan.from_dict({"identity": "qpoch-recurrence",
+                                     "grid": {"n": {"lo": 0, "hi": 2}, "a": [0.25]}})]
+    two_bases = [CampaignPlan.from_dict({"identity": "qpoch-recurrence",
+                                         "grid": {"n": {"lo": 0, "hi": 2}, "a": [0.25]},
+                                         "q": [0.3, 0.5]})]
+    for plans, jobs, workers in ((three, 64, 3), (three, 2, 2), (two_bases, 64, 6),
+                                 (two_bases, 2, 2)):
+        assert _report(*run_campaign(plans, jobs=jobs)) == _report(*run_campaign(plans))
+        assert started[-1] == workers
+    assert run_campaign([], jobs=4) == run_campaign([]) and len(started) == 4
+
+
+def test_campaign_blocks_keep_groups_together():
+    # a: 3 cases, b: 2, c: 1 at jobs 2, so the share is 3 and no group is cut
+    assert verifier._blocks(list("aaabbc"), 2) == [[0, 1, 2], [3, 4, 5]]
+    # one group of 5 at jobs 2 is cut into pieces of the share, 3 and 2
+    assert verifier._blocks(list("aaaaa"), 2) == [[0, 1, 2], [3, 4]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=40), st.integers(1, 8))
+def test_campaign_blocks_partition_the_tasks(keys, jobs):
+    blocks = verifier._blocks(keys, jobs)
+    assert sorted(i for block in blocks for i in block) == list(range(len(keys)))
+    assert len(blocks) <= jobs and all(blocks)
+    share = -(-len(keys) // jobs)
+    where = {i: b for b, block in enumerate(blocks) for i in block}
+    for key in set(keys):
+        group = [i for i, k in enumerate(keys) if k == key]
+        if len(group) <= share:
+            assert len({where[i] for i in group}) == 1
+
+
 def test_cli_list(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
@@ -281,18 +354,27 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
     # "no" is a non-empty string, so it ran adaptive
     ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
       "policy": {"adaptive": "no"}}, 2),
+    # a job count below 1 ran the plan serially and exited 0
+    (({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]}},
+      "--jobs", "0"), 2),
+    (({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]}},
+      "--jobs", "-3"), 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
         "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
         "policy-tail-ratio-1", "identity-not-a-string", "policy-window-float",
-        "policy-max-terms-float", "policy-adaptive-string"])
+        "policy-max-terms-float", "policy-adaptive-string", "jobs-zero", "jobs-negative"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
-    # never a traceback; a label that fails its cast is a failed case
+    # never a traceback; a label that fails its cast is a failed case.  A plan
+    # is verified, with the options that follow it in a tuple
     if isinstance(argv_or_plan, dict):
+        argv_or_plan = (argv_or_plan,)
+    if isinstance(argv_or_plan, tuple):
+        plan, *options = argv_or_plan
         plan_file = tmp_path / "plan.json"
-        plan_file.write_text(json.dumps(argv_or_plan))
-        argv_or_plan = ["verify", str(plan_file)]
+        plan_file.write_text(json.dumps(plan))
+        argv_or_plan = ["verify", str(plan_file), *options]
     assert cli_main(argv_or_plan) == expected
     captured = capsys.readouterr()
     if expected == 2:
