@@ -16,21 +16,27 @@ the backcoupling and hexagon identities and the Yang-Baxter triple product
 do NOT hold as stated (the residual functions compute them faithfully and
 report O(1) values).  verify_backcoupling's docstring shows why the
 backcoupling cannot close; the README's verification status has the rest.
+
+Only the truncated Yang-Baxter operator is a matrix: ``_yb_operator``,
+``_yb_lift``, ``yang_baxter_residual`` and ``yang_baxter_unitarity_defect``
+need numpy and scipy.sparse, and each imports them when called.  Importing
+this module loads neither.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest, to_float
-from scipy import sparse
 
 from .errors import InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
                     bilateral_sum, exact_product, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "sixj_closed",
@@ -272,6 +278,8 @@ def _yb_operator(u: int, v: int, window: Tuple[int, int], ctx: QContext) -> spar
     so that the coefficient depends only on (t1, t2, y).  Depends on u, v
     only through u+v, which the cache exploits.
     """
+    from scipy import sparse
+
     def build():
         lo, hi = window
         pts = list(range(lo, hi + 1))
@@ -310,6 +318,8 @@ def yang_baxter_unitarity_defect(u: int, v: int, window: Tuple[int, int],
     i.e. the window cut did not swallow kernel mass for that input; those
     are the interior coordinates of the truncation.
     """
+    import numpy as np
+
     R = _yb_operator(u, v, window, ctx)
     norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=0)).ravel())
     complete = np.where(np.abs(norms - 1.0) <= _YB_NORM_TOL)[0]
@@ -324,6 +334,9 @@ def _yb_lift(u: int, v: int, window: Tuple[int, int], legs: Tuple[int, int],
              ctx: QContext) -> sparse.csr_matrix:
     """``_yb_operator(u, v, window)`` lifted onto the given legs of the
     three-fold space, built once per (u+v, window, legs) and context."""
+    import numpy as np
+    from scipy import sparse
+
     def build():
         R = _yb_operator(u, v, window, ctx)
         n = window[1] - window[0] + 1
@@ -366,6 +379,8 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     values are rounded to doubles when the sparse matrices are built, so a
     higher working precision only makes the J evaluations dearer.
     """
+    import numpy as np
+
     lo, hi = window
     npts = hi - lo + 1
     if npts < 2 * _YB_MARGIN + 3:

@@ -38,7 +38,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum, exact_product, mantissa, qpower, rounded)
+                    bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
 from .coupling import _minus_q_power, verify_biedenharn_elliott, weight_pair
 from .representation import cg_coefficient
@@ -71,12 +71,18 @@ def drop_first(v: Sequence[int]) -> Tuple[int, ...]:
     return tuple(v)[1:]
 
 
+def _label_vector(values, name: str) -> Tuple[int, ...]:
+    return tuple(integer_label(v, name) for v in values)
+
+
 @dataclass(frozen=True)
 class MultiBesselParams:
     """Order vector nu (length d+2) and lattice vectors x, lam (length d).
 
     Boundary conventions lam_0 = nu_0 and x_{d+1} = nu_{d+1} are applied
-    internally, never stored.
+    internally, never stored.  Every label is read through
+    ``qcore.integer_label``: a numpy integer is kept as an int, 1.7 raises
+    DomainError.
     """
 
     nu: Tuple[int, ...]
@@ -87,9 +93,8 @@ class MultiBesselParams:
         d = len(self.x)
         if d < 1 or len(self.lam) != d or len(self.nu) != d + 2:
             raise DomainError("need len(x) = len(lam) = d >= 1 and len(nu) = d+2")
-        object.__setattr__(self, "nu", tuple(int(v) for v in self.nu))
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        object.__setattr__(self, "lam", tuple(int(v) for v in self.lam))
+        for name in ("nu", "x", "lam"):
+            object.__setattr__(self, name, _label_vector(getattr(self, name), name))
 
     @property
     def d(self) -> int:
@@ -101,6 +106,7 @@ class ThreeNJParams:
     """Root label x, leaf labels n (length k+2), chain labels r, s (length k).
 
     Conventions s_0 = n_1 and r_{k+1} = n_{k+2} are applied internally.
+    Labels are read as in ``MultiBesselParams``.
     """
 
     x: int
@@ -112,9 +118,9 @@ class ThreeNJParams:
         k = len(self.r)
         if k < 1 or len(self.s) != k or len(self.n) != k + 2:
             raise DomainError("need len(r) = len(s) = k >= 1 and len(n) = k+2")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        object.__setattr__(self, "x", integer_label(self.x, "x"))
+        for name in ("n", "r", "s"):
+            object.__setattr__(self, name, _label_vector(getattr(self, name), name))
 
     @property
     def k(self) -> int:

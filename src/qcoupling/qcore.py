@@ -165,6 +165,18 @@ class TruncationPolicy:
             raise DomainError(f"tail_ratio must lie in [0, 1), got {self.tail_ratio}")
 
 
+def integer_label(value, name: str) -> int:
+    """An order or lattice label as an int, through ``operator.index``.
+
+    A numpy integer is read as the integer it holds; anything else, such as
+    1.7 or "2", raises DomainError, so a label is never silently truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def cached(table: dict, ctx: QContext, labels: tuple, compute: Callable[[], object]):
     """table's value at labels for the base and precision of ctx.
 

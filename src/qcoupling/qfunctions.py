@@ -15,8 +15,9 @@ import mpmath as mp
 from mpmath.libmp import mpf_pow_int, to_fixed
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
-from .qcore import (QContext, SeriesResult, TruncationPolicy, exact_product, mantissa, qpoch_finite,
-                    qpoch_infinite, qpower, rounded, rphis, tail_estimate, tail_threshold)
+from .qcore import (QContext, SeriesResult, TruncationPolicy, exact_product, integer_label, mantissa,
+                    qpoch_finite, qpoch_infinite, qpower, rounded, rphis, tail_estimate,
+                    tail_threshold)
 
 __all__ = [
     "WallParams",
@@ -180,12 +181,17 @@ def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     exactly by the factor (-q^{1/2})^e (``_reflect``).  So only
     canonical pairs reach the series, each once per (q, precision), and
     always at an argument q^m <= 1, never in the deep cancellation of a
-    large argument.
+    large argument.  The miss also reads nu and y through
+    ``qcore.integer_label``, so a numpy integer is stored under its int and
+    a label such as 0.5 raises DomainError.  A float equal to a stored
+    label (2.0 for 2) still finds its entry, since the keys compare equal.
     """
     key = (nu, y, ctx.q_key, ctx.working_precision)
     hit = _J_CACHE.get(key)
     if hit is not None:
         return hit
+    nu, y = integer_label(nu, "order"), integer_label(y, "lattice label")
+    key = (nu, y, ctx.q_key, ctx.working_precision)
     n, m, e = _canonical(nu, y)
     if (n, m) == (nu, y):
         val = qbessel(n, None, ctx, _lattice_y=m)
@@ -213,9 +219,10 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
     prefactor multiplied exactly (``_reflect``) and the value rounded, like
     every other, to the working precision plus five digits.  ``_lattice_y``
     gives the argument as q^y instead of x; ``qbessel_lattice`` passes only
-    canonical pairs 0 <= nu <= y there.
+    canonical pairs 0 <= nu <= y there.  The order is read through
+    ``qcore.integer_label``: 1.5 raises DomainError.
     """
-    nu = int(nu)
+    nu = integer_label(nu, "order")
     if _lattice_y is not None:
         return _series(nu, None, _lattice_y, ctx, policy)
     q = ctx.q

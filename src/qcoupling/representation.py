@@ -9,20 +9,27 @@ Generator matrices are float64 numpy arrays and three-fold actions are scipy
 sparse Kronecker products of them; coupled vectors are sparse dicts keyed by
 basis multi-indices.  Coefficient accuracy is ~1e-12, far inside the
 1e-8 oracle tolerances.
+
+Only ``pi0_matrix``, ``check_defining_relations``, ``CoupledVector.dense``
+and ``threefold_operator`` need numpy (the last also scipy.sparse), and each
+imports it when called.  The Clebsch-Gordan columns, the coupled vectors and
+``sixj_oracle`` run on floats and dicts, so importing this module, or the
+package, loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
-
-import numpy as np
-from scipy import sparse
+from typing import TYPE_CHECKING, Dict
 
 from .errors import DomainError, InsufficientTruncation
 from .qcore import cached, QContext
 from .qfunctions import wall_orthonormal_run
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy import sparse
 
 __all__ = [
     "TruncatedFock",
@@ -65,6 +72,8 @@ def pi0_matrix(tag: str, fock: TruncatedFock, ctx: QContext) -> np.ndarray:
     sqrt(1-q^{2n+2}) (dropped at the cut), beta and gamma are diagonal with
     entries -q^{n+1} and q^n.
     """
+    import numpy as np
+
     N = fock.dim
     q = float(ctx.q)
     m = np.zeros((N, N))
@@ -91,6 +100,8 @@ def check_defining_relations(fock: TruncatedFock, ctx: QContext) -> float:
     Interior means rows/columns 0..dim-2: the boundary row of the raising
     relation is a truncation artifact, not algebra content.
     """
+    import numpy as np
+
     if fock.dim < 4:
         raise DomainError("relation check needs dim >= 4")
     q = float(ctx.q)
@@ -171,6 +182,8 @@ class CoupledVector:
 
     def dense(self, fock: TruncatedFock) -> np.ndarray:
         """Coefficients as a flat array over the row-major basis multi-index."""
+        import numpy as np
+
         shape = (fock.dim,) * (2 if self.scheme in ("12", "21") else 3)
         out = np.zeros(shape)
         for key, c in self.coeffs.items():
@@ -250,6 +263,8 @@ def threefold_operator(tag: str, fock: TruncatedFock, ctx: QContext) -> sparse.c
     gamma*gamma-adjoint operator whose eigenvectors ``coupled_vector``
     returns is -q^{-1} T(gamma) T(beta).
     """
+    from scipy import sparse
+
     mats = {t: sparse.csr_matrix(pi0_matrix(t, fock, ctx)) for t in _COPRODUCT}
     return sum(sparse.kron(mats[a], sparse.kron(mats[b], mats[c]), format="csr")
                for a, b, c in threefold_terms(tag))

@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,27 @@ def test_params_validation():
         MultiBesselParams((0, 0), (0,), (0,))
     with pytest.raises(DomainError):
         ThreeNJParams(0, (0, 0, 0), (0, 0), (0,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiBesselParams((0, 1.7, 0), (1,), (0,)),
+    lambda: MultiBesselParams((0, 1, 0), (1,), ("0",)),
+    lambda: ThreeNJParams(0, (0, 1.7, 0), (1,), (0,)),
+    lambda: ThreeNJParams(0.5, (0, 1, 0), (1,), (0,)),
+], ids=["multi-bessel-nu", "multi-bessel-lam-string", "threenj-n", "threenj-x"])
+def test_params_labels_are_not_truncated(build):
+    # int() used to store nu = 1.7 as 1 and keep x = 0.5 as given
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_params_read_numpy_integers_as_ints():
+    mb = MultiBesselParams(np.array([0, 1, 0]), (np.int64(1),), [np.int32(0)])
+    assert mb == MultiBesselParams((0, 1, 0), (1,), (0,))
+    tn = ThreeNJParams(np.int64(1), np.array([0, 1, 0]), (1,), (0,))
+    assert tn == ThreeNJParams(1, (0, 1, 0), (1,), (0,))
+    for v in (mb.nu + mb.x + mb.lam + (tn.x,) + tn.n + tn.r + tn.s):
+        assert type(v) is int
 
 
 def test_multi_qbessel_single_variable_reduction(ctx05):

@@ -1,4 +1,5 @@
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -461,6 +462,31 @@ def test_qbessel_lattice_one_entry_per_ambient_precision():
     entries = [k for k in qfunctions._J_CACHE if k[:2] == (0, -3)]
     qfunctions._J_CACHE.clear()
     assert len(entries) == 1 and values[0] == values[1]
+
+
+def test_qbessel_lattice_labels_are_integers(monkeypatch):
+    # 0.5 used to be summed as J_0(q^2) and cached under the order 0.5; numpy
+    # integers used to raise TypeError from mpf and are now read as the ints
+    # they hold, the entry stored under int labels
+    ctx = QContext("0.5")
+    monkeypatch.setattr(qfunctions, "_J_CACHE", {})
+    with pytest.raises(DomainError):
+        qbessel_lattice(0.5, 2, ctx)
+    with pytest.raises(DomainError):
+        qbessel_lattice(0, 2.5, ctx)
+    assert not qfunctions._J_CACHE
+    got = qbessel_lattice(np.int32(0), np.int64(43), ctx)
+    assert all(type(nu) is int and type(y) is int for nu, y, *_ in qfunctions._J_CACHE)
+    assert qbessel_lattice(0, 43, ctx) is got
+    monkeypatch.setattr(qfunctions, "_J_CACHE", {})
+    assert qbessel_lattice(0, 43, ctx) == got
+
+
+def test_qbessel_order_is_an_integer(ctx05):
+    # the order 1.5 used to be truncated to 1, returning J_1
+    with pytest.raises(DomainError):
+        qbessel(1.5, "0.3", ctx05)
+    assert qbessel(np.int64(1), "0.3", ctx05) == qbessel(1, "0.3", ctx05)
 
 
 def test_qbessel_high_order_prefactor():

@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -453,3 +457,62 @@ def test_campaign_orthogonality_levels_match_fresh_memos(monkeypatch):
         got = verifier._eval_multi_orthogonality(nu, lam, lam2, ctx, pol)
         assert got == multi_orthogonality_residual(nu, lam, lam2, ctx, pol)
     assert verifier._ORTHOGONALITY_LEVELS
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# the array modules a fresh interpreter has loaded, as its last line of output
+_LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('numpy', 'scipy'))))")
+
+
+def _fresh_interpreter(code: str, cwd) -> list:
+    """The array modules loaded after ``code`` runs in a new interpreter
+    that imports qcoupling from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\n{_LOADED}"],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    "import qcoupling",
+    "from qcoupling import cli\nassert cli.main(['list']) == 0",
+    "from qcoupling import cli\n"
+    f"assert cli.main(['verify', {str(ROOT / 'demos' / 'plan_example.json')!r}, "
+    "'--out', 'report.jsonl']) == 0",
+], ids=["import", "list", "verify-demo-plan"])
+def test_fresh_interpreter_loads_no_array_stack(code, tmp_path):
+    # only the truncated matrix model runs on numpy and scipy; the package,
+    # the listing and a campaign without yang-baxter cases never import them
+    assert _fresh_interpreter(code, tmp_path) == []
+
+
+# the clock of eval_single records, at each reading, whether scipy.sparse is loaded
+_CLOCK = """import time, types
+from qcoupling import verifier
+loaded_at_clock = []
+def clock():
+    loaded_at_clock.append('scipy.sparse' in sys.modules)
+    return time.perf_counter()
+verifier.time = types.SimpleNamespace(perf_counter=clock)
+"""
+_YB = {"u": 0, "v": 0, "w": 0, "lo": -4, "hi": 4}
+
+
+@pytest.mark.parametrize("code", [
+    "plan = verifier.CampaignPlan.from_dict("
+    f"{{'identity': 'yang-baxter', 'grid': {_YB!r}, 'q': [0.5]}})\n"
+    "assert 'scipy.sparse' in sys.modules\n"
+    "results, _ = verifier.run_campaign([plan])\n"
+    "assert results[0].residual > 0.1 and loaded_at_clock == [True, True]",
+    f"res = verifier.eval_single('yang-baxter', {_YB!r}, 0.5)\n"
+    "assert res.residual > 0.1 and loaded_at_clock == [True, True]",
+], ids=["validated-plan", "eval-single"])
+def test_yang_baxter_loads_the_array_stack_before_its_clock(code, tmp_path):
+    # a yang-baxter campaign or eval pays for the numpy and scipy import
+    # before any case's wall_time starts, never inside its first case
+    loaded = _fresh_interpreter(_CLOCK + code, tmp_path)
+    assert "scipy.sparse" in loaded and "numpy" in loaded
