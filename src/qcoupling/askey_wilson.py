@@ -3,6 +3,8 @@
 The one-variable polynomial is evaluated through a prefactor-merged
 terminating sum, which stays finite where the conventional split into
 prefactor times balanced series hits a removable 0 x infinity collision.
+The sum is a terminating 4phi3 of the fixed-point series kernel, with the
+prefactor's Pochhammer symbols folded in as backward running tails.
 The d-variable coupled product follows the chained-parameter convention.
 
 The limit schedule drives degrees, parameters and arguments to the lattice
@@ -18,7 +20,8 @@ from typing import List, Tuple
 import mpmath as mp
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
-from .qcore import at_working_precision, QContext, qpoch_finite, qpoch_infinite
+from .qcore import (QContext, _phi_fixed, at_working_precision, lost_digits, qpoch_finite,
+                    qpoch_infinite, series_prec)
 from .multivariate import MultiBesselParams, multi_qbessel
 
 __all__ = [
@@ -69,56 +72,34 @@ class MultiAWParams:
 def aw_poly(p: AWParams, ctx: QContext) -> mp.mpf:
     """Askey-Wilson polynomial p_n(x; a,b,c,d | q).
 
-    Equals (ab,ac,ad;q)_n a^{-n} times the terminating balanced series; the
-    merged sum below is that product with the Pochhammer tails folded into
-    each term, so parameter collisions like ac = 1 stay finite.  Genuine
-    poles (a lower-parameter q-power crossing inside the series in the split
-    form) do not occur in the merged form.
+    (ab,ac,ad;q)_n a^{-n} 4phi3(q^{-n}, abcdq^{n-1}, ax, a/x; ab, ac, ad; q, q),
+    the Pochhammer tails folded into each term (``qcore._phi_fixed`` with
+    ``fold``), so collisions like ac = 1 stay finite.  The sum's error is
+    absolute and term 0 may vanish, so digits lost count against the largest
+    term or 1; past the guard (first 15) it is re-summed with a guard of
+    those digits plus 15.  The value is rounded to the working precision
+    plus five digits, or to the caller's precision when that is higher.
     """
     if mp.mpf(p.a) == 0:
         raise PoleInLowerParameter("parameter a must be nonzero")
+    q, n = ctx.q, p.n
     guard = 15
     for _ in range(6):
         with ctx.workdps(guard):
-            out, lost = _aw_merged_sum(p, ctx)
+            # mpf parameters enter as given, whatever precision they carry
+            x, a, b, c, d = (mp.convert(v) for v in (p.x, p.a, p.b, p.c, p.d))
+            prec = series_prec()
+            total, largest, _, _ = _phi_fixed(
+                [q ** -n, a * b * c * d * q ** (n - 1), a * x, a / x], [a * b, a * c, a * d],
+                q, ctx, prec, None, nterm=n, fold=True)
+            total = mp.mpf((total, -prec))
+            lost = lost_digits(max(mp.mpf((largest, -prec)), 1), total)
+            out = total / a ** n
         if lost <= guard:
-            return +out
-        # the terms cancelled to more digits than the guard held: re-sum with
-        # a guard sized to that cancellation (a total that was pure roundoff
-        # understates it, hence the loop)
+            with mp.workdps(max(ctx.working_precision + 5, mp.mp.dps)):
+                return +out
         guard = lost + 15
-    raise NonConvergent(f"Askey-Wilson sum of degree {p.n} lost more than {guard} digits")
-
-
-def _aw_merged_sum(p: AWParams, ctx: QContext):
-    """(the merged sum over a^n, digits lost to cancellation) at the active precision.
-
-    The lost digits are log10 of the largest term over |total|; a total that
-    cancels to zero counts as every digit lost.
-    """
-    q = ctx.q
-    n = p.n
-    # mpf parameters enter as given, whatever precision they carry
-    x = mp.convert(p.x)
-    a, b, c, d = (mp.convert(v) for v in (p.a, p.b, p.c, p.d))
-    B = a * b * c * d * q ** (n - 1)
-    total = mp.mpf(0)
-    largest = mp.mpf(0)
-    num = mp.mpf(1)  # (q^{-n}, B, ax, a/x; q)_k q^k / (q;q)_k
-    for k in range(n + 1):
-        tail = qpoch_finite(a * b * q ** k, ctx, n - k) \
-            * qpoch_finite(a * c * q ** k, ctx, n - k) \
-            * qpoch_finite(a * d * q ** k, ctx, n - k)
-        term = num * tail
-        total += term
-        largest = max(largest, abs(term))
-        num *= (1 - q ** (k - n)) * (1 - B * q ** k) * (1 - a * x * q ** k) \
-            * (1 - a / x * q ** k) * q / (1 - q ** (k + 1))
-    if total == 0:
-        lost = mp.mp.dps
-    else:
-        lost = max(0, int(mp.ceil(mp.log10(largest / abs(total)))))
-    return total / a ** n, lost
+    raise NonConvergent(f"Askey-Wilson sum of degree {n} lost more than {guard} digits")
 
 
 def _chain_factors(p: MultiAWParams, ctx: QContext):

@@ -239,9 +239,9 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     from ``qcore.qpower``, once per call; the memo holds only level results.
     """
     policy = policy or TruncationPolicy()
-    nu = tuple(int(v) for v in nu)
-    lam = tuple(int(v) for v in lam)
-    lamp = tuple(int(v) for v in lam_prime)
+    nu = _label_vector(nu, "nu")
+    lam = _label_vector(lam, "lam")
+    lamp = _label_vector(lam_prime, "lam_prime")
     d = len(lam)
     if len(lamp) != d or len(nu) != d + 2:
         raise DomainError("label lengths inconsistent")
@@ -511,9 +511,9 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
     narrow for the chain, say).
     """
     policy = policy or TruncationPolicy()
-    n = tuple(int(v) for v in n)
-    r = tuple(int(v) for v in r)
-    s = tuple(int(v) for v in s)
+    n = _label_vector(n, "n")
+    r = _label_vector(r, "r")
+    s = _label_vector(s, "s")
     k = len(r)
     if len(s) != k or len(n) != k + 2:
         raise DomainError("label lengths inconsistent")
@@ -549,8 +549,9 @@ def multi_cg(x: int, r: Sequence[int], n: Sequence[int], ctx: QContext) -> float
     prod_{j=1..k+1} C_{r_{j-1}, n_j, r_j} with r_0 = x and r_{k+1} = n_{k+2};
     zero as soon as any factor's negative-index convention fires.
     """
-    r = tuple(int(v) for v in r)
-    n = tuple(int(v) for v in n)
+    x = integer_label(x, "x")
+    r = _label_vector(r, "r")
+    n = _label_vector(n, "n")
     k = len(r)
     if len(n) != k + 2:
         raise DomainError("need len(n) = len(r) + 2")
@@ -568,8 +569,8 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
                           policy: Optional[TruncationPolicy] = None) -> mp.mpf:
     """Residual of C_{x,r,n} = sum_s R^{x,n}_{r,s} C_{x, hat s, hat n}."""
     policy = policy or TruncationPolicy()
-    r = tuple(int(v) for v in r)
-    n = tuple(int(v) for v in n)
+    r = _label_vector(r, "r")
+    n = _label_vector(n, "n")
     k = len(r)
     lhs = mp.mpf(multi_cg(x, r, n, ctx))
     weight = _weights(ctx)

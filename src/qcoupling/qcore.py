@@ -5,8 +5,10 @@ convention, and the one engine for truncated sums over all integers,
 ``bilateral_sum``, with its tail-error estimate.
 
 Every value is carried at the precision of its QContext and every public
-value is an ``mpmath.mpf``.  The q-Pochhammer symbols and ``rphis`` run on
-mpmath reals.  ``bilateral_sum`` adds its terms on Python integers: a term
+value is an ``mpmath.mpf``.  The q-Pochhammer symbols run on mpmath reals;
+every basic hypergeometric series (``rphis``, the J series, the Askey-Wilson
+sum) on integers in one fixed-point loop, ``_phi_fixed``.  ``bilateral_sum``
+adds its terms on Python integers: a term
 is an exact pair (m, e) for m 2^e (``mantissa`` turns an mpf into one), and
 a window's terms are added in units lying ``_level_bits`` (the working
 precision in bits plus 64) below its largest term.  Powers of q^{1/2} come
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, repr_dps, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, repr_dps, round_nearest, to_fixed
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 
@@ -253,8 +255,7 @@ def qpoch_infinite(a, ctx: QContext, policy: Optional[TruncationPolicy] = None) 
 
 
 def _as_qpower(a, ctx: QContext, limit: int) -> Optional[int]:
-    """Return n >= 0 if a == q^{-n} to working accuracy, else None."""
-    a = mp.mpf(a)
+    """Return n >= 0 if the mpf a == q^{-n} to working accuracy, else None."""
     if a < 1:
         return None
     n = int(mp.nint(-mp.log(a) / mp.log(ctx.q)))
@@ -265,72 +266,137 @@ def _as_qpower(a, ctx: QContext, limit: int) -> Optional[int]:
 
 def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
           policy: Optional[TruncationPolicy] = None) -> SeriesResult:
-    """Basic hypergeometric series r_phi_s(upper; lower; q, z).
+    """Basic hypergeometric series r_phi_s(upper; lower; q, z), by ``_phi_fixed``.
 
     Gasper-Rahman convention: the k-th term carries
     [(-1)^k q^{k(k-1)/2}]^{1+s-r}.  An upper parameter q^{-n} terminates the
     sum at k = n exactly (est_error 0); a lower parameter q^{-m} reached by
-    the summation raises PoleInLowerParameter.
+    the summation raises PoleInLowerParameter.  An open sum's estimate is
+    2 thr / (1 - q), thr its last stop threshold.
     """
     policy = policy or TruncationPolicy()
-    q = ctx.q
-    z = mp.mpf(z)
     upper = [mp.mpf(a) for a in upper]
     lower = [mp.mpf(b) for b in lower]
-    extra_power = 1 + len(lower) - len(upper)
-
-    nterm = None
-    for a in upper:
-        n = _as_qpower(a, ctx, policy.max_terms)
-        if n is not None:
-            nterm = n if nterm is None else min(nterm, n)
+    z = mp.mpf(z)
+    ends = [_as_qpower(a, ctx, policy.max_terms) for a in upper]
+    nterm = min((n for n in ends if n is not None), default=None)
     for b in lower:
         m = _as_qpower(b, ctx, policy.max_terms)
         if m is not None and (nterm is None or m < nterm):
             raise PoleInLowerParameter(f"lower parameter q^-{m} hit by the series")
 
-    # cancellation-aware cutoff: the discarded tail must sit below the
-    # roundoff floor of the summation itself, which is set by the largest
-    # term at the active precision, not by an absolute tolerance
-    total = mp.mpf(0)
-    term = mp.mpf(1)
-    max_term = mp.mpf(1)
-    tol = mp.mpf(policy.tail_tol)
-    eps = mp.mpf(10) ** (-(mp.mp.dps - 5))
-    thr = min(tol, max_term * eps)
-    k = 0
-    small = 0
-    while True:
-        total += term
-        if nterm is not None and k == nterm:
-            return SeriesResult(total, mp.mpf(0), k + 1, True)
-        qk = q ** k
-        num = mp.mpf(1)
-        for a in upper:
-            num *= 1 - a * qk
-        den = 1 - q ** (k + 1)
-        for b in lower:
-            den *= 1 - b * qk
+    # z below 1, and for r > s + 1 the divisors q^k of a terminating sum, keep
+    # their relative precision: the unit drops by the bits they fall below 1
+    prec = series_prec() + (max(0, -mp.mag(z)) if z else 0)
+    if len(upper) > len(lower) + 1 and nterm:
+        prec += (len(upper) - len(lower) - 1) * nterm * (1 - mp.mag(ctx.q))
+    total, _, thr, terms = _phi_fixed(upper, lower, z, ctx, prec, policy, nterm)
+    est = 2 * mp.mpf((thr, -prec)) / (1 - ctx.q)  # 0 for a terminating sum
+    return SeriesResult(mp.mpf((total, -prec)), est, terms, bool(est <= policy.tail_tol))
+
+
+def series_prec() -> int:
+    """The bits of ``_phi_fixed``'s unit: the mpmath precision plus 20."""
+    return mp.mp.prec + 20
+
+
+def lost_digits(largest: mp.mpf, total: mp.mpf) -> int:
+    """log10(largest / |total|) from the binary exponents (2^(mag-1) <= |v| <
+    2^mag), rounded up by under one digit; all mpmath digits for a total of 0."""
+    if not total:
+        return mp.mp.dps
+    return math.ceil((mp.mag(largest) - mp.mag(total) + 1) * math.log10(2))
+
+
+@functools.lru_cache(maxsize=256)
+def _stop_units(tail_tol: float, dps: int, work_prec: int, prec: int) -> Tuple[int, int]:
+    """tail_tol, at least one unit so that terms underflowing to 0 count as
+    small, and 10^(5-dps) formed at work_prec bits, in units of 2^-prec."""
+    with mp.workprec(work_prec):
+        return (max(to_fixed(mp.mpf(tail_tol)._mpf_, prec), 1),
+                to_fixed((mp.mpf(10) ** (5 - dps))._mpf_, prec))
+
+
+def _phi_fixed(upper: Sequence[mp.mpf], lower: Sequence[mp.mpf], z: mp.mpf, ctx: QContext,
+               prec: int, policy: Optional[TruncationPolicy], nterm: Optional[int] = None,
+               fold: bool = False):
+    """The one series loop: r_phi_s(upper; lower; q, z) on Python integers.
+
+    The mpf arguments are cut to units of 2^-prec (prec >= ``series_prec()``),
+    which also hold the running q^k, a q^k, b q^k and z q^{ek}, e = 1 + s - r
+    counting every parameter (e < 0 divides by q^{-ek}).  Zero parameters drop
+    out; a term costs a few integer products and one floor division.  The sum
+    ends at k = nterm if given, else after three terms below thr =
+    min(tail_tol, largest 10^-(dps-5)).  fold returns a terminating sum times
+    (b_1..b_s; q)_nterm, each (b; q)_k folded into the tail (b q^k; q)_{nterm-k}:
+    finite where (b; q)_nterm vanishes.  Returns the sum, its largest term and
+    the last thr (0 when terminating) in units of 2^-prec, and the term count.
+    """
+    one = 1 << prec
+    q = to_fixed(ctx.q._mpf_, prec)
+    z = to_fixed(z._mpf_, prec)
+    extra = 1 + len(lower) - len(upper)
+    ups = [to_fixed(a._mpf_, prec) for a in upper if a]
+    lows = [to_fixed(b._mpf_, prec) for b in lower if b]
+    tails = None
+    if fold:  # tails[k] = (b q^k; q)_{nterm-k}, a backward running product
+        runs = [lows]
+        while len(runs) < nterm:
+            runs.append([b * q >> prec for b in runs[-1]])
+        tails = [one]
+        for bs in reversed(runs[:nterm]):
+            tails.append(math.prod(one - b for b in bs) * tails[-1] >> prec * len(bs))
+        tails.reverse()
+        lows = []
+    lift = (len(lows) - len(ups) - min(extra, 0)) * prec
+    up, down, neg = max(lift, 0), max(-lift, 0), extra & 1
+    # q^e in units; for e = 1 that is q itself, as in the J loop this replaced
+    qe = q ** extra >> prec * (extra - 1) if extra > 0 else 0
+    qk = term = one
+    total = one if tails is None else tails[0]
+    largest = abs(total)
+    tol, eps = _stop_units(policy.tail_tol, mp.mp.dps, mp.mp.prec, prec) if nterm is None \
+        else (0, 0)
+    thr = min(tol, eps)
+    k = small = 0
+    while k != nterm:
+        qk1 = qk * q >> prec
+        num = term * z
+        if ups:  # the J series has none, and it runs this loop most
+            for i, a in enumerate(ups):
+                num *= one - a
+                ups[i] = a * q >> prec
+        den = one - qk1
+        for i, b in enumerate(lows):
+            den *= one - b
+            lows[i] = b * q >> prec
+        if extra < 0:
+            den *= qk ** -extra
         if den == 0:
             raise PoleInLowerParameter("zero denominator during summation")
-        term = term * num / den * z
-        if extra_power:
-            term *= (-qk) ** extra_power
+        if neg:
+            num = -num
+        term = (num << up) // (den << down)
         k += 1
-        if abs(term) > max_term:
-            max_term = abs(term)
-            thr = min(tol, max_term * eps)
+        qk = qk1
+        if qe:
+            z = z * qe >> prec
+        w = term if tails is None else term * tails[k] >> prec
+        total += w
+        size = abs(w)
+        if size > largest:
+            largest = size
+            thr = min(tol, largest * eps >> prec)
         if nterm is None:
-            if abs(term) < thr:
+            if size < thr:
                 small += 1
                 if small >= 3:
-                    total += term
-                    est = 2 * thr / (1 - q)
-                    return SeriesResult(total, est, k + 1, bool(est <= tol))
+                    break
             else:
                 small = 0
             if k > policy.max_terms:
-                raise NonConvergent("rphis exhausted max_terms")
+                raise NonConvergent("r_phi_s series exhausted max_terms")
+    return total, largest, thr, k + 1
 
 
 def mantissa(v: mp.mpf) -> Tuple[int, int]:

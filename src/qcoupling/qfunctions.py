@@ -3,6 +3,8 @@
 Wall polynomials (plain, and orthonormalized columns in the degree), the
 third Jackson q-Bessel function for every integer order, and the
 generating-function residual checks that tie the two families together.
+Every series here is ``qcore.rphis`` or, for q-Bessel, the 1phi1 case of
+its fixed-point kernel; the orthonormal Wall columns are a recurrence.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from typing import Optional
 import mpmath as mp
 from mpmath.libmp import mpf_pow_int, to_fixed
 
-from .errors import DomainError, NonConvergent, PoleInLowerParameter
-from .qcore import (QContext, SeriesResult, TruncationPolicy, exact_product, integer_label, mantissa,
-                    qpoch_finite, qpoch_infinite, qpower, rounded, rphis, tail_estimate,
-                    tail_threshold)
+from .errors import DomainError, NonConvergent
+from .qcore import (QContext, SeriesResult, TruncationPolicy, _phi_fixed, exact_product,
+                    integer_label, lost_digits, mantissa, qpoch_finite, qpoch_infinite, qpower,
+                    rounded, rphis, series_prec, tail_estimate, tail_threshold)
 
 __all__ = [
     "WallParams",
@@ -68,7 +70,8 @@ def wall_poly_alt(p: WallParams, ctx: QContext) -> mp.mpf:
         pre = (-a) ** p.n * mp.power(q, mp.mpf(p.n) * (p.n + 1) / 2) / qpoch_finite(a * q, ctx, p.n)
         r = rphis([q ** (-p.n), q ** (-p.x)], [], ctx, q ** p.x / a)
         out = pre * r.value
-    return +out
+    with mp.workdps(max(ctx.working_precision + 5, mp.mp.dps)):
+        return +out
 
 
 def wall_orthonormal_run(x: int, a, ctx: QContext, nmax: int) -> list:
@@ -241,22 +244,20 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
     return _series(nu, x, None, ctx, policy)
 
 
-_LOG10_2 = math.log10(2)
-
-
 def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
             policy: Optional[TruncationPolicy]) -> mp.mpf:
     """J_nu(x) = x^{nu/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q x), nu >= 0.
 
     x is q^lattice_y when lattice_y is given.  The 1phi1 and (q;q)_nu come
-    from ``_phi11_fixed``, which sums in integer fixed point; only x^{nu/2}
-    and the final products are mpf operations.  For large arguments (y < 0)
-    the terms grow to about q^{-(y+1)^2/2} before the quadratic factor takes
-    over, so guard digits of that size are added and re-widened until two
-    evaluations agree.  For y >= 0 the terms still grow like 1/(q;q)_k^2
-    when q is near 1, so a sum that cancels more digits than its guard
-    spares is re-summed with a guard sized to that cancellation.
-    NonConvergent if eight rounds never settle.
+    from ``_phi11`` in integer fixed point; since term 0 is 1, its absolute
+    error is no larger, relative to the largest term, than mpf rounding
+    would leave.  Only x^{nu/2} and the final products are mpf operations.
+    For large arguments (y < 0) the terms grow to about q^{-(y+1)^2/2}
+    before the quadratic factor takes over, so guard digits of that size
+    are added and re-widened until two evaluations agree.  For y >= 0 the
+    terms still grow like 1/(q;q)_k^2 when q is near 1, so a sum that
+    cancels more digits than its guard spares is re-summed with a guard
+    sized to that cancellation.  NonConvergent if eight rounds never settle.
     """
     q = ctx.q
     policy = policy or TruncationPolicy()
@@ -274,13 +275,10 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
             # the lattice argument is re-raised at full precision each round;
             # a low-precision argument would poison the cancellation
             xw = q ** lattice_y if lattice_y is not None else x
-            total, max_term, poch = _phi11_fixed(nu, q * xw, ctx, policy)
+            total, largest, poch = _phi11(nu, q * xw, ctx, policy)
             val = xw ** (mp.mpf(nu) / 2) / poch * total
             if y >= 0:
-                # 2^(mag-1) <= |v| < 2^mag, so this bounds log10(max_term / |total|)
-                # from above, by less than one digit
-                lost = math.ceil((mp.mag(max_term) - mp.mag(total) + 1) * _LOG10_2) \
-                    if total else mp.mp.dps
+                lost = lost_digits(largest, total)
                 if lost <= guard - 5:
                     break
                 wider = lost + 10
@@ -299,71 +297,24 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
         return +val
 
 
-def _phi11_fixed(nu: int, z, ctx: QContext, policy: TruncationPolicy):
-    """(1phi1(0; q^{nu+1}; q, z), its largest term, (q;q)_nu) as mpf values.
-
-    The sum runs on Python integers scaled by 2^prec, prec being the current
-    mpmath precision plus 20 bits, with the running powers q^k, q^{nu+1+k}
-    and z q^k, so each term costs a few integer products and one division.
-    The error is absolute, about one unit of 2^-prec per operation carried
-    along the terms; since term 0 is 1, the largest term is at least 1 and
-    that error is no larger, relative to it, than mpf rounding would leave.
-    (q;q)_nu shares the factors 1 - q^{k+1} of the denominators; it is kept
-    as a mantissa of prec bits and a binary exponent, so its relative
-    accuracy does not drop as the product shrinks.
-
-    The stop rule is ``rphis``'s: three consecutive terms below
-    min(tail_tol, max_term 10^-(dps-5)), NonConvergent past max_terms, and
-    PoleInLowerParameter for a zero denominator.
-    """
-    prec = mp.mp.prec + 20
+def _phi11(nu: int, z, ctx: QContext, policy: TruncationPolicy):
+    """(1phi1(0; q^{nu+1}; q, z), its largest term, (q;q)_nu) as mpf values:
+    the 1phi1 case of ``qcore._phi_fixed``, and the product of its factors
+    1 - q^{k+1} kept as a mantissa of prec bits and a binary exponent."""
+    prec = series_prec()
     one = 1 << prec
+    total, largest, _, _ = _phi_fixed([0], [mp.make_mpf(mpf_pow_int(ctx.q._mpf_, nu + 1, prec))],
+                                      mp.mpf(z), ctx, prec, policy)
     q = to_fixed(ctx.q._mpf_, prec)
-    bqk = to_fixed(mpf_pow_int(ctx.q._mpf_, nu + 1, prec), prec)  # q^{nu+1+k}
-    zqk = to_fixed(mp.mpf(z)._mpf_, prec)                          # z q^k
-    # at least one unit, so terms that underflow to zero count as small
-    tol = max(to_fixed(mp.mpf(policy.tail_tol)._mpf_, prec), 1)
-    eps = to_fixed((mp.mpf(10) ** (5 - mp.mp.dps))._mpf_, prec)
-    qk = total = term = max_term = one
-    thr = min(tol, eps)
-    pman, pexp = 1, 0  # (q;q)_k = pman 2^pexp
-    k = small = 0
-    while True:
-        qk1 = (qk * q) >> prec
-        den = (one - qk1) * (one - bqk)
-        if den == 0:
-            raise PoleInLowerParameter("zero denominator during summation")
-        if k < nu:
-            pman, pexp = _times(pman, pexp, one - qk1, prec)
-        term = -((term * zqk) << prec) // den
-        total += term
-        k += 1
-        qk = qk1
-        bqk = (bqk * q) >> prec
-        zqk = (zqk * q) >> prec
-        size = abs(term)
-        if size > max_term:
-            max_term = size
-            thr = min(tol, (max_term * eps) >> prec)
-        if size < thr:
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        if k > policy.max_terms:
-            raise NonConvergent("1phi1 series exhausted max_terms")
-    for _ in range(k, nu):
-        qk = (qk * q) >> prec
-        pman, pexp = _times(pman, pexp, one - qk, prec)
-    return mp.mpf((total, -prec)), mp.mpf((max_term, -prec)), mp.mpf((pman, pexp))
-
-
-def _times(man: int, exp: int, factor: int, prec: int):
-    """man 2^exp times the fixed-point factor 2^-prec, cut back to prec bits."""
-    man *= factor
-    shift = max(man.bit_length() - prec, 0)
-    return man >> shift, exp - prec + shift
+    man, exp, qk = 1, -nu * prec, one
+    for _ in range(nu):
+        qk = qk * q >> prec
+        man *= one - qk
+        shift = man.bit_length() - prec
+        if shift > 0:
+            man >>= shift
+            exp += shift
+    return mp.mpf((total, -prec)), mp.mpf((largest, -prec)), mp.mpf((man, exp))
 
 
 def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy,

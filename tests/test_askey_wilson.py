@@ -3,10 +3,11 @@ import random
 import mpmath as mp
 import pytest
 
-from qcoupling import (AWParams, LimitSchedule, MultiAWParams, aw_poly, limit_check,
+from qcoupling import (AWParams, LimitSchedule, MultiAWParams, QContext, aw_poly, limit_check,
                        multi_aw, qpoch_finite, qpoch_infinite)
 from qcoupling.askey_wilson import _limit_target
 from qcoupling.errors import DomainError
+from series_oracles import mpf_aw_poly
 
 
 def test_aw_degree_zero(ctx05):
@@ -64,6 +65,23 @@ def test_aw_symmetry_guard_follows_cancellation():
     for n in (14, 20):
         result = eval_single("aw-symmetry", {"n": n}, 0.3)
         assert result.passed and result.residual < 1e-25
+
+
+def test_aw_and_wall_alt_keep_the_working_precision_at_low_ambient_precision():
+    # both used to round their value to the caller's mp.dps: at the default 15
+    # digits the result was a 53-bit float, off by 1.4e-17 and 7.1e-17
+    from qcoupling import WallParams, wall_poly, wall_poly_alt
+
+    ctx = QContext("0.5", 40)
+    p = AWParams(6, "0.8", "0.3", "0.45", "0.2", "0.15")
+    w = WallParams(5, 3, "0.5")
+    with mp.workdps(15):
+        aw, alt = aw_poly(p, ctx), wall_poly_alt(w, ctx)
+    with mp.workdps(80):
+        want_aw = mpf_aw_poly(p, QContext("0.5", 70))
+        want_wall = wall_poly(w, QContext("0.5", 70))
+        assert abs(aw - want_aw) <= mp.mpf(10) ** -40 * abs(want_aw)
+        assert abs(alt - want_wall) <= mp.mpf(10) ** -40 * abs(want_wall)
 
 
 def test_aw_collision_is_finite(ctx05):

@@ -55,6 +55,28 @@ def test_params_read_numpy_integers_as_ints():
         assert type(v) is int
 
 
+_SMALL = TruncationPolicy(bilateral_window=(-6, 6), adaptive=False)
+
+
+@pytest.mark.parametrize("call, labels, bad", [
+    (lambda ctx, nu, lam, lam2: multi_orthogonality_residual(nu, lam, lam2, ctx, _SMALL).value,
+     ((0, 1, 0), (1,), (1,)), ((0, 1.7, 0), (1,), (1,))),
+    (lambda ctx, x, n, r, s: verify_S_composition(x, n, r, s, ctx, _SMALL).value,
+     (1, (0, 1, -1), (1,), (0,)), (1, (0, 1, -1), (0.9,), (0,))),
+    (lambda ctx, x, r, n: multi_cg(x, r, n, ctx),
+     (1, (0,), (0, 1, 0)), (1, (0.9,), (0, 1, 0))),
+    (lambda ctx, x, r, n: cg_expansion_residual(x, r, n, ctx, _SMALL),
+     (2, (1,), (0, 1, 1)), (2, (1,), (0, 1, 1.5))),
+], ids=["multi-orthogonality", "S-composition", "multi-cg", "cg-expansion"])
+def test_residual_labels_are_read_as_integers(ctx05, call, labels, bad):
+    # int() used to read nu = (0, 1.7, 0) as (0, 1, 0) and r = (0.9,) as (0,);
+    # a numpy integer is read as the int it holds
+    with pytest.raises(DomainError):
+        call(ctx05, *bad)
+    as_numpy = [np.array(v) if isinstance(v, tuple) else np.int64(v) for v in labels]
+    assert call(ctx05, *as_numpy) == call(ctx05, *labels)
+
+
 def test_multi_qbessel_single_variable_reduction(ctx05):
     nu = (1, 2, 0)
     x, lam = (1,), (-1,)

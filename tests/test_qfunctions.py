@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcoupling import (QContext, TruncationPolicy, WallParams, genfun_check, qbessel,
-                       qbessel_lattice, qpoch_finite, qpoch_infinite, rphis, wall_genfun_check,
+                       qbessel_lattice, qpoch_finite, qpoch_infinite, wall_genfun_check,
                        wall_orthonormal_run, wall_poly, wall_poly_alt)
 from qcoupling import qfunctions
 from qcoupling.qcore import cached
 from qcoupling.errors import DomainError, NonConvergent
+from series_oracles import mpf_rphis
 
 
 def test_wall_degree_zero(ctx05):
@@ -254,7 +255,7 @@ def test_qbessel_series_rounds_that_never_agree_raise(ctx05, monkeypatch):
         calls.append(1)
         return mp.mpf(len(calls)), mp.mpf(len(calls)), mp.mpf(1)
 
-    monkeypatch.setattr(qfunctions, "_phi11_fixed", drifting)
+    monkeypatch.setattr(qfunctions, "_phi11", drifting)
     with pytest.raises(NonConvergent):
         qbessel(1, 7, ctx05)
     assert len(calls) == 8
@@ -284,9 +285,10 @@ def _largest_phi11_term(nu, z, ctx):
     return top
 
 
-def _rphis_j(nu, x, ctx):
-    """J_nu(x) for nu >= 0 from ``rphis`` and ``qpoch_finite``, at a precision
-    that covers the series' cancellation: the reference for the fixed-point kernel."""
+def _mpf_rphis_j(nu, x, ctx):
+    """J_nu(x) for nu >= 0 from the mpf series loop (``series_oracles.mpf_rphis``)
+    and ``qpoch_finite``, at a precision that covers the series' cancellation:
+    the reference for the fixed-point kernel."""
     q = ctx.q
     with ctx.workdps(10):
         x = mp.mpf(x)
@@ -294,7 +296,7 @@ def _rphis_j(nu, x, ctx):
     extra = 30 + int(mp.ceil(max(-y, 0) ** 2 * mp.log(1 / q, 10)))
     while True:
         with ctx.workdps(extra):
-            series = rphis([mp.mpf(0)], [q ** (nu + 1)], ctx, q * x)
+            series, _ = mpf_rphis([mp.mpf(0)], [q ** (nu + 1)], ctx, q * x)
             lost = mp.log10(_largest_phi11_term(nu, q * x, ctx) / abs(series.value))
             if lost < extra - 20:
                 return x ** (mp.mpf(nu) / 2) / qpoch_finite(q, ctx, nu) * series.value
@@ -306,7 +308,7 @@ def _rphis_j(nu, x, ctx):
        n=st.integers(0, 60), m=st.integers(0, 60),
        x=st.one_of(st.none(), st.floats(0, 20, exclude_min=True)))
 def test_qbessel_kernel_matches_rphis(q, wp, n, m, x):
-    # the fixed-point kernel against the mpf rphis path: a canonical lattice
+    # the fixed-point kernel against the mpf series loop: a canonical lattice
     # pair 0 <= n <= m, or an off-lattice argument x in (0, 20]
     ctx = QContext(q, wp)
     n, m = min(n, m), max(n, m)
@@ -316,7 +318,7 @@ def test_qbessel_kernel_matches_rphis(q, wp, n, m, x):
             x = ctx.q ** m
     else:
         got = qbessel(n, x, ctx)
-    want = _rphis_j(n, x, ctx)
+    want = _mpf_rphis_j(n, x, ctx)
     with mp.workdps(wp + 20):
         assert abs(got - want) <= mp.mpf(10) ** (-wp) * abs(want)
 
