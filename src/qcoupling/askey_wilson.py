@@ -216,10 +216,13 @@ def _limit_target(s: LimitSchedule, ctx: QContext) -> mp.mpf:
 def limit_check(s: LimitSchedule, ctx: QContext) -> List[LimitPoint]:
     """Relative error of the normalized chain product against its lattice limit.
 
-    Each scheduled m is evaluated at precision scaled with m (the normalizer
-    cancels q^{-m^2}-scale growth only after exact-looking cancellation).
-    Points where the normalizer degenerates are skipped and reported, not
-    silently dropped.
+    At each scheduled m the limit pieces (the substituted parameters) and
+    the normalizer C, and the quotient by C, are formed at the working
+    precision plus 30 + g m digits, g = ceil(16 log2(1/q)): C cancels
+    q^{-m^2}-scale growth.  ``multi_aw`` runs at the working precision plus
+    10 digits, and each ``aw_poly`` in it widens its guard by the
+    digits its sum loses, not by m.  Points where the normalizer
+    degenerates are skipped and reported, not silently dropped.
     """
     d = s.d
     Lam = (s.nu[0],) + s.lambda_vector()

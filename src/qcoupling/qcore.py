@@ -274,6 +274,12 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
     the summation raises PoleInLowerParameter.  An open sum's estimate is
     2 thr / (1 - q), thr its last stop threshold.
     """
+    return _rphis(upper, lower, ctx, z, policy)[0]
+
+
+def _rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
+           policy: Optional[TruncationPolicy]) -> Tuple[SeriesResult, mp.mpf]:
+    """``rphis`` and the largest term of its sum."""
     policy = policy or TruncationPolicy()
     upper = [mp.mpf(a) for a in upper]
     lower = [mp.mpf(b) for b in lower]
@@ -290,9 +296,10 @@ def rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
     prec = series_prec() + (max(0, -mp.mag(z)) if z else 0)
     if len(upper) > len(lower) + 1 and nterm:
         prec += (len(upper) - len(lower) - 1) * nterm * (1 - mp.mag(ctx.q))
-    total, _, thr, terms = _phi_fixed(upper, lower, z, ctx, prec, policy, nterm)
+    total, largest, thr, terms = _phi_fixed(upper, lower, z, ctx, prec, policy, nterm)
     est = 2 * mp.mpf((thr, -prec)) / (1 - ctx.q)  # 0 for a terminating sum
-    return SeriesResult(mp.mpf((total, -prec)), est, terms, bool(est <= policy.tail_tol))
+    return (SeriesResult(mp.mpf((total, -prec)), est, terms, bool(est <= policy.tail_tol)),
+            mp.mpf((largest, -prec)))
 
 
 def series_prec() -> int:

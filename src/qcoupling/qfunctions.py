@@ -17,9 +17,10 @@ import mpmath as mp
 from mpmath.libmp import mpf_pow_int, to_fixed
 
 from .errors import DomainError, NonConvergent
-from .qcore import (QContext, SeriesResult, TruncationPolicy, _phi_fixed, exact_product,
-                    integer_label, lost_digits, mantissa, qpoch_finite, qpoch_infinite, qpower,
-                    rounded, rphis, series_prec, tail_estimate, tail_threshold)
+from .qcore import (QContext, SeriesResult, TruncationPolicy, _as_qpower, _phi_fixed, _rphis,
+                    exact_product, integer_label, lost_digits, mantissa, qpoch_finite,
+                    qpoch_infinite, qpower, rounded, rphis, series_prec, tail_estimate,
+                    tail_threshold)
 
 __all__ = [
     "WallParams",
@@ -49,15 +50,24 @@ class WallParams:
 def wall_poly(p: WallParams, ctx: QContext) -> mp.mpf:
     """Wall polynomial p_n(q^x; a; q), terminating 2phi1 form.
 
-    Terms alternate up to ~q^{-n(n+1)/2+...}, so guard digits scale with the
-    degree for full relative accuracy of small values.
+    Terms alternate up to ~q^{-n(n+1)/2+...}, so the first guard is that
+    many digits plus 15.  At small x the terms cancel further: the digits
+    lost, the largest term against the total, are counted as in
+    ``askey_wilson.aw_poly``, and past the guard the sum is redone with a
+    guard of those digits plus 15.
     """
-    q = ctx.q
-    guard = int(mp.ceil(mp.mpf(p.n) * (p.n + 1) / 2 * mp.log(1 / q, 10))) + 15
-    with ctx.workdps(guard):
-        r = rphis([q ** (-p.n), mp.mpf(0)], [mp.mpf(p.a) * q], ctx, q ** (p.x + 1))
-    with ctx.workdps(5):
-        return +r.value
+    q, n = ctx.q, p.n
+    guard = int(mp.ceil(mp.mpf(n) * (n + 1) / 2 * mp.log(1 / q, 10))) + 15
+    for _ in range(6):
+        with ctx.workdps(guard):
+            r, largest = _rphis([q ** (-n), mp.mpf(0)], [mp.mpf(p.a) * q], ctx,
+                                q ** (p.x + 1), None)
+            lost = lost_digits(largest, r.value)
+        if lost <= guard:
+            with ctx.workdps(5):
+                return +r.value
+        guard = lost + 15
+    raise NonConvergent(f"Wall sum of degree {n} lost more than {guard} digits")
 
 
 def wall_poly_alt(p: WallParams, ctx: QContext) -> mp.mpf:
@@ -385,7 +395,9 @@ def wall_genfun_check(n: int, nu: int, x, ctx: QContext,
 
     The generating relation at order nu-n and t = q^{nu+1}; the estimate
     and ``converged`` combine the LHS's and the Wall polynomial's (which
-    terminates, with estimate 0) as in ``genfun_check``.
+    terminates, with estimate 0) as in ``genfun_check``.  An x with
+    x q = q^-m, 0 <= m < n, puts a pole in the Wall sum's lower parameter and
+    raises DomainError; at m >= n the sum ends before the pole.
     """
     if n < 0:
         raise DomainError("wall_genfun_check needs n >= 0")
@@ -393,6 +405,10 @@ def wall_genfun_check(n: int, nu: int, x, ctx: QContext,
     q = ctx.q
     with ctx.workdps(15):
         x = mp.mpf(x)
+        m = _as_qpower(x * q, ctx, n - 1)
+        if m is not None:
+            raise DomainError(f"Wall generating relation needs x q != q^-m for 0 <= m < n = {n}, "
+                              f"got x = {x}: the lower parameter x q = q^-{m} is hit by the sum")
         lhs = _shifted_j_sum(nu - n, x, q ** (nu + 1), ctx, policy, "wall_genfun_check")
         pref = x ** (mp.mpf(nu - n) / 2) * qpoch_infinite(q * x, ctx).value \
             / qpoch_infinite(q, ctx).value

@@ -455,7 +455,7 @@ def _run_block(block):
 
 
 def _blocks(keys: Sequence, jobs: int) -> List[List[int]]:
-    """Task indices dealt into at most ``jobs`` blocks, one block per worker.
+    """Task indices dealt into at most ``jobs`` blocks, one block per process.
 
     The indices that share a key, which names the process tables their
     cases fill, stay in one block unless there are more of them than the
@@ -480,9 +480,12 @@ def run_campaign(plans: Sequence[CampaignPlan], jobs: int = 1):
 
     With ``jobs`` > 1 the cases that share a base and a working precision,
     and so the J table, the powers of q and the weight tables, run in one
-    worker process (see ``_blocks``); no more workers start than there are
-    blocks.  Results keep deterministic grid order whatever the execution
-    order.  A ``jobs`` below 1 raises PlanInvalid.
+    process (see ``_blocks``): at most ``jobs`` processes, this one among
+    them.  The pool forks one worker per block after the first before this
+    process runs the first block, so no worker inherits that block's table
+    entries; a plan dealt into one block starts no pool.  Results keep deterministic
+    grid order whatever the execution order.  A ``jobs`` below 1 raises
+    PlanInvalid.
     """
     if jobs < 1:
         raise PlanInvalid(f"jobs must be at least 1, got {jobs}")
@@ -497,12 +500,17 @@ def run_campaign(plans: Sequence[CampaignPlan], jobs: int = 1):
                 keys.append(key)
     if jobs > 1 and tasks:
         blocks = _blocks(keys, jobs)
+        work = [[tasks[i] for i in block] for block in blocks]
+        if len(work) == 1:
+            done = [_run_block(work[0])]
+        else:
+            with ProcessPoolExecutor(max_workers=len(work) - 1) as pool:
+                rest = pool.map(_run_block, work[1:])  # submits, and so forks, every worker
+                done = [_run_block(work[0]), *rest]
         results = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            done = pool.map(_run_block, [[tasks[i] for i in block] for block in blocks])
-            for block, block_results in zip(blocks, done):
-                for i, result in zip(block, block_results):
-                    results[i] = result
+        for block, block_results in zip(blocks, done):
+            for i, result in zip(block, block_results):
+                results[i] = result
     else:
         results = [_run_case(t) for t in tasks]
 

@@ -53,6 +53,18 @@ def test_wall_closed_form_consistency(qs):
                 assert abs(v1 - v2) <= 1e-12 * max(abs(v1), mp.mpf("1e-30"))
 
 
+def test_wall_poly_keeps_the_working_precision_at_small_x():
+    # at x = 0 the terms cancel past the degree-sized first guard: at n = 8
+    # the value is 7.4e-22 against a largest term of 7.8e14, and that guard
+    # left it right only to 1.6e-30 (1e-20 at n = 10) at working precision 30
+    for n in (8, 10):
+        p = WallParams(n, 0, 0.5)
+        ref = wall_poly(p, QContext(0.3, 120))
+        got = wall_poly(p, QContext(0.3, 30))
+        with mp.workdps(130):
+            assert abs(got - ref) <= abs(ref) * mp.mpf("1e-32")
+
+
 def _wall_bar_prefactor(p, ctx):
     q = ctx.q
     a = mp.mpf(p.a)
@@ -577,3 +589,14 @@ def test_wall_genfun_residuals():
     assert wall_genfun_check(0, 1, 0.5, ctx05).value < 1e-10
     assert wall_genfun_check(1, 2, 0.25, ctx05).value < 1e-10
     assert wall_genfun_check(2, 0, 0.5, ctx03).value < 1e-10
+
+
+def test_wall_genfun_rejects_a_pole_in_the_wall_sum():
+    ctx05 = QContext("0.5")
+    # x q = q^-m with m < n puts the pole of the Wall sum's lower parameter
+    # inside the sum; this failed with PoleInLowerParameter at x = 2
+    for x in (2.0, 4.0):
+        with pytest.raises(DomainError, match=f"x = {x}"):
+            wall_genfun_check(2, 1, x, ctx05)
+    # at m = n (x = 8) the sum ends before the pole
+    assert wall_genfun_check(2, 1, 8.0, ctx05).value < 1e-25

@@ -182,8 +182,8 @@ def _report(results, summary):
 
 
 def test_campaign_jobs_do_not_change_the_report():
-    # bases no other test uses, so the workers fill their tables cold; the
-    # pool runs first, so nothing is inherited from this process's tables
+    # bases no other test uses, so the workers fill their tables cold; they
+    # fork before this process runs its own block, so they inherit none of it
     mixed = [CampaignPlan.from_dict({"identity": "hankel-orthogonality",
                                      "grid": {"nu": [0], "m": [-1, 0, 1], "n": [0]},
                                      "q": ["0.37", "0.61"]}),
@@ -199,7 +199,11 @@ def test_campaign_jobs_do_not_change_the_report():
 
 
 class _InProcessPool:
-    """Stands in for the process pool, mapping in this process."""
+    """Stands in for the process pool, mapping in this process; keeps the
+    blocks of tasks it is given."""
+
+    def __init__(self):
+        self.given = []
 
     def __enter__(self):
         return self
@@ -207,25 +211,56 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, blocks):
+        self.given.extend(blocks)
+        return map(fn, blocks)
+
+
+def _qpoch_plans():
+    """Three cases at one base, and the same three at two bases."""
+    grid = {"n": {"lo": 0, "hi": 2}, "a": [0.25]}
+    return ([CampaignPlan.from_dict({"identity": "qpoch-recurrence", "grid": grid})],
+            [CampaignPlan.from_dict({"identity": "qpoch-recurrence", "grid": grid,
+                                     "q": [0.3, 0.5]})])
 
 
 def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
-    # no real process starts, whatever jobs asks for
+    # no real process starts, whatever jobs asks for; this process runs the
+    # first block, so the pool gets one worker fewer than there are blocks
     started = []
     monkeypatch.setattr(verifier, "ProcessPoolExecutor",
                         lambda max_workers: started.append(max_workers) or _InProcessPool())
-    three = [CampaignPlan.from_dict({"identity": "qpoch-recurrence",
-                                     "grid": {"n": {"lo": 0, "hi": 2}, "a": [0.25]}})]
-    two_bases = [CampaignPlan.from_dict({"identity": "qpoch-recurrence",
-                                         "grid": {"n": {"lo": 0, "hi": 2}, "a": [0.25]},
-                                         "q": [0.3, 0.5]})]
-    for plans, jobs, workers in ((three, 64, 3), (three, 2, 2), (two_bases, 64, 6),
-                                 (two_bases, 2, 2)):
+    three, two_bases = _qpoch_plans()
+    for plans, jobs, workers in ((three, 64, 2), (three, 2, 1), (two_bases, 64, 5),
+                                 (two_bases, 2, 1)):
         assert _report(*run_campaign(plans, jobs=jobs)) == _report(*run_campaign(plans))
         assert started[-1] == workers
     assert run_campaign([], jobs=4) == run_campaign([]) and len(started) == 4
+
+
+def test_campaign_keeps_the_first_block_out_of_the_pool(monkeypatch):
+    pools, dealt, ran = [], [], []
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor",
+                        lambda max_workers: pools.append(_InProcessPool()) or pools[-1])
+    deal, run = verifier._blocks, verifier._run_block
+    monkeypatch.setattr(verifier, "_blocks",
+                        lambda keys, jobs: dealt.append(deal(keys, jobs)) or dealt[-1])
+    monkeypatch.setattr(verifier, "_run_block", lambda block: ran.append(block) or run(block))
+    # the one-case plan of test_campaign_jobs_do_not_change_the_report: one
+    # block, so no pool starts and this process runs the case
+    single = [CampaignPlan.from_dict({"identity": "hankel-orthogonality",
+                                      "grid": {"nu": [1], "m": [0], "n": [0]}, "q": ["0.61"]})]
+    assert _report(*run_campaign(single, jobs=2)) == _report(*run_campaign(single))
+    assert pools == [] and len(dealt) == 1 and len(ran) == 1
+    three, two_bases = _qpoch_plans()
+    for plans, jobs in ((three, 64), (three, 2), (two_bases, 64), (two_bases, 2)):
+        ran.clear()
+        assert _report(*run_campaign(plans, jobs=jobs)) == _report(*run_campaign(plans))
+        blocks, given = dealt[-1], pools[-1].given
+        assert [len(b) for b in given] == [len(b) for b in blocks[1:]]
+        mine = [b for b in ran if b not in given]
+        assert len(mine) == 1 and len(mine[0]) == len(blocks[0])
+        assert not any(task in block for task in mine[0] for block in given)
 
 
 def test_campaign_blocks_keep_groups_together():
