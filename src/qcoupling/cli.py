@@ -62,6 +62,8 @@ def _attach_window(argv: list) -> list:
 
 def _plan_entries(doc) -> list:
     """Plan objects of a document: one object, a list, or {"plans": [...]}."""
+    if isinstance(doc, dict) and "plans" in doc and len(doc) > 1:
+        raise PlanInvalid(f"unknown document keys {sorted(set(doc) - {'plans'}, key=str)}")
     entries = doc.get("plans", [doc]) if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise PlanInvalid("a plan document is an object, a list, or {\"plans\": [...]}")

@@ -6,9 +6,9 @@ bilateral-sum residuals for the backcoupling, Biedenharn-Elliott and hexagon
 identities, the lattice Hankel-type transform with q-Bessel kernel, and the
 truncated Yang-Baxter operator built from the recoupling weights.  Every
 bilateral sum here is one ``qcore.bilateral_sum`` over exact (m, e) terms,
-built from J table entries, recoupling weights (``weight_pair``) and the
-powers of q in ``qcore.qpower``; a product that is not a sum is the exact
-product of such pairs, rounded once by ``qcore.rounded``.
+built from the process tables of J values, recoupling weights
+(``weight_pair``) and powers of q (``qcore.qpower``); a product that is not
+a sum is the exact product of such pairs, rounded once by ``qcore.rounded``.
 
 Verification status at the shipped tolerances: Biedenharn-Elliott holds;
 orthogonality, translation invariance and duality of the closed form hold;
@@ -32,7 +32,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_float
 
 from .errors import InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum, exact_product, mantissa, qpower, rounded)
+                    bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
 
 if TYPE_CHECKING:
@@ -84,13 +84,22 @@ def _minus_q_power(e: int, ctx: QContext) -> Tuple[int, int]:
     return (-m if e & 1 else m), k
 
 
+_WEIGHTS: dict = {}
+
+
 def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
     """(-q)^e J_order(q^{2e}; q^2) as an exact pair (m, k) for m 2^k.
 
-    The exact product of the lattice J value in base q^2 and of (-q)^e.
+    The exact product of (-q)^e and the J pair in base q^2, formed once per
+    key in ``_WEIGHTS``.  Key and label rules are ``qbessel_lattice``'s: a
+    float label such as 2.0 finds a warm entry of 2, but raises DomainError cold.
     """
-    return exact_product(_minus_q_power(e, ctx),
-                         mantissa(qbessel_lattice(order, e, ctx.base_squared())))
+    hit = _WEIGHTS.get((order, e, ctx.q_key, ctx.working_precision))
+    if hit is None:
+        order, e = integer_label(order, "order"), integer_label(e, "e")
+        hit = _WEIGHTS[order, e, ctx.q_key, ctx.working_precision] = exact_product(
+            _minus_q_power(e, ctx), _J(order, e, ctx.base_squared()))
+    return hit
 
 
 def _R_pair(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,

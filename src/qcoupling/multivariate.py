@@ -15,11 +15,12 @@ estimate, term count and ``converged`` flag cover every level the value
 rests on.
 
 The levels sum on Python integers.  A term is an exact pair (m, e) for
-m 2^e, built with integer products from factors that each evaluation
-converts once per distinct label: recoupling weights
-(-q)^e J_order(q^{2e}; q^2) along a chain (``_weights``, read by
-``_R_labels`` and ``_S_labels``) or lattice J values (``_fixed``, read by
-``_factor_labels``); powers of q come from ``qcore.qpower``.  Each level
+m 2^e, the integer product of factors read from the process tables:
+recoupling weights (-q)^e J_order(q^{2e}; q^2) along a chain
+(``coupling.weight_pair``, at the labels of ``_R_labels`` and
+``_S_labels``), lattice J values (``coupling._J``, at the labels of
+``_factor_labels``) and powers of q (``qcore.qpower``); an evaluation
+keeps no memo of its own.  Each level
 adds its terms at a scale 2^-P chosen from its own largest term, so it
 keeps the working precision plus 64 bits relative to that term whatever
 the magnitudes.  The values that are not sums, ``threenj_R``,
@@ -30,8 +31,7 @@ walks, rounded once by ``qcore.rounded``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
@@ -39,8 +39,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 from .errors import DomainError
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
                     bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
-from .qfunctions import qbessel_lattice
-from .coupling import _minus_q_power, verify_biedenharn_elliott, weight_pair
+from .coupling import _J, _minus_q_power, verify_biedenharn_elliott, weight_pair
 from .representation import cg_coefficient
 
 __all__ = [
@@ -171,47 +170,20 @@ def _S_labels(x: int, n, r, s) -> List[Tuple[int, int]]:
     return out
 
 
-def _memo(fn: Callable) -> Callable:
-    """fn, computed once per argument tuple.
-
-    The table lives as long as the returned function, so each evaluation
-    makes its own and no value crosses bases or precisions.
-    """
-    table = {}
-
-    def get(*key):
-        hit = table.get(key)
-        if hit is None:
-            hit = table[key] = fn(*key)
-        return hit
-
-    return get
+def _weight_product(labels, ctx: QContext) -> Tuple[int, int]:
+    """The exact product of the weights ``weight_pair`` at (order, e) labels."""
+    return exact_product(*[weight_pair(order, e, ctx) for order, e in labels])
 
 
-def _fixed(value: Callable[..., mp.mpf]) -> Callable[..., Tuple[int, int]]:
-    """value(*key), an mpf, as an exact (m, e) pair, converted once per key."""
-    return _memo(lambda *key: mantissa(value(*key)))
-
-
-def _weights(ctx: QContext) -> Callable[[int, int], Tuple[int, int]]:
-    """(order, e) -> the recoupling weight (-q)^e J_order(q^{2e}; q^2) as (m, e).
-
-    ``coupling.weight_pair``, formed once per label pair and call of
-    ``_weights``.
-    """
-    return _memo(lambda order, e: weight_pair(order, e, ctx))
-
-
-def _J_product(p: MultiBesselParams, ctx: QContext) -> Tuple[int, int]:
-    """The exact product of the q-Bessel factors of ``multi_qbessel``."""
-    return exact_product(*(mantissa(qbessel_lattice(order, expo, ctx))
-                           for order, expo in _factor_labels(p.nu, p.x, p.lam)))
+def _J_product(labels, ctx: QContext) -> Tuple[int, int]:
+    """The exact product of the J values ``coupling._J`` at (order, y) labels."""
+    return exact_product(*[_J(order, y, ctx) for order, y in labels])
 
 
 def multi_qbessel(p: MultiBesselParams, ctx: QContext) -> mp.mpf:
     """Coupled product of q-Bessel factors J_{nu_j - x_{j+1} - lam_{j-1}}(...),
     exact and rounded once."""
-    return rounded(_J_product(p, ctx), ctx)
+    return rounded(_J_product(_factor_labels(p.nu, p.x, p.lam), ctx), ctx)
 
 
 @at_working_precision
@@ -235,8 +207,9 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     and ``converged`` is False as soon as one of those sums did not
     converge.  None of the three depends on what a shared ``memo`` holds.
 
-    The J factors are converted to integers, and the powers q^{x_1} read
-    from ``qcore.qpower``, once per call; the memo holds only level results.
+    Without a memo the levels, tens of MB on a d = 3 grid, go on return.
+    Each term reads its J factors (``coupling._J``) and q^{x_1}
+    (``qcore.qpower``) from the process tables.
     """
     policy = policy or TruncationPolicy()
     nu = _label_vector(nu, "nu")
@@ -250,8 +223,6 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     lamp_full = (nu[0],) + lamp
     if memo is None:
         memo = {}
-    J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
-    qpow = _memo(lambda x: qpower(2 * x, ctx))
 
     def level(j):
         # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam') * (q^{x_1} or level j-1)
@@ -268,11 +239,11 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
 
                 def term(xv):
                     xj = xv[0]
-                    am, ae = J(order - xj1, xj - xj1 + shift)
-                    bm, be = J(order_p - xj1, xj - xj1 + shift_p)
+                    am, ae = _J(order - xj1, xj - xj1 + shift, ctx)
+                    bm, be = _J(order_p - xj1, xj - xj1 + shift_p, ctx)
                     if inner is not None:
                         return am * bm, ae + be
-                    qm, qe = qpow(xj)
+                    qm, qe = qpower(2 * xj, ctx)
                     return am * bm * qm, ae + be + qe
 
                 hit = table[tv] = _nested_vector_sum(term, 1, policy, ctx, inner)
@@ -292,8 +263,7 @@ def threenj_R(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     and r_{k+1} = n_{k+2}: the exact product of the weights' ``weight_pair``,
     rounded once, so a k = 1 chain is ``recoupling_R``.
     """
-    return rounded(exact_product(*(weight_pair(o, e, ctx)
-                                   for o, e in _R_labels(p.x, p.n, p.r, p.s))), ctx)
+    return rounded(_weight_product(_R_labels(p.x, p.n, p.r, p.s), ctx), ctx)
 
 
 def threenj_S(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
@@ -303,8 +273,7 @@ def threenj_S(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     s_{k+1} = x and r_0 = n_2, exact and rounded once as in ``threenj_R``.
     Lacks the reversal self-duality of threenj_R.
     """
-    return rounded(exact_product(*(weight_pair(o, e, ctx)
-                                   for o, e in _S_labels(p.x, p.n, p.r, p.s))), ctx)
+    return rounded(_weight_product(_S_labels(p.x, p.n, p.r, p.s), ctx), ctx)
 
 
 @at_working_precision
@@ -317,7 +286,7 @@ def threenj_corollary_gap(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     k = p.k
     nu_vec = (p.n[0],) + tuple(p.x + p.n[j] for j in range(1, k + 1)) + (p.n[k + 1],)
     pref = _minus_q_power(p.r[0] + p.s[k - 1] - p.n[0] - p.n[k + 1], ctx)
-    jval = _J_product(MultiBesselParams(nu_vec, p.r, p.s), ctx.base_squared())
+    jval = _J_product(_factor_labels(nu_vec, p.r, p.s), ctx.base_squared())
     return abs(threenj_R(p, ctx) - rounded(exact_product(pref, jval), ctx))
 
 
@@ -347,12 +316,11 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
 
     nprime = drop_first(p.n)
     rprime = drop_first(p.r)
-    weight = _weights(ctx)
 
     def s_term(tvec):
         # S^{x,n}_{(t,r_1),s} R^{r_1,n'}_{r',t}
-        return exact_product(*starmap(weight, _S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
-                                      + _R_labels(p.r[0], nprime, rprime, tvec)))
+        return _weight_product(_S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
+                               + _R_labels(p.r[0], nprime, rprime, tvec), ctx)
 
     s_rhs = _nested_vector_sum(s_term, k - 1, policy, ctx).value
     s_resid = abs(lhs - s_rhs)
@@ -365,7 +333,6 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
         nu_in = (p.n[1],) + tuple(p.r[0] + p.n[j] for j in range(2, k + 1)) + (p.n[k + 1],)
         lhsJ = multi_qbessel(MultiBesselParams(nu_out, p.r, p.s), ctx)
         s_ext = p.s + (p.x,)
-        J = _fixed(lambda order, y: qbessel_lattice(order, y, ctx))
 
         def a_term(tvec):
             # (-q^{1/2})^expo prod_j J(...) times J_{nu_in}(r', t)
@@ -374,7 +341,7 @@ def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
                 - p.s[k - 1] + p.r[1]
             labels = [(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
                        s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1]) for j in range(1, k + 1)]
-            m, e = exact_product(*starmap(J, labels + _factor_labels(nu_in, rprime, tvec)))
+            m, e = _J_product(labels + _factor_labels(nu_in, rprime, tvec), ctx)
             am, ae = qpower(expo, ctx)
             return (-m if expo & 1 else m) * am, e + ae
 
@@ -486,9 +453,8 @@ def multivariate_be_cross_check(p: ThreeNJParams, ctx: QContext,
     # translation: tree-weight LHS = (-q)^(e1+e2) * pentagon LHS in base q^2, exactly
     lhs_chain = threenj_R(p, ctx)
     e = (r1 + s1 - n1 - r2) + (r2 + s2 - s1 - n4)
-    lhs_pent = exact_product(_minus_q_power(e, ctx),
-                             mantissa(qbessel_lattice(nu + mu1, P - Q, ctx2)),
-                             mantissa(qbessel_lattice(nu + mu2, Q - R, ctx2)))
+    lhs_pent = exact_product(_minus_q_power(e, ctx), _J(nu + mu1, P - Q, ctx2),
+                             _J(nu + mu2, Q - R, ctx2))
     gap = abs(lhs_chain - rounded(lhs_pent, ctx))
     return res_chain, res_pent, gap
 
@@ -523,7 +489,6 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
         return tuple(n[(k + 2 - j + i) % (k + 2)] for i in range(k + 2))
 
     lhs = threenj_S(ThreeNJParams(x, n, s, r), ctx)
-    weight = _weights(ctx)
 
     def level(l, prev):
         # sum over s_l of S^{x,n_l}_{s_{l-1},s_l} times level l+1 at s_l; level k
@@ -534,7 +499,7 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
             labels = _S_labels(x, rot, prev, tvec)
             if l == k:
                 labels += _S_labels(x, last, tvec, s)
-            return exact_product(*starmap(weight, labels))
+            return _weight_product(labels, ctx)
 
         return _nested_vector_sum(term, k, policy, ctx,
                                   None if l == k else lambda tvec: level(l + 1, tvec))
@@ -573,13 +538,12 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
     n = _label_vector(n, "n")
     k = len(r)
     lhs = mp.mpf(multi_cg(x, r, n, ctx))
-    weight = _weights(ctx)
 
     def term(svec):
         c = multi_cg(x, hat(svec), hat(n), ctx)
         if c == 0.0:
             return 0, 0
-        m, e = exact_product(*starmap(weight, _R_labels(x, n, r, svec)))
+        m, e = _weight_product(_R_labels(x, n, r, svec), ctx)
         num, den = c.as_integer_ratio()  # den = 2^(bit_length - 1)
         return m * num, e + 1 - den.bit_length()
 

@@ -111,7 +111,7 @@ class QContext:
         more than its own mantissa needs to be read back (``repr_dps``),
         whichever is more, so distinct bases print apart and the caller's
         mp.dps never enters.  Every process cache keys on (q_key,
-        working_precision) through ``cached``.
+        working_precision), as ``cached`` does.
         """
         bits = self.q._mpf_[3]
         with mp.workdps(max(self.working_precision + 12, repr_dps(bits) + 2)):
@@ -140,7 +140,7 @@ class TruncationPolicy:
     adaptive is set the window is extended until three consecutive boundary
     terms fall below tail_tol on each side (or max_terms is hit).
     tail_ratio, the ratio of the geometric tail extrapolation, lies in [0, 1).
-    Window bounds and max_terms are integers and adaptive is a bool.
+    Window bounds and max_terms are integers (not bools), adaptive a bool.
     """
 
     max_terms: int = 4000
@@ -151,9 +151,12 @@ class TruncationPolicy:
 
     def __post_init__(self):
         try:
-            lo, hi = map(operator.index, self.bilateral_window)
+            lo, hi = self.bilateral_window
+            if bool in (type(lo), type(hi), type(self.max_terms)):
+                raise TypeError
+            lo, hi = operator.index(lo), operator.index(hi)
             operator.index(self.max_terms)
-        except TypeError:
+        except (TypeError, ValueError):
             raise DomainError(f"window bounds and max_terms must be integers, got "
                               f"{self.bilateral_window!r} and {self.max_terms!r}") from None
         if not isinstance(self.adaptive, bool):
@@ -441,13 +444,15 @@ def qpower(k: int, ctx: QContext) -> Tuple[int, int]:
 
     Formed as q ** (k/2) at the working precision plus ten digits (an
     integer power for even k, an integer power of sqrt(q) for odd k) once
-    per exponent, base and precision, in a process table.
+    per exponent, base and precision, in a process table keyed as
+    ``cached`` keys, with the key written out.
     """
-    def form():
+    key = (k, ctx.q_key, ctx.working_precision)
+    hit = _POWERS.get(key)
+    if hit is None:
         with ctx.workdps(10):
-            return mantissa(ctx.q ** (mp.mpf(k) / 2))
-
-    return cached(_POWERS, ctx, (k,), form)
+            hit = _POWERS[key] = mantissa(ctx.q ** (mp.mpf(k) / 2))
+    return hit
 
 
 def _level_bits(ctx: QContext) -> int:

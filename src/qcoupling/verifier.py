@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import mpmath as mp
@@ -47,6 +47,18 @@ def _int(v) -> int:
         raise ValueError(f"integer label expected, got {v!r}") from None
 
 
+def _finite(value, name: str) -> float:
+    """A tolerance or policy number of a plan or the command line as a float;
+    PlanInvalid unless it is a finite number >= 0 (a bool is not 0 or 1)."""
+    try:
+        out = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not 0 <= out < math.inf:
+        raise PlanInvalid(f"{name} must be a finite number >= 0, got {value!r}")
+    return out
+
+
 def _ints(v) -> tuple:
     if isinstance(v, (list, tuple)):
         return tuple(_int(x) for x in v)
@@ -69,8 +81,7 @@ def _eval_wall_consistency(n, x, a, ctx, policy):
 
 def _eval_hankel(nu, m, n, ctx, policy):
     def term(x):
-        return qcore.exact_product(qcore.mantissa(qfunctions.qbessel_lattice(nu, x + m, ctx)),
-                                   qcore.mantissa(qfunctions.qbessel_lattice(nu, x + n, ctx)),
+        return qcore.exact_product(coupling._J(nu, x + m, ctx), coupling._J(nu, x + n, ctx),
                                    qcore.qpower(2 * x, ctx))
 
     s = qcore.bilateral_sum(term, policy, ctx)
@@ -85,9 +96,9 @@ def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
 
 def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
     # sixj_closed(p1, r, p, r) is the recoupling weight at order r and e = p1 - p
-    weight = multivariate._weights(ctx)
-    s = qcore.bilateral_sum(
-        lambda p1: qcore.exact_product(weight(r, p1 - p2), weight(r, p1 - p3)), policy, ctx)
+    weight = coupling.weight_pair
+    s = qcore.bilateral_sum(lambda p1: qcore.exact_product(
+        weight(r, p1 - p2, ctx), weight(r, p1 - p3, ctx)), policy, ctx)
     return s.residual(1 if p2 == p3 else 0)
 
 
@@ -137,11 +148,10 @@ def _eval_threenj_corollary(x, n, r, s, ctx, policy):
 def _eval_s_lemma(x, n, s, s2, ctx, policy):
     # chain coefficients are a unitary change of basis: sum_r S_{r,s} S_{r,s'} = delta
     multivariate.ThreeNJParams(x, n, s, s2)  # DomainError unless len(n) = len(s) + 2 = len(s2) + 2
-    weight = multivariate._weights(ctx)
 
     def term(rvec):
-        return qcore.exact_product(*starmap(weight, multivariate._S_labels(x, n, rvec, s)
-                                            + multivariate._S_labels(x, n, rvec, s2)))
+        labels = multivariate._S_labels(x, n, rvec, s) + multivariate._S_labels(x, n, rvec, s2)
+        return qcore.exact_product(*[coupling.weight_pair(o, e, ctx) for o, e in labels])
 
     return multivariate._nested_vector_sum(term, len(s), policy, ctx).residual(
         1 if s == s2 else 0)
@@ -348,10 +358,13 @@ class CampaignPlan:
             ident = doc["identity"]
             grid = doc.get("grid", {})
             qs = tuple(doc.get("q", [0.5]))
-            tol = float(doc.get("tolerance", 1e-8))
             precision = _int(doc.get("precision", 30))
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanInvalid(f"malformed plan entry: {exc}")
+        unknown = set(doc) - {"identity", "grid", "q", "tolerance", "precision", "policy"}
+        if unknown:
+            raise PlanInvalid(f"unknown plan keys {sorted(unknown, key=str)}")
+        tol = _finite(doc.get("tolerance", 1e-8), "tolerance")
         if not isinstance(ident, str) or ident not in IDENTITIES:
             raise PlanInvalid(f"unknown identity id {ident!r}")
         IDENTITIES[ident].load()
@@ -386,11 +399,15 @@ class CampaignPlan:
 
 def _policy_from(doc: Optional[dict]) -> TruncationPolicy:
     """Truncation policy of a plan's ``policy`` object; PlanInvalid if malformed."""
-    if not doc:
+    if doc is None:
         return TruncationPolicy()
     if not isinstance(doc, dict):
         raise PlanInvalid("policy must be an object")
-    kwargs = {k: doc[k] for k in ("max_terms", "tail_tol", "adaptive", "tail_ratio") if k in doc}
+    unknown = set(doc) - {"max_terms", "tail_tol", "adaptive", "tail_ratio", "window"}
+    if unknown:
+        raise PlanInvalid(f"unknown policy keys {sorted(unknown, key=str)}")
+    kwargs = {k: doc[k] for k in ("max_terms", "adaptive") if k in doc}
+    kwargs.update({k: _finite(doc[k], k) for k in ("tail_tol", "tail_ratio") if k in doc})
     try:
         if "window" in doc:
             kwargs["bilateral_window"] = tuple(doc["window"])
@@ -412,7 +429,8 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
 
     An unknown identity, a missing or undeclared label, labels the
     identity's ``check`` rejects, or an invalid q or precision raises
-    PlanInvalid instead: the instance cannot be set up at all.  Each label
+    PlanInvalid instead, as does a tolerance ``_finite`` rejects: the
+    instance cannot be set up at all.  Each label
     is cast as ``IDENTITIES[identity].labels`` declares, a left-out optional
     one from its default; a failed cast is an evaluation error.  The report
     echoes ``params`` as given.  ``est_error`` is the truncation estimate
@@ -424,6 +442,7 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
         raise PlanInvalid(f"unknown identity id {identity!r}")
     ident = IDENTITIES[identity]
     ident.check_case(params)
+    tolerance = _finite(tolerance, "tolerance")
     policy = policy or TruncationPolicy()
     ctx = _context(q, precision)
     ident.load()

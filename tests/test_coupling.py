@@ -12,8 +12,8 @@ from qcoupling import (QContext, TruncatedFock, TruncationPolicy, bilateral_sum,
                        verify_backcoupling, verify_biedenharn_elliott, verify_hexagon,
                        yang_baxter_residual, yang_baxter_unitarity_defect)
 from qcoupling.coupling import _yb_operator, backcoupling_forms_gap, hexagon_j_form_residual
-from qcoupling.qcore import at_working_precision, mantissa, qpower, rounded
-from qcoupling.errors import InsufficientWindow
+from qcoupling.qcore import at_working_precision, cached, exact_product, mantissa, qpower, rounded
+from qcoupling.errors import DomainError, InsufficientWindow
 
 
 def test_sixj_closed_delta_structure(ctx05):
@@ -34,6 +34,24 @@ def test_sixj_closed_vs_oracle_spots(ctx05, ctx03):
             o = sixj_oracle(x, p1, r, p2, r, fock, ctx)
             c = sixj_closed(p1, r, p2, r, ctx)
             assert abs(o - float(c)) < 1e-8
+
+
+def test_weight_pair_is_one_table_entry_per_label_pair(monkeypatch):
+    # the weight table's key is the one qcore.cached builds; its entry is the
+    # exact product of (-q)^e and the base-q^2 J pair, whose labels are read
+    # as qbessel_lattice reads them: a numpy integer is stored under its int,
+    # a cold float label raises DomainError, a warm one finds the int's entry
+    ctx = QContext("0.5")
+    monkeypatch.setattr(coupling, "_WEIGHTS", {})
+    with pytest.raises(DomainError):
+        coupling.weight_pair(1, 3.0, ctx)
+    assert not coupling._WEIGHTS
+    got = coupling.weight_pair(np.int64(1), np.int32(3), ctx)
+    m, k = qpower(6, ctx)
+    assert got == exact_product((-m, k), mantissa(qbessel_lattice(1, 3, ctx.base_squared())))
+    assert all(type(o) is int and type(e) is int for o, e, *_ in coupling._WEIGHTS)
+    assert cached(coupling._WEIGHTS, ctx, (1, 3), lambda: None) is got
+    assert coupling.weight_pair(1, 3.0, ctx) is got
 
 
 def test_sixj_translation_invariance(ctx05):

@@ -90,6 +90,8 @@ _CACHE_USERS = {
                                      lambda ctx: verifier._eval_multi_orthogonality(
                                          (0, 1, 0), (1,), (1,), ctx, None).value),
     "q-power": (qcore, "_POWERS", lambda ctx: [qcore.qpower(k, ctx) for k in (-3, 1, 4)]),
+    "weight": (coupling, "_WEIGHTS",
+               lambda ctx: [coupling.weight_pair(1, e, ctx) for e in (-2, 3)]),
 }
 
 

@@ -398,21 +398,58 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
       "--jobs", "0"), 2),
     (({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]}},
       "--jobs", "-3"), 2),
+    # a misspelt plan or policy key was dropped, and the run used the default
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "tolerence": 1e-40}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"tail_tool": 1e-40}}, 2),
+    ({"plans": [{"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]}}],
+      "tolerance": 1e-40}, 2),
+    # a NaN or negative tolerance failed every case, and true was read as 1.0
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "tolerance": float("nan")}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "tolerance": True}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "tolerance": -1}, 2),
+    # a tail_tol of NaN, infinity (1e400 reads as inf) or true ran, and passed
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"tail_tol": float("nan")}}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"tail_tol": float("inf")}}, 2),
+    ('{"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]}, '
+     '"policy": {"tail_tol": 1e400}}', 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"tail_tol": True}}, 2),
+    # true was read as 1: one term, and a failed case
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"max_terms": True}}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "policy": {"window": [True, 3]}}, 2),
+    (["eval", "hankel-orthogonality", "--param", "nu=0", "--param", "m=0", "--param", "n=0",
+      "--tol", "nan"], 2),
+    (["eval", "hankel-orthogonality", "--param", "nu=0", "--param", "m=0", "--param", "n=0",
+      "--tol", "inf"], 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
         "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
         "policy-tail-ratio-1", "identity-not-a-string", "policy-window-float",
-        "policy-max-terms-float", "policy-adaptive-string", "jobs-zero", "jobs-negative"])
+        "policy-max-terms-float", "policy-adaptive-string", "jobs-zero", "jobs-negative",
+        "plan-unknown-key", "policy-unknown-key", "document-unknown-key", "tolerance-nan",
+        "tolerance-bool", "tolerance-negative", "policy-tail-tol-nan",
+        "policy-tail-tol-infinity", "policy-tail-tol-overflow", "policy-tail-tol-bool",
+        "policy-max-terms-bool", "policy-window-bool", "eval-tol-nan", "eval-tol-inf"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case.  A plan
-    # is verified, with the options that follow it in a tuple
-    if isinstance(argv_or_plan, dict):
+    # (a dict, or the JSON text of one) is verified, with the options that
+    # follow it in a tuple
+    if isinstance(argv_or_plan, (dict, str)):
         argv_or_plan = (argv_or_plan,)
     if isinstance(argv_or_plan, tuple):
         plan, *options = argv_or_plan
         plan_file = tmp_path / "plan.json"
-        plan_file.write_text(json.dumps(plan))
+        plan_file.write_text(plan if isinstance(plan, str) else json.dumps(plan))
         argv_or_plan = ["verify", str(plan_file), *options]
     assert cli_main(argv_or_plan) == expected
     captured = capsys.readouterr()
