@@ -5,10 +5,10 @@ q-Bessel value in base q^2.  This module provides the closed forms, the
 bilateral-sum residuals for the backcoupling, Biedenharn-Elliott and hexagon
 identities, the lattice Hankel-type transform with q-Bessel kernel, and the
 truncated Yang-Baxter operator built from the recoupling weights.  Every
-bilateral sum here is one ``qcore.bilateral_sum`` over exact (m, e) terms,
-built from the process tables of J values, recoupling weights
-(``weight_pair``) and powers of q (``qcore.qpower``); a product that is not
-a sum is the exact product of such pairs, rounded once by ``qcore.rounded``.
+one-variable identity sum, here and in ``verifier``, is one ``lattice_sum``
+of J values and recoupling weights (``weight_pair``) at labels affine in the
+summation index; a product that is not a sum is the exact product of table
+pairs, rounded once by ``qcore.rounded``.
 
 Verification status at the shipped tolerances: Biedenharn-Elliott holds;
 orthogonality, translation invariance and duality of the closed form hold;
@@ -42,6 +42,7 @@ __all__ = [
     "sixj_closed",
     "recoupling_R",
     "weight_pair",
+    "lattice_sum",
     "verify_backcoupling",
     "backcoupling_forms_gap",
     "verify_biedenharn_elliott",
@@ -75,7 +76,7 @@ def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
     x-n1+n2-n3; equals sixj_closed under p1p = n1+p1, p2p = n3-p2.
     ``weight_pair`` rounded once.
     """
-    return rounded(_R_pair(x, n1, n2, n3, p1p, p2p, ctx), ctx)
+    return rounded(weight_pair(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx), ctx)
 
 
 def _minus_q_power(e: int, ctx: QContext) -> Tuple[int, int]:
@@ -102,15 +103,34 @@ def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
     return hit
 
 
-def _R_pair(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
-            ctx: QContext) -> Tuple[int, int]:
-    """``recoupling_R`` as an exact pair (``weight_pair``)."""
-    return weight_pair(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx)
-
-
 def _J(order: int, y: int, ctx: QContext) -> Tuple[int, int]:
     """The lattice value J_order(q^y) as an exact pair."""
     return mantissa(qbessel_lattice(order, y, ctx))
+
+
+def lattice_sum(factors, ctx: QContext, policy: Optional[TruncationPolicy] = None,
+                half: Tuple[int, int] = (0, 0), sign: int = 0) -> SeriesResult:
+    """sum_r (-1)^sign q^{(h0 + h1 r)/2} prod read(o0 + o1 r, y0 + y1 r, fctx)
+    over the integers, as one ``bilateral_sum`` in ctx, for half = (h0, h1).
+
+    Each factor is a tuple (read, fctx, o0, o1, y0, y1): ``read`` is ``_J``
+    (the lattice value J_order(q^y) in fctx's base) or ``weight_pair`` (the
+    recoupling weight of fctx's q), at an order and a lattice label affine
+    in r.  A term is the exact product of the power of q^{1/2} (not read at
+    half = (0, 0)) and the factors' pairs, multiplied in place as a
+    hand-written term would, so the order of the factors does not change a bit.
+    """
+    h0, h1 = half
+
+    def term(r):
+        m, e = qpower(h0 + h1 * r, ctx) if h0 or h1 else (1, 0)
+        for read, fctx, o0, o1, y0, y1 in factors:
+            fm, fe = read(o0 + o1 * r, y0 + y1 * r, fctx)
+            m *= fm
+            e += fe
+        return (-m if sign & 1 else m), e
+
+    return bilateral_sum(term, policy, ctx)
 
 
 @at_working_precision
@@ -125,16 +145,12 @@ def verify_backcoupling(x: int, n1: int, n2: int, n3: int, p1: int, p2: int,
     J_{r123}(q^{s+2}) = q^{-1} J_{r123}(q^s) for every s.  J stays bounded as
     s -> +inf, so J would vanish on the lattice, which orthogonality rules out.
     """
-    policy = policy or TruncationPolicy()
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
     lhs = qbessel_lattice(r123, p1 + p2, ctx)
-
-    def term(p):
-        return exact_product(_J(r132, p + p1, ctx), _J(r312, p + p2, ctx), qpower(2 * p, ctx))
-
-    rhs = bilateral_sum(term, policy, ctx)
+    rhs = lattice_sum([(_J, ctx, r132, 0, p1, 1), (_J, ctx, r312, 0, p2, 1)], ctx, policy,
+                      half=(0, 2))
     return rhs.residual(lhs)
 
 
@@ -147,14 +163,10 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
     each other; this returns |R-form residual - |(-q)^e| * J-form residual|,
     which is ~0 even though both residuals are large.
     """
-    policy = policy or TruncationPolicy()
     lhsR = recoupling_R(x, n1, n2, n3, p1p, p2p, ctx)
-
-    def termR(p):
-        return exact_product(_R_pair(x, n1, n3, n2, p1p, p, ctx),
-                             _R_pair(x, n3, n1, n2, p, p2p, ctx))
-
-    rhsR = bilateral_sum(termR, policy, ctx)
+    # sum_p R(x, n1, n3, n2; p1p, p) R(x, n3, n1, n2; p, p2p), as printed
+    rhsR = lattice_sum([(weight_pair, ctx, x - n1 + n3 - n2, 0, p1p - n1 - n2, 1),
+                        (weight_pair, ctx, x - n3 + n1 - n2, 0, p2p - n3 - n2, 1)], ctx, policy)
     res_R = abs(lhsR - rhsR.value)
     # J-form with p1 = p1p-n1, p2 = p2p-n3 in base q^2, scaled by the common prefactor
     e = p1p + p2p - n1 - n3
@@ -173,37 +185,22 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
     A = (-1)^{mu1+mu2} q^{mu-(mu1+mu2)/2} J_{mu2-mu1+P-Q}(q^{mu-mu1})
         * J_{mu1-mu2+Q-R}(q^{mu-mu2}).
     """
-    policy = policy or TruncationPolicy()
     lhs = rounded(exact_product(_J(nu + mu1, P - Q, ctx), _J(nu + mu2, Q - R, ctx)), ctx)
-    odd = (mu1 + mu2) & 1
-
-    def term(mu):
-        # q^{mu-(mu1+mu2)/2} is the table's power of q^{1/2} at 2 mu - mu1 - mu2
-        m, e = exact_product(qpower(2 * mu - mu1 - mu2, ctx),
-                             _J(mu2 - mu1 + P - Q, mu - mu1, ctx),
-                             _J(mu1 - mu2 + Q - R, mu - mu2, ctx),
-                             _J(nu + mu, P - R, ctx))
-        return (-m if odd else m), e
-
-    rhs = bilateral_sum(term, policy, ctx)
+    rhs = lattice_sum([(_J, ctx, mu2 - mu1 + P - Q, 0, -mu1, 1),
+                       (_J, ctx, mu1 - mu2 + Q - R, 0, -mu2, 1),
+                       (_J, ctx, nu, 1, P - R, 0)], ctx, policy,
+                      half=(-mu1 - mu2, 2), sign=mu1 + mu2)
     return rhs.residual(lhs)
 
 
-def _hexagon_weight_terms(x: int, n1: int, n2: int, n3: int, n4: int,
-                          p1: int, p2: int, p3: int, p4: int, ctx: QContext):
-    """Exact summands over the internal label of the hexagon's two sides,
-    weight form."""
-    def lhs_term(r):
-        return exact_product(_R_pair(x, p1, n3, n4, p2, r, ctx),
-                             _R_pair(r, n2, n1, n3, p3, p1, ctx),
-                             _R_pair(x, p3, n2, n4, p4, r, ctx))
-
-    def rhs_term(r):
-        return exact_product(_R_pair(x, n1, n2, p2, r, p1, ctx),
-                             _R_pair(r, n2, n4, n3, p2, p4, ctx),
-                             _R_pair(x, n1, n3, p4, r, p3, ctx))
-
-    return lhs_term, rhs_term
+def _hexagon_side(x: int, n1: int, n2: int, n3: int, n4: int,
+                  p1: int, p2: int, p3: int, p4: int, ctx: QContext) -> list:
+    """``lattice_sum`` factors of the hexagon's left side, weight form:
+    R(x, p1, n3, n4; p2, r) R(r, n2, n1, n3; p3, p1) R(x, p3, n2, n4; p4, r).
+    The right side is this side under (n1, n2, p1, p3) <-> (n4, n3, p2, p4)."""
+    return [(weight_pair, ctx, x - p1 + n3 - n4, 0, p2 - p1 - n4, 1),
+            (weight_pair, ctx, n1 - n2 - n3, 1, p3 + p1 - n2 - n3, 0),
+            (weight_pair, ctx, x - p3 + n2 - n4, 0, p4 - p3 - n4, 1)]
 
 
 @at_working_precision
@@ -216,13 +213,22 @@ def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
     Like the backcoupling, the identity fails as stated except at symmetric
     fixed points; the residual is faithful.
     """
-    policy = policy or TruncationPolicy()
-    lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
-    lhs = bilateral_sum(lhs_term, policy, ctx)
-    rhs = bilateral_sum(rhs_term, policy, ctx)
+    lhs = lattice_sum(_hexagon_side(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx), ctx, policy)
+    rhs = lattice_sum(_hexagon_side(x, n4, n3, n2, n1, p2, p1, p4, p3, ctx), ctx, policy)
     est = lhs.est_error + rhs.est_error
     return SeriesResult(abs(lhs.value - rhs.value), est,
                         lhs.terms_used + rhs.terms_used, lhs.converged and rhs.converged)
+
+
+def _hexagon_j_display(x: int, n1: int, n2: int, n3: int, n4: int,
+                       p1: int, p2: int, p3: int, p4: int, ctx: QContext):
+    """(factors, half, sign) of ``lattice_sum`` for the left side of the
+    hexagon's stated J display, with q -> q^2 so both forms share a base."""
+    ctx2 = ctx.base_squared()
+    return ([(_J, ctx2, n1 - n2 - n3, 1, p1 + p3 - n2 - n3, 0),
+             (_J, ctx2, x - p1 + n3 - n4, 0, p2 - p1 - n4, 1),
+             (_J, ctx2, x - p3 + n2 - n4, 0, p4 - p3 - n4, 1)],
+            (2 * (p2 + p4) - 4 * n4, 4), p2 + p4)
 
 
 @at_working_precision
@@ -237,31 +243,18 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
     printed forms agree termwise up to a constant (-q)^{n2+n3} the J display
     drops, and that factor is restored here, multiplying each weight-form
     sum exactly.  The swap between the two sides is
-    (n1,n2,p1,p3) <-> (n4,n3,p2,p4).
+    (n1,n2,p1,p3) <-> (n4,n3,p2,p4).  The J display (``_hexagon_j_display``)
+    and the weights (``_hexagon_side``) are each transcribed as printed, not
+    derived from each other; only that swap is shared.
     """
-    policy = policy or TruncationPolicy()
-    ctx2 = ctx.base_squared()
+    def gap(*labels):
+        factors, half, sign = _hexagon_j_display(x, *labels, ctx)
+        j_side = lattice_sum(factors, ctx, policy, half=half, sign=sign).value
+        weights = lattice_sum(_hexagon_side(x, *labels, ctx), ctx, policy).value
+        return abs(j_side - rounded(exact_product(_minus_q_power(n2 + n3, ctx),
+                                                  mantissa(weights)), ctx))
 
-    def j_side(m1, m2, m3, m4, q1, q2, q3, q4):
-        # stated form with q -> q^2 so both sides live in the same base
-        odd = (q2 + q4) & 1
-
-        def term(r):
-            m, e = exact_product(qpower(2 * (2 * r - 2 * m4 + q2 + q4), ctx),
-                                 _J(r - m2 + m1 - m3, q1 + q3 - m2 - m3, ctx2),
-                                 _J(x - q1 + m3 - m4, r + q2 - q1 - m4, ctx2),
-                                 _J(x - q3 + m2 - m4, r + q4 - q3 - m4, ctx2))
-            return (-m if odd else m), e
-        return bilateral_sum(term, policy, ctx).value
-
-    def restore(term):
-        value = bilateral_sum(term, policy, ctx).value
-        return rounded(exact_product(_minus_q_power(n2 + n3, ctx), mantissa(value)), ctx)
-
-    lhs_term, rhs_term = _hexagon_weight_terms(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx)
-    gap_lhs = abs(j_side(n1, n2, n3, n4, p1, p2, p3, p4) - restore(lhs_term))
-    gap_rhs = abs(j_side(n4, n3, n2, n1, p2, p1, p4, p3) - restore(rhs_term))
-    return gap_lhs, gap_rhs
+    return gap(n1, n2, n3, n4, p1, p2, p3, p4), gap(n4, n3, n2, n1, p2, p1, p4, p3)
 
 
 _YB_KERNELS: Dict[tuple, Dict[int, float]] = {}
@@ -426,7 +419,8 @@ def qhankel_transform(f: Dict[int, mp.mpf], nu: int, ctx: QContext,
 
     f maps lattice exponents to mpf values; each output is one
     ``bilateral_sum`` on the fixed window spanning the support of f, whose
-    products f(q^x) q^x are formed once, exactly.
+    products f(q^x) q^x are formed once, exactly.  It is not a
+    ``lattice_sum``: f is data, not a table value at labels affine in x.
     """
     policy = policy or TruncationPolicy()
     if out_window is None:
@@ -475,7 +469,9 @@ def cg_contraction_residual(x: int, n: int, m: int, k: int, p1: int, ctx: QConte
     with x-r = n-m+k; the zero convention kills terms with p2 > k, so the sum
     runs over all p2 (|p2| <= 40, a fixed window) and the cutoff is checked
     rather than imposed.  R_{p1,r;p2,r} = sixj_closed is the recoupling
-    weight at order r and e = p1 - p2.
+    weight at order r and e = p1 - p2.  The sum is a ``bilateral_sum`` of
+    its own, not a ``lattice_sum``: the CG factors are floats, not table
+    values.
     """
     from .representation import cg_coefficient
 

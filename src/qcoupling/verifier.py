@@ -35,8 +35,11 @@ def _int(v) -> int:
     """An integer label: an int, an integral float or an integer string.
 
     Anything else raises ValueError, so a label such as nu = 1.7 is never
-    silently truncated to 1: inside a case it becomes a failed case.
+    silently truncated to 1, nor a JSON true read as 1: inside a case it
+    becomes a failed case.
     """
+    if isinstance(v, bool):
+        raise ValueError(f"integer label expected, got {v!r}")
     if isinstance(v, str):
         return int(v)
     if isinstance(v, float) and v.is_integer():
@@ -80,11 +83,9 @@ def _eval_wall_consistency(n, x, a, ctx, policy):
 
 
 def _eval_hankel(nu, m, n, ctx, policy):
-    def term(x):
-        return qcore.exact_product(coupling._J(nu, x + m, ctx), coupling._J(nu, x + n, ctx),
-                                   qcore.qpower(2 * x, ctx))
-
-    s = qcore.bilateral_sum(term, policy, ctx)
+    J = coupling._J
+    s = coupling.lattice_sum([(J, ctx, nu, 0, m, 1), (J, ctx, nu, 0, n, 1)], ctx, policy,
+                             half=(0, 2))
     target = ctx.q ** (-n) if m == n else mp.mpf(0)
     return s.residual(target)
 
@@ -97,8 +98,8 @@ def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
 def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
     # sixj_closed(p1, r, p, r) is the recoupling weight at order r and e = p1 - p
     weight = coupling.weight_pair
-    s = qcore.bilateral_sum(lambda p1: qcore.exact_product(
-        weight(r, p1 - p2, ctx), weight(r, p1 - p3, ctx)), policy, ctx)
+    s = coupling.lattice_sum([(weight, ctx, r, 0, -p2, 1), (weight, ctx, r, 0, -p3, 1)],
+                             ctx, policy)
     return s.residual(1 if p2 == p3 else 0)
 
 

@@ -1,0 +1,107 @@
+"""The one-variable identity sums on ``coupling.lattice_sum``.
+
+Every builder that sums J values or recoupling weights at labels affine in
+the summation index gives, bit for bit, what its hand-written term closure
+gave (``tests/lattice_oracles.py``); and on the sublattice of item 12 the
+hexagon's two transcribed forms both equal a pentagon product of two J
+values.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lattice_oracles as old
+from qcoupling import QContext, TruncationPolicy, coupling, verifier
+from qcoupling.coupling import (_J, _hexagon_j_display, _hexagon_side, _minus_q_power,
+                                lattice_sum)
+from qcoupling.qcore import bilateral_sum, exact_product, mantissa, qpower, rounded
+
+CTXS = {q: QContext(q) for q in ("0.3", "0.5", "0.8")}
+
+
+def _at_case_precision(fn):
+    # eval_single's precision for the verifier's evaluators
+    def run(*args, ctx, policy):
+        with ctx.workdps(10):
+            return fn(*args, ctx, policy)
+    return run
+
+
+_BUILDERS = {  # name -> (new, oracle, label count)
+    "hankel": (_at_case_precision(verifier._eval_hankel), _at_case_precision(old.hankel), 3),
+    "sixj-orthogonality": (_at_case_precision(verifier._eval_sixj_orthogonality),
+                           _at_case_precision(old.sixj_orthogonality), 3),
+    "backcoupling": (coupling.verify_backcoupling, old.backcoupling, 6),
+    "backcoupling-forms-gap": (coupling.backcoupling_forms_gap, old.backcoupling_forms_gap, 6),
+    "biedenharn-elliott": (coupling.verify_biedenharn_elliott, old.biedenharn_elliott, 6),
+    "hexagon": (coupling.verify_hexagon, old.hexagon, 9),
+    "hexagon-j-form": (coupling.hexagon_j_form_residual, old.hexagon_j_form, 9),
+}
+
+
+def _grid(size, count=12):
+    # every 3-label point of [-1, 1]^3; a seeded draw of `count` points otherwise
+    rng = random.Random(size)
+    if size == 3:
+        return [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+    return [tuple(rng.randint(-1, 1) for _ in range(size)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", sorted(CTXS))
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_lattice_sum_builders_match_their_term_closures_bit_for_bit(name, q):
+    # value, est_error, terms_used and converged compare with ==, on the
+    # default policy and on a tighter one that widens the window
+    new, ref, size = _BUILDERS[name]
+    ctx = CTXS[q]
+    for policy in (TruncationPolicy(), TruncationPolicy(tail_tol=1e-28)):
+        for labels in _grid(size):
+            assert new(*labels, ctx=ctx, policy=policy) == ref(*labels, ctx=ctx, policy=policy), \
+                labels
+
+
+def test_lattice_sum_reads_sign_power_and_affine_labels(ctx05):
+    # one term, on a one-point fixed window, is the exact signed product
+    ctx = ctx05
+    fixed = TruncationPolicy(bilateral_window=(2, 2), adaptive=False)
+    got = lattice_sum([(_J, ctx, 1, 2, -3, 1), (coupling.weight_pair, ctx, 0, -1, 4, 0)], ctx,
+                      fixed, half=(3, -1), sign=5)
+    m, e = exact_product(qpower(1, ctx), _J(5, -1, ctx), coupling.weight_pair(-2, 4, ctx))
+    assert got == bilateral_sum(lambda r: (-m, e), fixed, ctx)
+    assert got.terms_used == 1 and got.value != 0
+
+
+def _pentagon_product(x, n1, n2, n3, n4, p1, p2, p4, ctx):
+    # item 12: with a, b, c, t1, t2 the J display's labels, on b + c = s the
+    # left side is (-1)^{p2+p4} q^{p2+p4-2n4} (-1)^{t1+t2} Q^{-(t1+t2)/2}
+    # J_{a-t1}(Q^{b-t1+t2}) J_{a-t2}(Q^{c-t2+t1}) in base Q = q^2
+    p3 = x + n2 + n3 - n4 - p1
+    a = n1 - n2 - n3
+    b, t1 = x - p1 + n3 - n4, p2 - p1 - n4
+    c, t2 = x - p3 + n2 - n4, p4 - p3 - n4
+    m, e = exact_product(qpower(2 * (p2 + p4 - 2 * n4 - t1 - t2), ctx),
+                         _J(a - t1, b - t1 + t2, ctx.base_squared()),
+                         _J(a - t2, c - t2 + t1, ctx.base_squared()))
+    return p3, rounded((-m if (p2 + p4 + t1 + t2) & 1 else m, e), ctx)
+
+
+@settings(max_examples=15, deadline=None)
+@given(labels=st.tuples(st.integers(0, 2), *[st.integers(-1, 1)] * 7),
+       q=st.sampled_from(sorted(CTXS)))
+def test_hexagon_sides_are_pentagon_products_on_the_sublattice(labels, q):
+    # on x + n2 + n3 - n4 - p1 - p3 = 0 the stated J side, and the weight
+    # side times the (-q)^{n2+n3} the J display drops, each equal the
+    # pentagon product; a changed label map in either form breaks this
+    ctx = CTXS[q]
+    x, n1, n2, n3, n4, p1, p2, p4 = labels
+    p3, target = _pentagon_product(x, n1, n2, n3, n4, p1, p2, p4, ctx)
+    full = (x, n1, n2, n3, n4, p1, p2, p3, p4)
+    factors, half, sign = _hexagon_j_display(*full, ctx)
+    j_side = lattice_sum(factors, ctx, None, half=half, sign=sign)
+    weights = lattice_sum(_hexagon_side(*full, ctx), ctx, None)
+    restored = rounded(exact_product(_minus_q_power(n2 + n3, ctx), mantissa(weights.value)), ctx)
+    assert j_side.converged and weights.converged
+    assert abs(j_side.value - target) < 1e-24
+    assert abs(restored - target) < 1e-24

@@ -430,6 +430,13 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
       "--tol", "nan"], 2),
     (["eval", "hankel-orthogonality", "--param", "nu=0", "--param", "m=0", "--param", "n=0",
       "--tol", "inf"], 2),
+    # a JSON true label ran as 1 and passed, a true/false range ran two cases,
+    # and a true precision was read as 1 digit
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [True], "m": [0], "n": [0]}}, 1),
+    ({"identity": "hankel-orthogonality",
+      "grid": {"nu": {"lo": False, "hi": True}, "m": [0], "n": [0]}}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "precision": True}, 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
         "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
@@ -438,7 +445,8 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
         "plan-unknown-key", "policy-unknown-key", "document-unknown-key", "tolerance-nan",
         "tolerance-bool", "tolerance-negative", "policy-tail-tol-nan",
         "policy-tail-tol-infinity", "policy-tail-tol-overflow", "policy-tail-tol-bool",
-        "policy-max-terms-bool", "policy-window-bool", "eval-tol-nan", "eval-tol-inf"])
+        "policy-max-terms-bool", "policy-window-bool", "eval-tol-nan", "eval-tol-inf",
+        "label-bool", "range-bool", "precision-bool"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case.  A plan
@@ -460,6 +468,17 @@ def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys
         report = [json.loads(line) for line in captured.out.strip().split("\n")]
         assert "ValueError" in report[0]["error"]
         assert report[-1]["summary"]["failed"] == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"identity": "hankel-orthogonality", "grid": {"nu": {"lo": False, "hi": True}, "m": [0],
+                                                  "n": [0]}},
+    {"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+     "precision": True},
+], ids=["range", "precision"])
+def test_a_bool_range_or_precision_is_not_an_integer(doc):
+    with pytest.raises(PlanInvalid, match="integer label expected, got (True|False)"):
+        CampaignPlan.from_dict(doc).expand()
 
 
 def test_eval_single_rejects_an_identity_that_is_not_a_string():
