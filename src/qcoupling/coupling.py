@@ -93,7 +93,8 @@ def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
 
     The exact product of (-q)^e and the J pair in base q^2, formed once per
     key in ``_WEIGHTS``.  Key and label rules are ``qbessel_lattice``'s: a
-    float label such as 2.0 finds a warm entry of 2, but raises DomainError cold.
+    label such as 2.0 or True finds a warm entry of 2 or 1, but raises
+    DomainError cold.
     """
     hit = _WEIGHTS.get((order, e, ctx.q_key, ctx.working_precision))
     if hit is None:

@@ -37,8 +37,9 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DomainError
-from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
+from .qcore import (_exact, at_working_precision, cached, QContext, SeriesResult,
+                    TruncationPolicy, bilateral_sum, exact_product, integer_label, mantissa,
+                    qpower, rounded)
 from .coupling import _J, _minus_q_power, verify_biedenharn_elliott, weight_pair
 from .representation import cg_coefficient
 
@@ -80,8 +81,8 @@ class MultiBesselParams:
 
     Boundary conventions lam_0 = nu_0 and x_{d+1} = nu_{d+1} are applied
     internally, never stored.  Every label is read through
-    ``qcore.integer_label``: a numpy integer is kept as an int, 1.7 raises
-    DomainError.
+    ``qcore.integer_label``: a numpy integer is kept as an int, 1.7 or True
+    raises DomainError.
     """
 
     nu: Tuple[int, ...]
@@ -218,7 +219,6 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
     d = len(lam)
     if len(lamp) != d or len(nu) != d + 2:
         raise DomainError("label lengths inconsistent")
-    q = ctx.q
     lam_full = (nu[0],) + lam
     lamp_full = (nu[0],) + lamp
     if memo is None:
@@ -252,7 +252,8 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
         return at
 
     total = level(d)((nu[d + 1],))
-    target = q ** (nu[d + 1] + nu[0] - lam[d - 1]) if lam == lamp else mp.mpf(0)
+    exponent = nu[d + 1] + nu[0] - lam[d - 1]
+    target = _exact(*qpower(2 * exponent, ctx)) if lam == lamp else mp.mpf(0)
     return total.residual(target)
 
 

@@ -174,12 +174,15 @@ def integer_label(value, name: str) -> int:
     """An order or lattice label as an int, through ``operator.index``.
 
     A numpy integer is read as the integer it holds; anything else, such as
-    1.7 or "2", raises DomainError, so a label is never silently truncated.
+    1.7, "2" or True, raises DomainError, so a label is never silently
+    truncated, nor a bool read as 0 or 1.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def cached(table: dict, ctx: QContext, labels: tuple, compute: Callable[[], object]):

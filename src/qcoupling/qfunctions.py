@@ -196,8 +196,9 @@ def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     always at an argument q^m <= 1, never in the deep cancellation of a
     large argument.  The miss also reads nu and y through
     ``qcore.integer_label``, so a numpy integer is stored under its int and
-    a label such as 0.5 raises DomainError.  A float equal to a stored
-    label (2.0 for 2) still finds its entry, since the keys compare equal.
+    a label such as 0.5 or True raises DomainError.  The warm path checks
+    nothing, so a label equal to a stored one still finds its entry, since
+    the keys compare equal: 2.0 finds the entry for 2, and True the entry for 1.
     """
     key = (nu, y, ctx.q_key, ctx.working_precision)
     hit = _J_CACHE.get(key)
@@ -233,7 +234,7 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
     every other, to the working precision plus five digits.  ``_lattice_y``
     gives the argument as q^y instead of x; ``qbessel_lattice`` passes only
     canonical pairs 0 <= nu <= y there.  The order is read through
-    ``qcore.integer_label``: 1.5 raises DomainError.
+    ``qcore.integer_label``: 1.5 or True raises DomainError.
     """
     nu = integer_label(nu, "order")
     if _lattice_y is not None:

@@ -86,7 +86,7 @@ def _eval_hankel(nu, m, n, ctx, policy):
     J = coupling._J
     s = coupling.lattice_sum([(J, ctx, nu, 0, m, 1), (J, ctx, nu, 0, n, 1)], ctx, policy,
                              half=(0, 2))
-    target = ctx.q ** (-n) if m == n else mp.mpf(0)
+    target = qcore._exact(*qcore.qpower(-2 * n, ctx)) if m == n else mp.mpf(0)
     return s.residual(target)
 
 
@@ -417,9 +417,25 @@ def _policy_from(doc: Optional[dict]) -> TruncationPolicy:
         raise PlanInvalid(f"malformed policy: {exc}")
 
 
+# one context per (q as given, precision), shared by every case of the process
+_CONTEXTS: dict = {}
+
+
 def _context(q, precision: int) -> QContext:
+    """The process's one QContext for q and precision, built on first use.
+
+    Plan validation, ``run_campaign``'s block keys and every ``eval_single``
+    call share it, so its ``q_key`` and base-q^2 context are computed once
+    per base and precision, not once per case.  The key is (q, precision)
+    as given: q = 0.5 and q = "0.5" are two entries with one ``q_key``.  A q
+    or precision that ``QContext`` rejects, or a q that cannot be hashed,
+    raises PlanInvalid and is not stored.
+    """
     try:
-        return QContext(q, precision)
+        ctx = _CONTEXTS.get((q, precision))
+        if ctx is None:
+            ctx = _CONTEXTS[q, precision] = QContext(q, precision)
+        return ctx
     except (DomainError, TypeError, ValueError) as exc:
         raise PlanInvalid(f"invalid q {q!r} or precision {precision!r}: {exc}")
 
@@ -437,7 +453,9 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
     echoes ``params`` as given.  ``est_error`` is the truncation estimate
     of an evaluator that returns a SeriesResult, and the policy's tail_tol
     for any other evaluator or a failed case.  An identity that needs the
-    array stack loads it before the case's clock starts.
+    array stack loads it before the case's clock starts.  The context is
+    the process's shared one for (q, precision) (``_context``), so only the
+    first case of a base pays for its ``q_key`` and base-q^2 context.
     """
     if not isinstance(identity, str) or identity not in IDENTITIES:
         raise PlanInvalid(f"unknown identity id {identity!r}")
@@ -503,9 +521,11 @@ def run_campaign(plans: Sequence[CampaignPlan], jobs: int = 1):
     process (see ``_blocks``): at most ``jobs`` processes, this one among
     them.  The pool forks one worker per block after the first before this
     process runs the first block, so no worker inherits that block's table
-    entries; a plan dealt into one block starts no pool.  Results keep deterministic
-    grid order whatever the execution order.  A ``jobs`` below 1 raises
-    PlanInvalid.
+    entries; a plan dealt into one block starts no pool.  The shared
+    contexts of the block keys (``_context``) are built, with their
+    ``q_key``, before the pool forks, so every worker inherits them.
+    Results keep deterministic grid order whatever the execution order.  A
+    ``jobs`` below 1 raises PlanInvalid.
     """
     if jobs < 1:
         raise PlanInvalid(f"jobs must be at least 1, got {jobs}")

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from qcoupling import (QContext, TruncatedFock, TruncationPolicy, bilateral_sum, coupling,
-                       cg_contraction_residual, qbessel_lattice, qhankel_factorization_residual,
+from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock,
+                       TruncationPolicy, bilateral_sum, coupling, cg_contraction_residual,
+                       multi_cg, qbessel, qbessel_lattice, qfunctions,
+                       qhankel_factorization_residual,
                        qhankel_transform, recoupling_R, sixj_closed, sixj_oracle,
                        verify_backcoupling, verify_biedenharn_elliott, verify_hexagon,
                        yang_baxter_residual, yang_baxter_unitarity_defect)
@@ -52,6 +54,29 @@ def test_weight_pair_is_one_table_entry_per_label_pair(monkeypatch):
     assert all(type(o) is int and type(e) is int for o, e, *_ in coupling._WEIGHTS)
     assert cached(coupling._WEIGHTS, ctx, (1, 3), lambda: None) is got
     assert coupling.weight_pair(1, 3.0, ctx) is got
+
+
+def test_a_bool_is_not_a_label_of_any_table(monkeypatch):
+    # a cold True was read as 1: qbessel_lattice(True, 2, ctx) returned
+    # J_1(q^2) and weight_pair(True, False, ctx) the (1, 0) weight.  The warm
+    # path checks nothing, so once the entry for 1 exists True finds it, as
+    # 2.0 finds 2
+    ctx = QContext("0.5")
+    monkeypatch.setattr(qfunctions, "_J_CACHE", {})
+    monkeypatch.setattr(coupling, "_WEIGHTS", {})
+    for call in (lambda: qbessel_lattice(True, 2, ctx), lambda: qbessel_lattice(1, False, ctx),
+                 lambda: coupling.weight_pair(True, False, ctx),
+                 lambda: qbessel(True, "0.3", ctx),
+                 lambda: MultiBesselParams((0, True, 0), (1,), (0,)),
+                 lambda: ThreeNJParams(True, (0, 1, 0), (1,), (0,)),
+                 lambda: multi_cg(0, (False,), (0, 1, 0), ctx)):
+        with pytest.raises(DomainError, match="must be an integer, got (True|False)"):
+            call()
+    assert not qfunctions._J_CACHE and not coupling._WEIGHTS
+    one = qbessel_lattice(1, 2, ctx)
+    assert qbessel_lattice(True, 2, ctx) is one
+    weight = coupling.weight_pair(1, 0, ctx)
+    assert coupling.weight_pair(True, False, ctx) is weight
 
 
 def test_sixj_translation_invariance(ctx05):

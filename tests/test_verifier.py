@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +77,16 @@ def test_genfun_negative_order_directly_and_through_the_cli(capsys, ctx05):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1 and doc["pass"] is False
     assert doc["error"].startswith("DomainError: generating relation needs nu >= 0")
+
+
+def test_hankel_target_does_not_depend_on_the_callers_precision():
+    # q^-n was formed at the ambient 15 digits: called outside eval_single at
+    # q = 0.9 the (0, 2, 2) residual read 6.9e-17, against 2.3e-26 inside it
+    with mp.workdps(15):
+        got = verifier._eval_hankel(0, 2, 2, QContext("0.9"), TruncationPolicy())
+    inside = eval_single("hankel-orthogonality", {"nu": 0, "m": 2, "n": 2}, "0.9")
+    assert got.value < got.est_error
+    assert float(got.value) == inside.residual
 
 
 def test_eval_single_reports_the_evaluators_estimate(ctx05):
@@ -437,6 +448,9 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
       "grid": {"nu": {"lo": False, "hi": True}, "m": [0], "n": [0]}}, 2),
     ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
       "precision": True}, 2),
+    # a q the context table cannot hash
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "q": [[0.5]]}, 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
         "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
@@ -446,7 +460,7 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
         "tolerance-bool", "tolerance-negative", "policy-tail-tol-nan",
         "policy-tail-tol-infinity", "policy-tail-tol-overflow", "policy-tail-tol-bool",
         "policy-max-terms-bool", "policy-window-bool", "eval-tol-nan", "eval-tol-inf",
-        "label-bool", "range-bool", "precision-bool"])
+        "label-bool", "range-bool", "precision-bool", "q-unhashable"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case.  A plan
@@ -479,6 +493,41 @@ def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys
 def test_a_bool_range_or_precision_is_not_an_integer(doc):
     with pytest.raises(PlanInvalid, match="integer label expected, got (True|False)"):
         CampaignPlan.from_dict(doc).expand()
+
+
+def test_an_unhashable_q_is_an_invalid_q():
+    # the context table's lookup hashes q before QContext can reject it
+    with pytest.raises(PlanInvalid, match=r"invalid q \[0.5\]"):
+        CampaignPlan.from_dict({"identity": "hankel-orthogonality",
+                                "grid": {"nu": [0], "m": [0], "n": [0]}, "q": [[0.5]]})
+    with pytest.raises(PlanInvalid, match=r"invalid q \[0.5\]"):
+        eval_single("hankel-orthogonality", {"nu": 0, "m": 0, "n": 0}, [0.5])
+
+
+def test_campaign_builds_one_context_per_base_and_precision(monkeypatch):
+    # every case used to build its own QContext, and so print q for its q_key
+    # and build its base-q^2 context again; plan validation, the block keys,
+    # every case and a later eval_single now share one context per (q,
+    # precision), and each builds its base-q^2 context once
+    built = []
+    post_init = QContext.__post_init__
+
+    def counting(self):
+        built.append((self.q, self.working_precision))
+        post_init(self)
+
+    monkeypatch.setattr(QContext, "__post_init__", counting)
+    monkeypatch.setattr(verifier, "_CONTEXTS", {}, raising=False)
+    monkeypatch.setattr(coupling, "_WEIGHTS", {})
+    plans = [CampaignPlan.from_dict({"identity": "sixj-orthogonality",
+                                     "grid": {"r": [0, 1], "p2": [0, 1], "p3": [0, 1]},
+                                     "q": [0.3, "0.7"]})]
+    results, summary = run_campaign(plans)
+    assert summary["total"] == 16 and summary["failed"] == 0
+    assert eval_single("sixj-orthogonality", {"r": 1, "p2": 0, "p3": 0}, "0.7").passed
+    assert len(built) == 4 and len(verifier._CONTEXTS) == 2
+    contexts = [verifier._CONTEXTS[0.3, 30], verifier._CONTEXTS["0.7", 30]]
+    assert built == [(0.3, 30), ("0.7", 30)] + [(c.base_squared().q, 30) for c in contexts]
 
 
 def test_eval_single_rejects_an_identity_that_is_not_a_string():
