@@ -8,8 +8,8 @@ chain labels, and expand through the multivariate pentagon recursion.
 import mpmath as mp
 
 from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncationPolicy,
-                       multi_orthogonality_residual, multi_qbessel,
-                       multivariate_be_cross_check, threenj_R, threenj_S,
+                       multi_be_stated_form_residual, multi_orthogonality_residual,
+                       multi_qbessel, multivariate_be_cross_check, threenj_R, threenj_S,
                        threenj_corollary_gap, verify_multivariate_BE)
 from qcoupling.multivariate import hat
 
@@ -30,17 +30,19 @@ for lam, lamp in [((0, 0), (0, 0)), ((1, -1), (1, -1)), ((1, 0), (0, 0))]:
     print(f"  lam={lam} lam'={lamp} ({tag}): residual {float(r.value):.2e}")
 
 print("\nchain recoupling coefficients (k = 2)")
-pr = ThreeNJParams(1, (0, 1, 1, -1), (-1, 1), (1, 0))
-print("  right-comb chain:", mp.nstr(threenj_R(pr, ctx), 12))
-print("  left-hanging chain:", mp.nstr(threenj_S(pr, ctx), 12))
+tree = ThreeNJParams(1, (0, 1, 1, -1), (-1, 1), (1, 0))
+print("  right-comb chain:", mp.nstr(threenj_R(tree, ctx), 12))
+print("  left-hanging chain:", mp.nstr(threenj_S(tree, ctx), 12))
 print("  bridge to prefactored multivariate Bessel:",
-      f"{float(threenj_corollary_gap(pr, ctx)):.1e}")
+      f"{float(threenj_corollary_gap(tree, ctx)):.1e}")
 
 print("\nmultivariate pentagon recursion (chain reference form)")
-res = verify_multivariate_BE(pr, ctx, a_form=True)
-print(f"  k=2 chain-form residual: {float(res.s_form_residual):.2e}")
-print(f"  stated coefficient form gap (diagnostic): {float(res.a_form_residual):.2e}"
-      "   <- reported, not asserted")
-chain, pent, gap = multivariate_be_cross_check(pr, ctx)
+res = verify_multivariate_BE(tree, ctx)
+print(f"  k=2 chain-form residual: {float(res.value):.2e}"
+      f" (truncation estimate {float(res.est_error):.1e})")
+stated = multi_be_stated_form_residual(tree, ctx)
+print(f"  stated coefficient form residual: {float(stated.value):.2e}"
+      "   <- does not close")
+chain, pent, gap = multivariate_be_cross_check(tree, ctx)
 print(f"  k=2 cross-check against the one-variable pentagon: chain={float(chain):.1e}"
       f" pentagon={float(pent):.1e} translation={float(gap):.1e}")

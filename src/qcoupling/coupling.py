@@ -104,6 +104,12 @@ def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
     return hit
 
 
+def _integer_labels(names: str, *values) -> Tuple[int, ...]:
+    """values read through ``integer_label``, each under its name in ``names``,
+    so no residual does arithmetic on a label such as True or 1.5."""
+    return tuple(map(integer_label, values, names.split()))
+
+
 def _J(order: int, y: int, ctx: QContext) -> Tuple[int, int]:
     """The lattice value J_order(q^y) as an exact pair."""
     return mantissa(qbessel_lattice(order, y, ctx))
@@ -146,6 +152,7 @@ def verify_backcoupling(x: int, n1: int, n2: int, n3: int, p1: int, p2: int,
     J_{r123}(q^{s+2}) = q^{-1} J_{r123}(q^s) for every s.  J stays bounded as
     s -> +inf, so J would vanish on the lattice, which orthogonality rules out.
     """
+    x, n1, n2, n3, p1, p2 = _integer_labels("x n1 n2 n3 p1 p2", x, n1, n2, n3, p1, p2)
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
@@ -164,6 +171,7 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
     each other; this returns |R-form residual - |(-q)^e| * J-form residual|,
     which is ~0 even though both residuals are large.
     """
+    x, n1, n2, n3, p1p, p2p = _integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
     lhsR = recoupling_R(x, n1, n2, n3, p1p, p2p, ctx)
     # sum_p R(x, n1, n3, n2; p1p, p) R(x, n3, n1, n2; p, p2p), as printed
     rhsR = lattice_sum([(weight_pair, ctx, x - n1 + n3 - n2, 0, p1p - n1 - n2, 1),
@@ -186,6 +194,7 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
     A = (-1)^{mu1+mu2} q^{mu-(mu1+mu2)/2} J_{mu2-mu1+P-Q}(q^{mu-mu1})
         * J_{mu1-mu2+Q-R}(q^{mu-mu2}).
     """
+    P, Q, R, nu, mu1, mu2 = _integer_labels("P Q R nu mu1 mu2", P, Q, R, nu, mu1, mu2)
     lhs = rounded(exact_product(_J(nu + mu1, P - Q, ctx), _J(nu + mu2, Q - R, ctx)), ctx)
     rhs = lattice_sum([(_J, ctx, mu2 - mu1 + P - Q, 0, -mu1, 1),
                        (_J, ctx, mu1 - mu2 + Q - R, 0, -mu2, 1),
@@ -214,6 +223,8 @@ def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
     Like the backcoupling, the identity fails as stated except at symmetric
     fixed points; the residual is faithful.
     """
+    x, n1, n2, n3, n4, p1, p2, p3, p4 = _integer_labels(
+        "x n1 n2 n3 n4 p1 p2 p3 p4", x, n1, n2, n3, n4, p1, p2, p3, p4)
     lhs = lattice_sum(_hexagon_side(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx), ctx, policy)
     rhs = lattice_sum(_hexagon_side(x, n4, n3, n2, n1, p2, p1, p4, p3, ctx), ctx, policy)
     est = lhs.est_error + rhs.est_error
@@ -248,6 +259,9 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
     and the weights (``_hexagon_side``) are each transcribed as printed, not
     derived from each other; only that swap is shared.
     """
+    x, n1, n2, n3, n4, p1, p2, p3, p4 = _integer_labels(
+        "x n1 n2 n3 n4 p1 p2 p3 p4", x, n1, n2, n3, n4, p1, p2, p3, p4)
+
     def gap(*labels):
         factors, half, sign = _hexagon_j_display(x, *labels, ctx)
         j_side = lattice_sum(factors, ctx, policy, half=half, sign=sign).value
@@ -414,18 +428,15 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
 
 
 def qhankel_transform(f: Dict[int, mp.mpf], nu: int, ctx: QContext,
-                      policy: Optional[TruncationPolicy] = None,
-                      out_window: Optional[Tuple[int, int]] = None) -> Dict[int, mp.mpf]:
-    """Lattice Hankel-type transform (H_nu f)(n) = sum_x f(q^x) J_nu(q^{x+n}) q^x.
+                      out_window: Tuple[int, int]) -> Dict[int, mp.mpf]:
+    """Lattice Hankel-type transform (H_nu f)(n) = sum_x f(q^x) J_nu(q^{x+n}) q^x
+    at each n of ``out_window``.
 
     f maps lattice exponents to mpf values; each output is one
     ``bilateral_sum`` on the fixed window spanning the support of f, whose
     products f(q^x) q^x are formed once, exactly.  It is not a
     ``lattice_sum``: f is data, not a table value at labels affine in x.
     """
-    policy = policy or TruncationPolicy()
-    if out_window is None:
-        out_window = policy.bilateral_window
     lo, hi = out_window
     weighted = {xx: exact_product(mantissa(val), qpower(2 * xx, ctx)) for xx, val in f.items()}
     support = TruncationPolicy(bilateral_window=(min(f, default=0), max(f, default=0)),
@@ -440,25 +451,24 @@ def qhankel_transform(f: Dict[int, mp.mpf], nu: int, ctx: QContext,
     return {n: output(n) for n in range(lo, hi + 1)}
 
 
+_QHANKEL_PROBE = (-8, 8)  # the outputs the factorization compares
+
+
 @at_working_precision
 def qhankel_factorization_residual(x: int, n1: int, n2: int, n3: int,
-                                   f: Dict[int, mp.mpf], ctx: QContext,
-                                   policy: Optional[TruncationPolicy] = None,
-                                   probe: Tuple[int, int] = (-8, 8)) -> mp.mpf:
-    """Max gap between H_{r123} f and (H_{r312} o H_{r132}) f on the probe window.
+                                   f: Dict[int, mp.mpf], ctx: QContext) -> mp.mpf:
+    """Max gap between H_{r123} f and (H_{r312} o H_{r132}) f on _QHANKEL_PROBE.
 
     States the remarked transform factorization faithfully; it fails along
     with the backcoupling identity it is equivalent to.
     """
-    policy = policy or TruncationPolicy()
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
-    lo, hi = probe
-    direct = qhankel_transform(f, r123, ctx, policy, probe)
-    inner_window = (lo - 12, hi + 12)
-    inner = qhankel_transform(f, r132, ctx, policy, inner_window)
-    composed = qhankel_transform(inner, r312, ctx, policy, probe)
+    lo, hi = _QHANKEL_PROBE
+    direct = qhankel_transform(f, r123, ctx, _QHANKEL_PROBE)
+    inner = qhankel_transform(f, r132, ctx, (lo - 12, hi + 12))
+    composed = qhankel_transform(inner, r312, ctx, _QHANKEL_PROBE)
     return max(abs(direct[n] - composed[n]) for n in range(lo, hi + 1))
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "threenj_S",
     "threenj_corollary_gap",
     "verify_multivariate_BE",
+    "multi_be_stated_form_residual",
     "multivariate_be_cross_check",
     "verify_S_composition",
     "multi_cg",
@@ -187,46 +188,48 @@ def multi_qbessel(p: MultiBesselParams, ctx: QContext) -> mp.mpf:
     return rounded(_J_product(_factor_labels(p.nu, p.x, p.lam), ctx), ctx)
 
 
+# the orthogonality's level sums, shared by every call of the process: per
+# level labels, the sums at each x_{j+1} (``multi_orthogonality_residual``)
+_ORTHOGONALITY_LEVELS: dict = {}
+
+
 @at_working_precision
-def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int],
-                                 lam_prime: Sequence[int], ctx: QContext,
-                                 policy: Optional[TruncationPolicy] = None,
-                                 memo: Optional[dict] = None) -> SeriesResult:
+def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int], lam2: Sequence[int],
+                                 ctx: QContext,
+                                 policy: Optional[TruncationPolicy] = None) -> SeriesResult:
     """Residual of the d-fold lattice orthogonality of multivariate q-Bessel.
 
-    sum_x J_nu(x,lam) J_nu(x,lam') q^{x_1} = delta_{lam,lam'}
+    sum_x J_nu(x,lam) J_nu(x,lam2) q^{x_1} = delta_{lam,lam2}
     q^{nu_{d+1}+nu_0-lam_d}, the nested sum evaluated innermost-first
     (x_1 innermost): level j sums over x_j, and level j-1 at x_j is its
-    ``inner``.  Each level is memoized per x_{j+1}; passing a shared
-    ``memo`` dict lets grid sweeps reuse inner levels across label pairs.
-    Its keys carry the base, the working precision and the policy, so one
-    dict may serve several of each.
+    ``inner``.  Each level's sums are kept per x_{j+1} in the process table
+    ``_ORTHOGONALITY_LEVELS``, read through ``qcore.cached`` under the
+    policy and the level's labels, so grid sweeps reuse inner levels across
+    label pairs.  Like every table, it lives as long as the process.
 
     ``est_error`` is the truncation estimate of the nested sum: the sum of
-    the estimates of every level sum the total rests on, a memoized level
+    the estimates of every level sum the total rests on, a stored level
     counted once per use.  ``terms_used`` counts their terms the same way,
     and ``converged`` is False as soon as one of those sums did not
-    converge.  None of the three depends on what a shared ``memo`` holds.
+    converge.  None of the three depends on what the table holds.
 
-    Without a memo the levels, tens of MB on a d = 3 grid, go on return.
     Each term reads its J factors (``coupling._J``) and q^{x_1}
     (``qcore.qpower``) from the process tables.
     """
     policy = policy or TruncationPolicy()
     nu = _label_vector(nu, "nu")
     lam = _label_vector(lam, "lam")
-    lamp = _label_vector(lam_prime, "lam_prime")
+    lamp = _label_vector(lam2, "lam2")
     d = len(lam)
     if len(lamp) != d or len(nu) != d + 2:
         raise DomainError("label lengths inconsistent")
     lam_full = (nu[0],) + lam
     lamp_full = (nu[0],) + lamp
-    if memo is None:
-        memo = {}
 
     def level(j):
-        # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam') * (q^{x_1} or level j-1)
-        table = cached(memo, ctx, (policy, nu, lam_full[:j + 1], lamp_full[:j + 1]), dict)
+        # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam2) * (q^{x_1} or level j-1)
+        table = cached(_ORTHOGONALITY_LEVELS, ctx,
+                       (policy, nu, lam_full[:j + 1], lamp_full[:j + 1]), dict)
         inner = level(j - 1) if j > 1 else None
         # factor_j = J_{nu_j - x_{j+1} - lam_{j-1}}(q^{x_j - x_{j+1} + lam_j - lam_{j-1}})
         order, order_p = nu[j] - lam_full[j - 1], nu[j] - lamp_full[j - 1]
@@ -291,66 +294,58 @@ def threenj_corollary_gap(p: ThreeNJParams, ctx: QContext) -> mp.mpf:
     return abs(threenj_R(p, ctx) - rounded(exact_product(pref, jval), ctx))
 
 
-@dataclass(frozen=True)
-class MultivariateBEResult:
-    s_form_residual: mp.mpf
-    a_form_residual: mp.mpf
-    forms_agree: bool
+@at_working_precision
+def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
+                           policy: Optional[TruncationPolicy] = None) -> SeriesResult:
+    """Residual of the multivariate pentagon expansion, chain form.
+
+    R^{x,n}_{r,s} = sum_{t in Z^{k-1}} S^{x,n}_{(t,r_1),s} R^{r_1,n'}_{r',t}:
+    the nested sum's SeriesResult, its value the gap to ``threenj_R``.  The
+    printed q-Bessel coefficient form is ``multi_be_stated_form_residual``.
+    """
+    policy = policy or TruncationPolicy()
+    if p.k < 2:
+        raise DomainError("multivariate pentagon needs k >= 2")
+    nprime, rprime = drop_first(p.n), drop_first(p.r)
+
+    def term(tvec):
+        # S^{x,n}_{(t,r_1),s} R^{r_1,n'}_{r',t}
+        return _weight_product(_S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
+                               + _R_labels(p.r[0], nprime, rprime, tvec), ctx)
+
+    return _nested_vector_sum(term, p.k - 1, policy, ctx).residual(threenj_R(p, ctx))
 
 
 @at_working_precision
-def verify_multivariate_BE(p: ThreeNJParams, ctx: QContext,
-                           policy: Optional[TruncationPolicy] = None,
-                           a_form: bool = True) -> MultivariateBEResult:
-    """Residuals of the multivariate pentagon expansion.
+def multi_be_stated_form_residual(p: ThreeNJParams, ctx: QContext,
+                                  policy: Optional[TruncationPolicy] = None) -> SeriesResult:
+    """Residual of the pentagon expansion's stated q-Bessel coefficient form.
 
-    Reference form: R^{x,n}_{r,s} = sum_{t in Z^{k-1}} S^{x,n}_{(t,r_1),s}
-    R^{r_1,n'}_{r',t}.  The stated q-Bessel coefficient form (with the
-    printed sign-power exponent) is evaluated as a diagnostic; it does not
-    match the reference and the mismatch is reported, not asserted.
+    The printed sign-power exponent, with t_0 = n_2, t_k = r_1 and
+    s_{k+1} = x.  The form does not reproduce the chain form of
+    ``verify_multivariate_BE``; the residual is faithful and O(1).
     """
     policy = policy or TruncationPolicy()
     if p.k < 2:
         raise DomainError("multivariate pentagon needs k >= 2")
     k = p.k
-    lhs = threenj_R(p, ctx)
-
-    nprime = drop_first(p.n)
+    nu_out = (p.n[0],) + tuple(p.x + p.n[j] for j in range(1, k + 1)) + (p.n[k + 1],)
+    nu_in = (p.n[1],) + tuple(p.r[0] + p.n[j] for j in range(2, k + 1)) + (p.n[k + 1],)
+    lhs = multi_qbessel(MultiBesselParams(nu_out, p.r, p.s), ctx)
     rprime = drop_first(p.r)
+    s_ext = p.s + (p.x,)
 
-    def s_term(tvec):
-        # S^{x,n}_{(t,r_1),s} R^{r_1,n'}_{r',t}
-        return _weight_product(_S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
-                               + _R_labels(p.r[0], nprime, rprime, tvec), ctx)
+    def term(tvec):
+        # (-q^{1/2})^expo prod_j J(...) times J_{nu_in}(r', t)
+        t_full = (p.n[1],) + tvec + (p.r[0],)
+        expo = sum(tvec) + sum(p.s) - sum(p.n) - (k - 2) * p.n[0] - p.s[k - 1] + p.r[1]
+        labels = [(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
+                   s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1]) for j in range(1, k + 1)]
+        m, e = _J_product(labels + _factor_labels(nu_in, rprime, tvec), ctx)
+        am, ae = qpower(expo, ctx)
+        return (-m if expo & 1 else m) * am, e + ae
 
-    s_rhs = _nested_vector_sum(s_term, k - 1, policy, ctx).value
-    s_resid = abs(lhs - s_rhs)
-
-    a_resid = mp.mpf("nan")
-    agree = False
-    if a_form:
-        # stated coefficient form, conventions t_0 = n_2, t_k = r_1, s_{k+1} = x
-        nu_out = (p.n[0],) + tuple(p.x + p.n[j] for j in range(1, k + 1)) + (p.n[k + 1],)
-        nu_in = (p.n[1],) + tuple(p.r[0] + p.n[j] for j in range(2, k + 1)) + (p.n[k + 1],)
-        lhsJ = multi_qbessel(MultiBesselParams(nu_out, p.r, p.s), ctx)
-        s_ext = p.s + (p.x,)
-
-        def a_term(tvec):
-            # (-q^{1/2})^expo prod_j J(...) times J_{nu_in}(r', t)
-            t_full = (p.n[1],) + tvec + (p.r[0],)
-            expo = sum(tvec) + sum(p.s) - sum(p.n) - (k - 2) * p.n[0] \
-                - p.s[k - 1] + p.r[1]
-            labels = [(s_ext[j] - p.n[0] + t_full[j - 1] + p.n[j + 1],
-                       s_ext[j - 1] + t_full[j] - p.n[0] - p.n[j + 1]) for j in range(1, k + 1)]
-            m, e = _J_product(labels + _factor_labels(nu_in, rprime, tvec), ctx)
-            am, ae = qpower(expo, ctx)
-            return (-m if expo & 1 else m) * am, e + ae
-
-        a_rhs = _nested_vector_sum(a_term, k - 1, policy, ctx).value
-        a_resid = abs(lhsJ - a_rhs)
-        gate = mp.mpf("1e-7")
-        agree = bool((s_resid <= gate) == (a_resid <= gate))
-    return MultivariateBEResult(s_resid, a_resid, agree)
+    return _nested_vector_sum(term, k - 1, policy, ctx).residual(lhs)
 
 
 def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
@@ -445,7 +440,7 @@ def multivariate_be_cross_check(p: ThreeNJParams, ctx: QContext,
     r1, r2 = p.r
     s1, s2 = p.s
     x = p.x
-    res_chain = verify_multivariate_BE(p, ctx, policy, a_form=False).s_form_residual
+    res_chain = verify_multivariate_BE(p, ctx, policy).value
     # pentagon labels: the chain factors are R^{x,n1,n2,r2}_{r1,s1} R^{x,s1,n3,n4}_{r2,s2}
     P, Q, R = r1 - n1, r2 - s1, n4 - s2
     nu, mu1, mu2 = x - n1, n2 - r2, n1 - s1 + n3 - n4
@@ -532,8 +527,9 @@ def multi_cg(x: int, r: Sequence[int], n: Sequence[int], ctx: QContext) -> float
 
 @at_working_precision
 def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QContext,
-                          policy: Optional[TruncationPolicy] = None) -> mp.mpf:
-    """Residual of C_{x,r,n} = sum_s R^{x,n}_{r,s} C_{x, hat s, hat n}."""
+                          policy: Optional[TruncationPolicy] = None) -> SeriesResult:
+    """Residual of C_{x,r,n} = sum_s R^{x,n}_{r,s} C_{x, hat s, hat n}, with
+    the nested sum's estimate, terms and ``converged``."""
     policy = policy or TruncationPolicy()
     r = _label_vector(r, "r")
     n = _label_vector(n, "n")
@@ -548,5 +544,4 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
         num, den = c.as_integer_ratio()  # den = 2^(bit_length - 1)
         return m * num, e + 1 - den.bit_length()
 
-    rhs = _nested_vector_sum(term, k, policy, ctx).value
-    return abs(lhs - rhs)
+    return _nested_vector_sum(term, k, policy, ctx).residual(lhs)

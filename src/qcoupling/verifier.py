@@ -109,17 +109,7 @@ def _eval_yang_baxter(u, v, w, lo, hi, ctx, policy):
 
 def _eval_qhankel_factorization(x, n1, n2, n3, ctx, policy):
     f = {xx: qcore.rounded(qcore.qpower(xx * xx, ctx), ctx) for xx in range(-20, 25)}
-    return coupling.qhankel_factorization_residual(x, n1, n2, n3, f, ctx, policy)
-
-
-# the orthogonality's level sums, shared by every case of the process; their
-# keys carry the base, the working precision and the policy
-_ORTHOGONALITY_LEVELS: dict = {}
-
-
-def _eval_multi_orthogonality(nu, lam, lam2, ctx, policy):
-    return multivariate.multi_orthogonality_residual(nu, lam, lam2, ctx, policy,
-                                                     memo=_ORTHOGONALITY_LEVELS)
+    return coupling.qhankel_factorization_residual(x, n1, n2, n3, f, ctx)
 
 
 def _eval_multi_duality(nu, x, lam, ctx, policy):
@@ -159,8 +149,7 @@ def _eval_s_lemma(x, n, s, s2, ctx, policy):
 
 
 def _eval_multi_be(x, n, r, s, ctx, policy):
-    params = multivariate.ThreeNJParams(x, n, r, s)
-    return multivariate.verify_multivariate_BE(params, ctx, policy, a_form=False).s_form_residual
+    return multivariate.verify_multivariate_BE(multivariate.ThreeNJParams(x, n, r, s), ctx, policy)
 
 
 def _eval_aw_symmetry(n, x, a, b, c, d, ctx, policy):
@@ -292,7 +281,7 @@ IDENTITIES: Dict[str, Identity] = {i.name: i for i in [
     Identity("qhankel-factorization", "composition factorization of the lattice Hankel transform (stated form)",
              _eval_qhankel_factorization, _labels("x n1 n2 n3")),
     Identity("multi-orthogonality", "nested lattice orthogonality of multivariate q-Bessel",
-             _eval_multi_orthogonality, _labels(vectors="nu lam lam2")),
+             _library(multivariate, "multi_orthogonality_residual"), _labels(vectors="nu lam lam2")),
     Identity("multi-duality", "label-reversal self-duality of multivariate q-Bessel",
              _eval_multi_duality, _labels(vectors="nu x lam")),
     Identity("threenj-product", "chain factorization of tree recoupling coefficients",

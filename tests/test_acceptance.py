@@ -155,26 +155,27 @@ def test_criterion_4_triple_product_fails():
           f"window (-13, 13) recheck gap={gap:.1e}, {time.time()-t0:.0f}s")
 
 
-def test_criterion_5_multivariate_orthogonality():
+def test_criterion_5_multivariate_orthogonality(monkeypatch):
+    # the grid fills the process's level table from empty, and its d = 3
+    # levels, tens of MB, go with the test
+    monkeypatch.setattr(qc.multivariate, "_ORTHOGONALITY_LEVELS", {})
     ctx = QContext("0.5")
     t0 = time.time()
     pol = TruncationPolicy(tail_tol=1e-16)
     worst2 = 0.0
     nu2 = (0, 1, 0, 1)
-    memo2: dict = {}
     lams2 = list(itertools.product(range(-2, 3), repeat=2))
     for lam in lams2:
         for lamp in lams2:
-            r = multi_orthogonality_residual(nu2, lam, lamp, ctx, pol, memo=memo2)
+            r = multi_orthogonality_residual(nu2, lam, lamp, ctx, pol)
             worst2 = max(worst2, float(r.value))
     ok2 = worst2 < 1e-7
     worst3 = 0.0
     nu3 = (0, 1, 0, 1, 0)
-    memo3: dict = {}
     lams3 = list(itertools.product(range(-2, 3), repeat=3))
     for lam in lams3:
         for lamp in lams3:
-            r = multi_orthogonality_residual(nu3, lam, lamp, ctx, pol, memo=memo3)
+            r = multi_orthogonality_residual(nu3, lam, lamp, ctx, pol)
             worst3 = max(worst3, float(r.value))
     ok3 = worst3 < 1e-6
     _crit("criterion 5: multivariate lattice orthogonality", ok2 and ok3,
@@ -225,11 +226,10 @@ def test_criterion_8_multivariate_pentagon():
     for _ in range(6):
         p = ThreeNJParams(rng.randint(0, 2), tuple(_random_labels(rng, 4, 1)),
                           tuple(_random_labels(rng, 2, 1)), tuple(_random_labels(rng, 2, 1)))
-        res = verify_multivariate_BE(p, ctx, a_form=False)
-        worst2 = max(worst2, float(res.s_form_residual))
+        worst2 = max(worst2, float(verify_multivariate_BE(p, ctx).value))
     pol3 = TruncationPolicy(bilateral_window=(-12, 14), adaptive=False)
     p3 = ThreeNJParams(1, (0, 1, 0, -1, 0), (0, 1, 0), (1, 0, 0))
-    res3 = float(verify_multivariate_BE(p3, ctx, pol3, a_form=False).s_form_residual)
+    res3 = float(verify_multivariate_BE(p3, ctx, pol3).value)
     worst_cross = 0.0
     for _ in range(4):
         p = ThreeNJParams(rng.randint(0, 2), tuple(_random_labels(rng, 4, 1)),

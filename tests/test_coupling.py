@@ -79,6 +79,19 @@ def test_a_bool_is_not_a_label_of_any_table(monkeypatch):
     assert coupling.weight_pair(True, False, ctx) is weight
 
 
+def test_one_variable_residuals_refuse_a_bool_label(ctx05):
+    # each residual did arithmetic on its labels before any table read them, so
+    # True + 0 became the int 1: verify_hexagon(True, 0, ...) returned 0.0,
+    # verify_backcoupling 0.80 and verify_biedenharn_elliott 6.7e-29.  The
+    # tables are warm at the labels 1 and 0 here, and True is still refused
+    for residual, arity in ((verify_backcoupling, 6), (backcoupling_forms_gap, 6),
+                            (verify_biedenharn_elliott, 6), (verify_hexagon, 9),
+                            (hexagon_j_form_residual, 9)):
+        residual(1, *[0] * (arity - 1), ctx05)
+        with pytest.raises(DomainError, match="must be an integer, got True"):
+            residual(True, *[0] * (arity - 1), ctx05)
+
+
 def test_sixj_translation_invariance(ctx05):
     for k in range(-3, 4):
         a = sixj_closed(1 + k, 2, -1 + k, 2, ctx05)

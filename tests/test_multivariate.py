@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock,
                        TruncationPolicy, cg_expansion_residual, coupled_vector, hat,
-                       multi_cg, multi_orthogonality_residual, multi_qbessel,
+                       multi_be_stated_form_residual, multi_cg,
+                       multi_orthogonality_residual, multi_qbessel,
                        multivariate_be_cross_check, qbessel_lattice, recoupling_R,
                        threenj_R, threenj_S, threenj_corollary_gap, verify_S_composition,
                        verify_multivariate_BE)
@@ -65,7 +66,7 @@ _SMALL = TruncationPolicy(bilateral_window=(-6, 6), adaptive=False)
      (1, (0, 1, -1), (1,), (0,)), (1, (0, 1, -1), (0.9,), (0,))),
     (lambda ctx, x, r, n: multi_cg(x, r, n, ctx),
      (1, (0,), (0, 1, 0)), (1, (0.9,), (0, 1, 0))),
-    (lambda ctx, x, r, n: cg_expansion_residual(x, r, n, ctx, _SMALL),
+    (lambda ctx, x, r, n: cg_expansion_residual(x, r, n, ctx, _SMALL).value,
      (2, (1,), (0, 1, 1)), (2, (1,), (0, 1, 1.5))),
 ], ids=["multi-orthogonality", "S-composition", "multi-cg", "cg-expansion"])
 def test_residual_labels_are_read_as_integers(ctx05, call, labels, bad):
@@ -229,25 +230,22 @@ def test_multivariate_pentagon_chain_form(ctx05):
                           tuple(rng.randint(-1, 1) for _ in range(4)),
                           tuple(rng.randint(-1, 1) for _ in range(2)),
                           tuple(rng.randint(-1, 1) for _ in range(2)))
-        res = verify_multivariate_BE(p, ctx05, a_form=False)
-        assert res.s_form_residual < 1e-7
+        assert verify_multivariate_BE(p, ctx05).value < 1e-7
 
 
 def test_multivariate_pentagon_k3(ctx05):
     pol = TruncationPolicy(bilateral_window=(-12, 14), adaptive=False)
     p = ThreeNJParams(1, (0, 1, 0, -1, 0), (0, 1, 0), (1, 0, 0))
-    res = verify_multivariate_BE(p, ctx05, pol, a_form=False)
-    assert res.s_form_residual < 1e-6
+    assert verify_multivariate_BE(p, ctx05, pol).value < 1e-6
 
 
 def test_multivariate_pentagon_coefficient_form_mismatch(ctx05):
     # the stated coefficient form does not reproduce the chain reference;
-    # the result object reports the disagreement instead of asserting it away
+    # its residual reports the disagreement instead of asserting it away
     p = ThreeNJParams(1, (0, 1, 1, -1), (-1, 1), (1, 0))
-    res = verify_multivariate_BE(p, ctx05, a_form=True)
-    assert res.s_form_residual < 1e-7
-    assert res.a_form_residual > 1e-3
-    assert not res.forms_agree
+    assert verify_multivariate_BE(p, ctx05).value < 1e-7
+    stated = multi_be_stated_form_residual(p, ctx05)
+    assert stated.value > 1e-3 and stated.converged
 
 
 def test_multivariate_pentagon_cross_check(ctx05):
@@ -297,7 +295,7 @@ def test_multi_cg_matches_coupled_vector_coefficients(ctx05):
 def test_cg_expansion(ctx05):
     pol = TruncationPolicy(bilateral_window=(-10, 14), adaptive=False)
     for (x, r1, n) in [(2, 1, (0, 1, 1)), (3, 2, (1, 0, 1)), (2, 0, (0, 0, 2))]:
-        assert cg_expansion_residual(x, (r1,), n, ctx05, pol) < 1e-7
+        assert cg_expansion_residual(x, (r1,), n, ctx05, pol).value < 1e-7
 
 
 # The mpf products the exact chains replaced, kept as their oracles: each

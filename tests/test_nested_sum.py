@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp
 
 from qcoupling import (QContext, ThreeNJParams, TruncationPolicy, cg_expansion_residual,
-                       multi_orthogonality_residual, verify_S_composition,
-                       verify_multivariate_BE)
+                       multi_be_stated_form_residual, multi_orthogonality_residual,
+                       verify_S_composition, verify_multivariate_BE)
 from qcoupling import coupling, multivariate, verifier
 from qcoupling.errors import NonConvergent
 from qcoupling.multivariate import (MultiBesselParams, drop_first, hat, multi_cg,
@@ -212,12 +212,13 @@ def _chain_case(draw):
 
 def _chain_residuals(kind, x, n, r, s, ctx, policy):
     if kind == "cg-expansion":
-        return [cg_expansion_residual(x, r, n, ctx, policy)]
+        return [cg_expansion_residual(x, r, n, ctx, policy).value]
     if kind == "s-lemma":
         with ctx.workdps(10):  # the precision eval_single gives it
             return [verifier._eval_s_lemma(x, n, r, s, ctx, policy).value]
-    res = verify_multivariate_BE(ThreeNJParams(x, n, r, s), ctx, policy)
-    return [res.s_form_residual, res.a_form_residual]
+    p = ThreeNJParams(x, n, r, s)
+    return [verify_multivariate_BE(p, ctx, policy).value,
+            multi_be_stated_form_residual(p, ctx, policy).value]
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,14 +353,17 @@ def test_hoisted_factors_never_cross_bases_or_precisions(precision):
         _assert_close(got, *_old_orthogonality(nu, lam, lamp, ctx, pol), ctx)
 
 
-def test_orthogonality_memo_keeps_bases_precisions_and_policies_apart():
-    # a shared memo once handed q = 0.5 levels to q = 0.3 (residual 0.2)
+def test_orthogonality_levels_keep_bases_precisions_and_policies_apart(monkeypatch):
+    # one level table once handed q = 0.5 levels to q = 0.3 (residual 0.2):
+    # read warm, after the other bases, precisions and policies, each case
+    # gives what it gives from an emptied table
     nu, lam = (0, 1, 0, 1), (0, 0)
-    shared: dict = {}
-    for ctx, pol in ((QContext("0.5"), None), (QContext("0.3"), None),
-                     (QContext("0.3", 40), None),
-                     (QContext("0.3"), TruncationPolicy(tail_tol=1e-18))):
-        got = multi_orthogonality_residual(nu, lam, lam, ctx, pol, memo=shared)
+    cases = ((QContext("0.5"), None), (QContext("0.3"), None), (QContext("0.3", 40), None),
+             (QContext("0.3"), TruncationPolicy(tail_tol=1e-18)))
+    monkeypatch.setattr(multivariate, "_ORTHOGONALITY_LEVELS", {})
+    warm = [multi_orthogonality_residual(nu, lam, lam, ctx, pol) for ctx, pol in cases]
+    for (ctx, pol), got in zip(cases, warm):
+        monkeypatch.setattr(multivariate, "_ORTHOGONALITY_LEVELS", {})
         assert got == multi_orthogonality_residual(nu, lam, lam, ctx, pol)
         assert got.value < 1e-20
 

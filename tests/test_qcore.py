@@ -1,12 +1,10 @@
-from types import SimpleNamespace
-
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcoupling import (QContext, TruncationPolicy, bilateral_sum, coupling, qcore,
-                       multi_orthogonality_residual, qbessel_lattice, qfunctions, qpoch_finite,
-                       qpoch_infinite, representation, rphis, verifier)
+                       multi_orthogonality_residual, multivariate, qbessel_lattice, qfunctions,
+                       qpoch_finite, qpoch_infinite, representation, rphis)
 from qcoupling.errors import DomainError, NonConvergent, PoleInLowerParameter
 from qcoupling.qcore import mantissa
 
@@ -69,7 +67,6 @@ def test_q_key_separates_bases_and_ignores_ambient_precision():
 with mp.workdps(45):
     _NEAR_BASES = (QContext(mp.mpf("0.5")), QContext(mp.mpf("0.5") + mp.mpf("1e-20")))
 _PRECISIONS = (QContext("0.5", 30), QContext("0.5", 50))
-_LEVELS = SimpleNamespace(memo={})  # the memo handed to the orthogonality residual
 
 # (holder, table attribute, evaluation) of every user of qcore.cached
 _CACHE_USERS = {
@@ -84,11 +81,9 @@ _CACHE_USERS = {
         0, 1, (-4, 4), (0, 2), ctx).toarray().tolist()),
     "oracle-vector": (representation, "_ORACLE_VECTORS", lambda ctx: representation.sixj_oracle(
         1, 0, 0, 1, 0, representation.TruncatedFock(60), ctx)),
-    "orthogonality-level": (_LEVELS, "memo", lambda ctx: multi_orthogonality_residual(
-        (0, 1, 0), (1,), (1,), ctx, memo=_LEVELS.memo).value),
-    "campaign-orthogonality-level": (verifier, "_ORTHOGONALITY_LEVELS",
-                                     lambda ctx: verifier._eval_multi_orthogonality(
-                                         (0, 1, 0), (1,), (1,), ctx, None).value),
+    "orthogonality-level": (multivariate, "_ORTHOGONALITY_LEVELS",
+                            lambda ctx: multi_orthogonality_residual(
+                                (0, 1, 0), (1,), (1,), ctx).value),
     "q-power": (qcore, "_POWERS", lambda ctx: [qcore.qpower(k, ctx) for k in (-3, 1, 4)]),
     "weight": (coupling, "_WEIGHTS",
                lambda ctx: [coupling.weight_pair(1, e, ctx) for e in (-2, 3)]),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcoupling import (CampaignPlan, QContext, TruncationPolicy, coupling, eval_single,
-                       genfun_check, multi_orthogonality_residual, run_campaign, verifier)
+                       genfun_check, multivariate, run_campaign, verifier)
 from qcoupling.cli import main as cli_main
 from qcoupling.errors import DomainError, PlanInvalid
 from qcoupling.verifier import IDENTITIES, identity_descriptions
@@ -109,6 +109,17 @@ def test_eval_single_reports_the_evaluators_estimate(ctx05):
     # an evaluator returning an mpf still reports tail_tol
     res = eval_single("qpoch-recurrence", {"a": 0.5, "n": 3}, 0.5)
     assert res.passed and res.est_error == TruncationPolicy().tail_tol
+
+
+def test_chain_sums_report_their_own_estimate():
+    # multi-be and cg-expansion echoed tail_tol (1e-25) as est_error; on the
+    # fixed window (-10, 12) multi-be read residual 1.3e-17 against that
+    window = TruncationPolicy(bilateral_window=(-10, 12), adaptive=False)
+    for identity, labels in (
+            ("multi-be", {"x": 0, "n": [0, 1, 0, -1], "r": [0, 1], "s": [1, 0]}),
+            ("cg-expansion", {"x": 1, "r": [0, 1], "n": [0, 1, 0, 1]})):
+        res = eval_single(identity, labels, 0.5, tolerance=1e-7, policy=window)
+        assert res.passed and res.est_error >= res.residual > 0, res
 
 
 def test_eval_single_unknown_identity():
@@ -584,19 +595,22 @@ def test_integer_labels_are_not_truncated(capsys):
         assert res.passed, res
 
 
-def test_campaign_orthogonality_levels_match_fresh_memos(monkeypatch):
+def test_campaign_orthogonality_levels_match_an_emptied_table(monkeypatch):
     # every multi-orthogonality case of a process reads one level table; a d = 2
-    # grid at two bases and two policies, interleaved, gives the fresh-memo
-    # residual, est_error, terms_used and converged
-    monkeypatch.setattr(verifier, "_ORTHOGONALITY_LEVELS", {})
+    # grid at two bases and two policies, interleaved, gives from the warm table
+    # the residual, est_error, terms_used and converged of an emptied one
+    evaluate = verifier.IDENTITIES["multi-orthogonality"].evaluator
     nu = (0, 1, 0, 1)
     policies = (TruncationPolicy(), TruncationPolicy(bilateral_window=(-4, 4), adaptive=False))
-    cases = [(lam, lam2, QContext(q), pol) for lam in ((0, 0), (1, -1)) for lam2 in ((0, 0), (0, 1))
+    cases = [dict(nu=nu, lam=lam, lam2=lam2, ctx=QContext(q), policy=pol)
+             for lam in ((0, 0), (1, -1)) for lam2 in ((0, 0), (0, 1))
              for q in ("0.3", "0.5") for pol in policies]
-    for lam, lam2, ctx, pol in cases:
-        got = verifier._eval_multi_orthogonality(nu, lam, lam2, ctx, pol)
-        assert got == multi_orthogonality_residual(nu, lam, lam2, ctx, pol)
-    assert verifier._ORTHOGONALITY_LEVELS
+    monkeypatch.setattr(multivariate, "_ORTHOGONALITY_LEVELS", {})
+    warm = [evaluate(**case) for case in cases]
+    assert multivariate._ORTHOGONALITY_LEVELS
+    for case, got in zip(cases, warm):
+        monkeypatch.setattr(multivariate, "_ORTHOGONALITY_LEVELS", {})
+        assert got == evaluate(**case)
 
 
 ROOT = Path(__file__).resolve().parent.parent
