@@ -17,15 +17,17 @@ do NOT hold as stated (the residual functions compute them faithfully and
 report O(1) values).  verify_backcoupling's docstring shows why the
 backcoupling cannot close; the README's verification status has the rest.
 
-Only the truncated Yang-Baxter operator is a matrix: ``_yb_operator``,
-``_yb_lift``, ``yang_baxter_residual`` and ``yang_baxter_unitarity_defect``
-need numpy and scipy.sparse, and each imports them when called.  Importing
-this module loads neither.
+The truncated Yang-Baxter operator is never built as a matrix: each pair
+operator conserves the sum of its two legs, so ``yang_baxter_residual`` and
+``yang_baxter_unitarity_defect`` sum its entries one sector at a time, in
+Python floats.  Nothing in this module loads numpy or scipy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+import itertools
+import math
+from typing import Dict, Optional, Tuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_float
@@ -34,9 +36,6 @@ from .errors import InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
                     bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "sixj_closed",
@@ -63,6 +62,7 @@ def sixj_closed(p1: int, r1: int, p2: int, r2: int, ctx: QContext) -> mp.mpf:
     argument.  It is the tree-move weight at n1 = n2 = n3 = 0: a base-q^2
     q-Bessel value at the lattice point p1-p2.
     """
+    p1, r1, p2, r2 = _integer_labels("p1 r1 p2 r2", p1, r1, p2, r2)
     if r1 != r2:
         return mp.mpf(0)
     return recoupling_R(r1, 0, 0, 0, p1, -p2, ctx)
@@ -76,6 +76,7 @@ def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
     x-n1+n2-n3; equals sixj_closed under p1p = n1+p1, p2p = n3-p2.
     ``weight_pair`` rounded once.
     """
+    x, n1, n2, n3, p1p, p2p = _integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
     return rounded(weight_pair(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx), ctx)
 
 
@@ -106,8 +107,12 @@ def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
 
 def _integer_labels(names: str, *values) -> Tuple[int, ...]:
     """values read through ``integer_label``, each under its name in ``names``,
-    so no residual does arithmetic on a label such as True or 1.5."""
-    return tuple(map(integer_label, values, names.split()))
+    so no residual does arithmetic on a label such as True or 1.5.  Values
+    that are all ints, as nearly every call's are, come back as they are."""
+    for value in values:
+        if type(value) is not int:
+            return tuple(map(integer_label, values, names.split()))
+    return values
 
 
 def _J(order: int, y: int, ctx: QContext) -> Tuple[int, int]:
@@ -273,8 +278,6 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
 
 
 _YB_KERNELS: Dict[tuple, Dict[int, float]] = {}
-_YB_OPS: Dict[tuple, sparse.csr_matrix] = {}
-_YB_LIFTS: Dict[tuple, sparse.csr_matrix] = {}
 
 
 def _yb_sector_kernel(nu: int, offsets, ctx: QContext) -> Dict[int, float]:
@@ -287,144 +290,137 @@ def _yb_sector_kernel(nu: int, offsets, ctx: QContext) -> Dict[int, float]:
     return cached(_YB_KERNELS, ctx, (nu, min(offsets), max(offsets)), build)
 
 
-def _yb_operator(u: int, v: int, window: Tuple[int, int], ctx: QContext) -> sparse.csr_matrix:
-    """Truncated pair-space operator built from the recoupling weights.
+class _YBKernels(dict):
+    """nu -> ``_yb_sector_kernel(nu)`` over every offset of one window, read
+    from the process table when a sum first reaches that sector."""
 
-    Acting on e_{t1} x e_{t2} it conserves the sector s = t1+t2 and maps it
-    to sum_y K_{u+v-s}(y-t2) e_{s-y} x e_y; the decomposition gauge is fixed
-    so that the coefficient depends only on (t1, t2, y).  Depends on u, v
-    only through u+v, which the cache exploits.
-    """
-    from scipy import sparse
+    def __init__(self, window: Tuple[int, int], ctx: QContext):
+        super().__init__()
+        self.offsets, self.ctx = range(window[0] - window[1], window[1] - window[0] + 1), ctx
 
-    def build():
-        lo, hi = window
-        pts = list(range(lo, hi + 1))
-        npts = len(pts)
-        idx = {t: i for i, t in enumerate(pts)}
-        rows, cols, vals = [], [], []
-        offs = range(lo - hi, hi - lo + 1)
-        for t1 in pts:
-            for t2 in pts:
-                s = t1 + t2
-                ker = _yb_sector_kernel(u + v - s, offs, ctx)
-                col = idx[t1] * npts + idx[t2]
-                for y in pts:
-                    k = s - y
-                    if lo <= k <= hi:
-                        c = ker[y - t2]
-                        if c != 0.0:
-                            rows.append(idx[k] * npts + idx[y])
-                            cols.append(col)
-                            vals.append(c)
-        n = npts * npts
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    return cached(_YB_OPS, ctx, (u + v, window), build)
+    def __missing__(self, nu: int) -> Dict[int, float]:
+        kernel = self[nu] = _yb_sector_kernel(nu, self.offsets, self.ctx)
+        return kernel
 
 
 _YB_NORM_TOL = 1e-9  # a column this close to unit norm lost no kernel mass to the window
 _YB_MARGIN = 3  # leg indices this far inside the window are interior
 
 
+def _yb_complete_columns(u: int, v: int, window: Tuple[int, int],
+                         ctx: QContext) -> Dict[int, list]:
+    """The complete columns of the truncated pair operator, by sector.
+
+    The operator sends e_{t1} x e_{t2} to sum_y K_{u+v-s}(y-t2) e_{s-y} x e_y
+    over the y with both legs in the window, so it conserves the sector
+    s = t1+t2 and depends on u, v only through u+v.  A column is its list
+    of values over the legs y of its sector; it is complete when its norm is
+    within _YB_NORM_TOL of 1, i.e. the window cut did not swallow kernel
+    mass for that input.
+    """
+    lo, hi = window
+    kernels = _YBKernels(window, ctx)
+    sectors = {}
+    for s in range(2 * lo, 2 * hi + 1):
+        kernel = kernels[u + v - s]
+        legs = range(max(lo, s - hi), min(hi, s - lo) + 1)
+        columns = ([kernel[y - t2] for y in legs] for t2 in legs)
+        sectors[s] = [col for col in columns
+                      if abs(math.sqrt(sum(x * x for x in col)) - 1.0) <= _YB_NORM_TOL]
+    return sectors
+
+
 def yang_baxter_unitarity_defect(u: int, v: int, window: Tuple[int, int],
                                  ctx: QContext) -> float:
     """Max Gram defect of the truncated operator over its complete columns.
 
-    A column is complete when its truncated norm is within _YB_NORM_TOL of 1,
-    i.e. the window cut did not swallow kernel mass for that input; those
+    Columns of different sectors have disjoint supports, so the Gram matrix
+    is one block per sector (``_yb_complete_columns``); the complete columns
     are the interior coordinates of the truncation.
     """
-    import numpy as np
-
-    R = _yb_operator(u, v, window, ctx)
-    norms = np.sqrt(np.asarray(R.multiply(R).sum(axis=0)).ravel())
-    complete = np.where(np.abs(norms - 1.0) <= _YB_NORM_TOL)[0]
-    if len(complete) == 0:
+    lo, hi = window
+    u, v, lo, hi = _integer_labels("u v lo hi", u, v, lo, hi)
+    sectors = _yb_complete_columns(u, v, (lo, hi), ctx)
+    if not any(sectors.values()):
         raise InsufficientWindow("no complete columns inside the window")
-    sub = R[:, complete]
-    G = (sub.T @ sub).toarray() - np.eye(len(complete))
-    return float(np.abs(G).max())
-
-
-def _yb_lift(u: int, v: int, window: Tuple[int, int], legs: Tuple[int, int],
-             ctx: QContext) -> sparse.csr_matrix:
-    """``_yb_operator(u, v, window)`` lifted onto the given legs of the
-    three-fold space, built once per (u+v, window, legs) and context."""
-    import numpy as np
-    from scipy import sparse
-
-    def build():
-        R = _yb_operator(u, v, window, ctx)
-        n = window[1] - window[0] + 1
-        I = sparse.identity(n, format="csr")
-        if legs == (0, 1):
-            return sparse.kron(R, I, format="csr")
-        if legs == (1, 2):
-            return sparse.kron(I, R, format="csr")
-        # legs (0, 2): conjugate by the swap of the last two legs, which sends
-        # column (a * n + b) * n + c to row (a * n + c) * n + b
-        perm_rows = np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).ravel()
-        P = sparse.csr_matrix((np.ones(n ** 3), (perm_rows, np.arange(n ** 3))),
-                              shape=(n ** 3, n ** 3))
-        return P.T @ sparse.kron(R, I, format="csr") @ P
-
-    return cached(_YB_LIFTS, ctx, (u + v, window, legs), build)
+    return max(abs(sum(x * y for x, y in zip(a, b)) - (1.0 if i == j else 0.0))
+               for columns in sectors.values()
+               for i, a in enumerate(columns) for j, b in enumerate(columns[i:], i))
 
 
 def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
                          ctx: QContext, probe: Optional[list] = None) -> float:
     """Max interior entry difference of the two triple products.
 
-    Builds the truncated operator on each pair of legs of the three-fold
-    space and compares R12 R13 R23 with R23 R13 R12.  With ``probe`` (a list
+    Compares R12 R13 R23 with R23 R13 R12 on the three-fold space, where
+    Rij is the truncated pair operator (``_yb_complete_columns``) on legs i
+    and j: R12 at u+w, R13 at v+w and R23 at u+v.  With ``probe`` (a list
     of basis index triples) only those input columns are compared, which is
     much cheaper for sweeps.  The identity fails as stated; the defect is
     O(1) and reported faithfully.
 
     Only entries whose three leg indices each lie at least _YB_MARGIN inside
-    the window count (for the full products, both the row and the column).
-    That interior is one boolean mask over the flattened n^3 index, and the
-    defect is the largest absolute difference it selects (0.0 if none).
-    The full products restrict their left factor to the interior rows
-    before multiplying.  scipy's CSR product forms each output row on its
-    own, from that row's nonzeros in stored order, so those rows are
-    bit-identical to the rows of the whole product.  The three lifted
-    operators are cached per (u+v, window, legs) and context (``_yb_lift``).
+    the window count (for the full products, both the row and the column);
+    the defect is the largest absolute difference among them.  Each pair
+    operator conserves the sum of its two legs, so an entry between triples
+    of the same total is one sum over the middle leg m of the intermediate
+    triples, with at most one term per m in the window: Python floats, one
+    sector kernel per pair, built only for the sectors a sum reaches.  The
+    terms are multiplied and added in the order scipy's CSR products use,
+    so the defect is the same double as theirs: the full products as
+    (K12 K13) K23 over ascending m and (K23 K13) K12 over descending m, the
+    probes (matrix-vector products) as K12 (K13 K23) over descending m and
+    K23 (K13 K12) over ascending m.
 
     The operator is float64 whatever ctx.working_precision is: the kernel
-    values are rounded to doubles when the sparse matrices are built, so a
-    higher working precision only makes the J evaluations dearer.
+    values are rounded to doubles, so a higher working precision only makes
+    the J evaluations dearer.
     """
-    import numpy as np
-
     lo, hi = window
-    npts = hi - lo + 1
-    if npts < 2 * _YB_MARGIN + 3:
+    u, v, w, lo, hi = _integer_labels("u v w lo hi", u, v, w, lo, hi)
+    if hi - lo + 1 < 2 * _YB_MARGIN + 3:
         raise InsufficientWindow("window too small for the interior margin")
-    L12 = _yb_lift(u, w, window, (0, 1), ctx)
-    L13 = _yb_lift(v, w, window, (0, 2), ctx)
-    L23 = _yb_lift(u, v, window, (1, 2), ctx)
+    interior = {}
+    for row in itertools.product(range(lo + _YB_MARGIN, hi - _YB_MARGIN + 1), repeat=3):
+        interior.setdefault(sum(row), []).append(row)
+    full = probe is None
+    if full:
+        columns = [col for rows in interior.values() for col in rows]
+    else:
+        columns = []
+        for t0, t1, t2 in probe:
+            columns.append(_integer_labels("t0 t1 t2", t0, t1, t2))
+            if not all(lo <= t <= hi for t in columns[-1]):
+                raise InsufficientWindow(f"probe point {(t0, t1, t2)} outside the window")
 
-    inside = (np.arange(npts) >= _YB_MARGIN) & (np.arange(npts) < npts - _YB_MARGIN)
-    interior = (inside[:, None, None] & inside[None, :, None] & inside[None, None, :]).ravel()
-
-    if probe is not None:
-        defect = 0.0
-        for tpl in probe:
-            pos = [t - lo for t in tpl]
-            if not all(0 <= p < npts for p in pos):
-                raise InsufficientWindow(f"probe point {tpl} outside the window")
-            e = np.zeros(npts ** 3)
-            e[(pos[0] * npts + pos[1]) * npts + pos[2]] = 1.0
-            left = L12 @ (L13 @ (L23 @ e))
-            right = L23 @ (L13 @ (L12 @ e))
-            defect = max(defect, np.abs(left - right)[interior].max())
-        return float(defect)
-
-    rows = np.flatnonzero(interior)
-    D = (L12[rows] @ L13 @ L23 - L23[rows] @ L13 @ L12).tocoo()
-    return float(np.abs(D.data[interior[D.col]]).max(initial=0.0))
+    kernels = _YBKernels((lo, hi), ctx)
+    defect = 0.0
+    for c0, c1, c2 in columns:
+        total = c0 + c1 + c2
+        mid = v + w - total  # the sector of R13's input is total - m
+        k23, k12 = kernels[u + v - c1 - c2], kernels[u + w - c0 - c1]
+        for r0, r1, r2 in interior.get(total, ()):
+            a12, a23 = kernels[u + w - r0 - r1], kernels[u + v - r1 - r2]
+            # R12 R13 R23: c -> (c0, m, c1+c2-m) -> (r0+r1-m, m, r2) -> r
+            ms = range(max(lo, c1 + c2 - hi, r0 + r1 - hi), min(hi, c1 + c2 - lo, r0 + r1 - lo) + 1)
+            left = 0.0
+            if full:
+                for m in ms:
+                    left += a12[r1 - m] * kernels[mid + m][r2 - c1 - c2 + m] * k23[c1 - m]
+            else:
+                for m in reversed(ms):
+                    left += a12[r1 - m] * (kernels[mid + m][r2 - c1 - c2 + m] * k23[c1 - m])
+            # R23 R13 R12: c -> (c0+c1-m, m, c2) -> (r0, m, total-r0-m) -> r
+            ms = range(max(lo, c0 + c1 - hi, total - r0 - hi), min(hi, c0 + c1 - lo, total - r0 - lo) + 1)
+            right = 0.0
+            if full:
+                for m in reversed(ms):
+                    right += a23[m - r1] * kernels[mid + m][c0 + c1 - r0 - m] * k12[m - c1]
+            else:
+                for m in ms:
+                    right += a23[m - r1] * (kernels[mid + m][c0 + c1 - r0 - m] * k12[m - c1])
+            defect = max(defect, abs(left - right))
+    return defect
 
 
 def qhankel_transform(f: Dict[int, mp.mpf], nu: int, ctx: QContext,
@@ -462,6 +458,7 @@ def qhankel_factorization_residual(x: int, n1: int, n2: int, n3: int,
     States the remarked transform factorization faithfully; it fails along
     with the backcoupling identity it is equivalent to.
     """
+    x, n1, n2, n3 = _integer_labels("x n1 n2 n3", x, n1, n2, n3)
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
@@ -486,6 +483,7 @@ def cg_contraction_residual(x: int, n: int, m: int, k: int, p1: int, ctx: QConte
     """
     from .representation import cg_coefficient
 
+    x, n, m, k, p1 = _integer_labels("x n m k p1", x, n, m, k, p1)
     r = x - (n - m + k)
     lhs = cg_coefficient(x, n + p1, n, ctx) * cg_coefficient(n + p1, m, k, ctx)
 

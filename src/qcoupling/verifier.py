@@ -211,22 +211,13 @@ class Identity:
     and policy.  The evaluator returns the residual as an mpf, a float or a
     SeriesResult, whose ``est_error`` the case reports.  ``check``, if given,
     takes the cast labels and raises PlanInvalid for values that name no
-    instance.  ``arrays`` marks an evaluator that runs on numpy and
-    scipy.sparse, which the package does not import: plan validation and
-    ``eval_single`` load them (``load``) before any case's clock starts."""
+    instance."""
 
     name: str
     description: str
     evaluator: Callable
     labels: Dict[str, Label]
     check: Optional[Callable] = None
-    arrays: bool = False
-
-    def load(self) -> None:
-        """Import the array stack if the evaluator needs it."""
-        if self.arrays:
-            import numpy  # noqa: F401
-            import scipy.sparse  # noqa: F401
 
     def check_labels(self, given) -> None:
         """PlanInvalid unless ``given`` has every required label and only declared ones."""
@@ -277,7 +268,7 @@ IDENTITIES: Dict[str, Identity] = {i.name: i for i in [
     Identity("hexagon", "six-term coupling identity (stated form; known not to close)",
              _library(coupling, "verify_hexagon"), _labels("x n1 n2 n3 n4 p1 p2 p3 p4")),
     Identity("yang-baxter", "triple-product equation for the recoupling-weight operator (stated form)",
-             _eval_yang_baxter, _labels("u v w", lo=-10, hi=10), arrays=True),
+             _eval_yang_baxter, _labels("u v w", lo=-10, hi=10)),
     Identity("qhankel-factorization", "composition factorization of the lattice Hankel transform (stated form)",
              _eval_qhankel_factorization, _labels("x n1 n2 n3")),
     Identity("multi-orthogonality", "nested lattice orthogonality of multivariate q-Bessel",
@@ -357,7 +348,6 @@ class CampaignPlan:
         tol = _finite(doc.get("tolerance", 1e-8), "tolerance")
         if not isinstance(ident, str) or ident not in IDENTITIES:
             raise PlanInvalid(f"unknown identity id {ident!r}")
-        IDENTITIES[ident].load()
         for qv in qs:
             _context(qv, precision)
         if not isinstance(grid, dict):
@@ -441,8 +431,7 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
     one from its default; a failed cast is an evaluation error.  The report
     echoes ``params`` as given.  ``est_error`` is the truncation estimate
     of an evaluator that returns a SeriesResult, and the policy's tail_tol
-    for any other evaluator or a failed case.  An identity that needs the
-    array stack loads it before the case's clock starts.  The context is
+    for any other evaluator or a failed case.  The context is
     the process's shared one for (q, precision) (``_context``), so only the
     first case of a base pays for its ``q_key`` and base-q^2 context.
     """
@@ -453,7 +442,6 @@ def eval_single(identity: str, params: dict, q, tolerance: float = 1e-8,
     tolerance = _finite(tolerance, "tolerance")
     policy = policy or TruncationPolicy()
     ctx = _context(q, precision)
-    ident.load()
     t0 = time.perf_counter()
     est = float(policy.tail_tol)
     try:

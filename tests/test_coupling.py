@@ -4,7 +4,6 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import sparse
 
 from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock,
                        TruncationPolicy, bilateral_sum, coupling, cg_contraction_residual,
@@ -13,9 +12,11 @@ from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock
                        qhankel_transform, recoupling_R, sixj_closed, sixj_oracle,
                        verify_backcoupling, verify_biedenharn_elliott, verify_hexagon,
                        yang_baxter_residual, yang_baxter_unitarity_defect)
-from qcoupling.coupling import _yb_operator, backcoupling_forms_gap, hexagon_j_form_residual
+from qcoupling.coupling import backcoupling_forms_gap, hexagon_j_form_residual
 from qcoupling.qcore import at_working_precision, cached, exact_product, mantissa, qpower, rounded
 from qcoupling.errors import DomainError, InsufficientWindow
+
+import yang_baxter_oracles as yb_oracles
 
 
 def test_sixj_closed_delta_structure(ctx05):
@@ -90,6 +91,27 @@ def test_one_variable_residuals_refuse_a_bool_label(ctx05):
         residual(1, *[0] * (arity - 1), ctx05)
         with pytest.raises(DomainError, match="must be an integer, got True"):
             residual(True, *[0] * (arity - 1), ctx05)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: recoupling_R(True, 0, 0, 0, 0, 0, ctx),
+    lambda ctx: sixj_closed(True, 0, 0, 0, ctx),
+    lambda ctx: cg_contraction_residual(True, 0, 0, 0, 0, ctx),
+    lambda ctx: qhankel_factorization_residual(True, 0, 0, 0, {0: mp.mpf(1)}, ctx),
+    lambda ctx: yang_baxter_residual(True, 0, 0, (-4, 4), ctx),
+    lambda ctx: yang_baxter_residual(0, 0, 0, (-4, 4.0), ctx),
+    lambda ctx: yang_baxter_residual(0, 0, 0, (-4, 4), ctx, probe=[(0, 0, 0.0)]),
+    lambda ctx: yang_baxter_unitarity_defect(True, 0, (-10, 10), ctx),
+    lambda ctx: yang_baxter_unitarity_defect(0, 0, (-10.0, 10), ctx),
+], ids=["recoupling-R", "sixj-closed", "cg-contraction", "qhankel-factorization",
+        "yang-baxter", "yang-baxter-window", "yang-baxter-probe", "unitarity",
+        "unitarity-window"])
+def test_closed_forms_and_operator_residuals_refuse_a_non_integer_label(ctx05, call):
+    # each read True as 1 or 4.0 as 4 through its own arithmetic: at q = 0.5
+    # recoupling_R(True, 0, ...) returned 0.891 and yang_baxter_residual(True,
+    # 0, 0, (-4, 4)) 0.362
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(ctx05)
 
 
 def test_sixj_translation_invariance(ctx05):
@@ -241,85 +263,56 @@ def test_yang_baxter_window_guard(ctx05):
         yang_baxter_residual(0, 0, 0, (-10, 10), ctx05, probe=[(0, 0, 40)])
 
 
-def _yb_residual_per_entry(u, v, w, window, ctx, margin=3, probe=None):
-    """The Yang-Baxter defect by per-entry loops: a Python loop builds the
-    legs-(0, 2) swap, and each nonzero entry is tested for the interior on
-    its own.  The oracle for the interior mask of yang_baxter_residual."""
-    lo, hi = window
-    n = hi - lo + 1
-    perm_rows = [(a * n + c) * n + b for a in range(n) for b in range(n) for c in range(n)]
-    P = sparse.csr_matrix((np.ones(n ** 3), (perm_rows, np.arange(n ** 3))),
-                          shape=(n ** 3, n ** 3))
-    I = sparse.identity(n, format="csr")
-    L12 = sparse.kron(_yb_operator(u, w, window, ctx), I, format="csr")
-    L13 = P.T @ sparse.kron(_yb_operator(v, w, window, ctx), I, format="csr") @ P
-    L23 = sparse.kron(I, _yb_operator(u, v, window, ctx), format="csr")
-
-    def interior(flat_index):
-        ia = np.unravel_index(flat_index, (n, n, n))
-        return all(margin <= t < n - margin for t in ia)
-
-    defect = 0.0
-    if probe is not None:
-        for tpl in probe:
-            pos = [t - lo for t in tpl]
-            e = np.zeros(n ** 3)
-            e[(pos[0] * n + pos[1]) * n + pos[2]] = 1.0
-            diff = L12 @ (L13 @ (L23 @ e)) - L23 @ (L13 @ (L12 @ e))
-            for i in np.nonzero(diff)[0]:
-                if interior(i):
-                    defect = max(defect, abs(diff[i]))
-        return float(defect)
-    D = (L12 @ L13 @ L23 - L23 @ L13 @ L12).tocoo()
-    for i, j, val in zip(D.row, D.col, D.data):
-        if abs(val) > defect and interior(i) and interior(j):
-            defect = abs(val)
-    return float(defect)
-
-
-def test_yang_baxter_mask_matches_per_entry_loops(ctx05):
-    # the interior mask selects exactly the entries the per-entry test kept,
-    # and the max of the same doubles is exact, so the defects are bit-equal
+def test_yang_baxter_sector_sums_match_the_sparse_products():
+    # the sector sums multiply and add in the order of scipy's CSR products, so
+    # every defect is the same double as the sparse products', in both modes
     probe = list(itertools.product((-1, 0, 1), repeat=3))
-    for uvw in itertools.product((-1, 0, 1), repeat=3):
-        got = yang_baxter_residual(*uvw, (-4, 4), ctx05)
-        assert got == _yb_residual_per_entry(*uvw, (-4, 4), ctx05)
-        assert got > 0.1
-        got = yang_baxter_residual(*uvw, (-4, 4), ctx05, probe=probe)
-        assert got == _yb_residual_per_entry(*uvw, (-4, 4), ctx05, probe=probe)
     for q in ("0.3", "0.5"):
         ctx = QContext(q)
-        for window in ((-5, 6), (-6, 6)):
-            for uvw in ((0, 0, 0), (1, 0, -1)):
-                assert yang_baxter_residual(*uvw, window, ctx) \
-                    == _yb_residual_per_entry(*uvw, window, ctx)
+        for window, grid in (((-4, 4), list(itertools.product((-1, 0, 1), repeat=3))),
+                             ((-5, 6), [(0, 0, 0), (1, 0, -1)]),
+                             ((-6, 6), [(0, 0, 0), (1, 0, -1)])):
+            for uvw in grid:
+                got = yang_baxter_residual(*uvw, window, ctx)
+                assert got == yb_oracles.residual(*uvw, window, ctx) and got > 0.1
                 assert yang_baxter_residual(*uvw, window, ctx, probe=probe) \
-                    == _yb_residual_per_entry(*uvw, window, ctx, probe=probe)
-    probe = [(0, 0, 0), (1, -1, 0), (0, 1, -1)]
-    assert yang_baxter_residual(1, 0, -1, (-10, 10), ctx05, probe=probe) \
-        == _yb_residual_per_entry(1, 0, -1, (-10, 10), ctx05, probe=probe)
+                    == yb_oracles.residual(*uvw, window, ctx, probe=probe)
+        for uvw in ((1, 0, -1), (0, 1, 0), (-1, -1, 1)):
+            assert yang_baxter_residual(*uvw, (-10, 10), ctx, probe=probe) \
+                == yb_oracles.residual(*uvw, (-10, 10), ctx, probe=probe)
+
+
+def test_yang_baxter_unitarity_matches_the_sparse_gram():
+    # the per-sector Gram blocks keep the sparse Gram's complete columns and
+    # differ from its entries only in the order of each dot product's terms
+    for q in ("0.3", "0.5"):
+        ctx = QContext(q)
+        for u, v in ((0, 0), (1, 0), (-1, -1)):
+            for window in ((-6, 6), (-10, 10)):
+                want, complete = yb_oracles.unitarity_defect(u, v, window, ctx)
+                got = yang_baxter_unitarity_defect(u, v, window, ctx)
+                assert abs(got - want) <= 1e-15
+                sectors = coupling._yb_complete_columns(u, v, window, ctx)
+                assert sum(map(len, sectors.values())) == complete > 0
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
-def test_yang_baxter_lift_cache_matches_empty_tables(monkeypatch, order):
+def test_yang_baxter_kernel_cache_matches_empty_tables(monkeypatch, order):
     # windows (-5, 6) and (-6, 6) at q = 0.3 and 0.5 in one process: each
-    # residual read through the cached lifts equals its value from empty tables
+    # residual read through the cached kernels equals its value from an empty table
     cases = [(QContext(q), window, uvw) for q in ("0.3", "0.5")
              for window in ((-5, 6), (-6, 6)) for uvw in ((0, 0, 0), (1, 0, -1), (1, 1, 1))]
     if order == "reversed":
         cases.reverse()
-
-    def empty_tables():
-        for name in ("_YB_KERNELS", "_YB_OPS", "_YB_LIFTS"):
-            monkeypatch.setattr(coupling, name, {})
-
-    empty_tables()
+    monkeypatch.setattr(coupling, "_YB_KERNELS", {})
     shared = [yang_baxter_residual(*uvw, window, ctx) for ctx, window, uvw in cases]
-    # the three uvw lift eight distinct (u+v, legs) pairs per base and window
-    assert len(coupling._YB_LIFTS) == 2 * 2 * 8
+    # one set of kernels per base and window, each over that window's offsets
+    assert {key[1:] for key in coupling._YB_KERNELS} == {
+        (lo - hi, hi - lo, ctx.q_key, ctx.working_precision)
+        for ctx, (lo, hi), _ in cases}
     fresh = []
     for ctx, window, uvw in cases:
-        empty_tables()
+        monkeypatch.setattr(coupling, "_YB_KERNELS", {})
         fresh.append(yang_baxter_residual(*uvw, window, ctx))
     assert shared == fresh
 

@@ -75,10 +75,6 @@ _CACHE_USERS = {
                   lambda ctx: representation._cg_column(2, 1, ctx)),
     "yang-baxter-kernel": (coupling, "_YB_KERNELS",
                            lambda ctx: coupling._yb_sector_kernel(1, range(-4, 5), ctx)),
-    "yang-baxter-operator": (coupling, "_YB_OPS", lambda ctx: coupling._yb_operator(
-        0, 1, (-4, 4), ctx).toarray().tolist()),
-    "yang-baxter-lift": (coupling, "_YB_LIFTS", lambda ctx: coupling._yb_lift(
-        0, 1, (-4, 4), (0, 2), ctx).toarray().tolist()),
     "oracle-vector": (representation, "_ORACLE_VECTORS", lambda ctx: representation.sixj_oracle(
         1, 0, 0, 1, 0, representation.TruncatedFock(60), ctx)),
     "orthogonality-level": (multivariate, "_ORTHOGONALITY_LEVELS",

@@ -631,42 +631,26 @@ def _fresh_interpreter(code: str, cwd) -> list:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+_YB = {"u": 0, "v": 0, "w": 0, "lo": -4, "hi": 4}
+
+
 @pytest.mark.parametrize("code", [
     "import qcoupling",
     "from qcoupling import cli\nassert cli.main(['list']) == 0",
     "from qcoupling import cli\n"
     f"assert cli.main(['verify', {str(ROOT / 'demos' / 'plan_example.json')!r}, "
     "'--out', 'report.jsonl']) == 0",
-], ids=["import", "list", "verify-demo-plan"])
-def test_fresh_interpreter_loads_no_array_stack(code, tmp_path):
-    # only the truncated matrix model runs on numpy and scipy; the package,
-    # the listing and a campaign without yang-baxter cases never import them
-    assert _fresh_interpreter(code, tmp_path) == []
-
-
-# the clock of eval_single records, at each reading, whether scipy.sparse is loaded
-_CLOCK = """import time, types
-from qcoupling import verifier
-loaded_at_clock = []
-def clock():
-    loaded_at_clock.append('scipy.sparse' in sys.modules)
-    return time.perf_counter()
-verifier.time = types.SimpleNamespace(perf_counter=clock)
-"""
-_YB = {"u": 0, "v": 0, "w": 0, "lo": -4, "hi": 4}
-
-
-@pytest.mark.parametrize("code", [
+    "from qcoupling import verifier\n"
     "plan = verifier.CampaignPlan.from_dict("
     f"{{'identity': 'yang-baxter', 'grid': {_YB!r}, 'q': [0.5]}})\n"
-    "assert 'scipy.sparse' in sys.modules\n"
     "results, _ = verifier.run_campaign([plan])\n"
-    "assert results[0].residual > 0.1 and loaded_at_clock == [True, True]",
+    "assert results[0].residual > 0.1 and not results[0].error",
+    "from qcoupling import verifier\n"
     f"res = verifier.eval_single('yang-baxter', {_YB!r}, 0.5)\n"
-    "assert res.residual > 0.1 and loaded_at_clock == [True, True]",
-], ids=["validated-plan", "eval-single"])
-def test_yang_baxter_loads_the_array_stack_before_its_clock(code, tmp_path):
-    # a yang-baxter campaign or eval pays for the numpy and scipy import
-    # before any case's wall_time starts, never inside its first case
-    loaded = _fresh_interpreter(_CLOCK + code, tmp_path)
-    assert "scipy.sparse" in loaded and "numpy" in loaded
+    "assert res.residual > 0.1 and not res.error",
+], ids=["import", "list", "verify-demo-plan", "yang-baxter-plan", "yang-baxter-eval"])
+def test_fresh_interpreter_loads_no_array_stack(code, tmp_path):
+    # no identity runs on numpy or scipy, the Yang-Baxter defect included:
+    # the package, the listing, a campaign and a single case never import
+    # them (only representation's matrix helpers do)
+    assert _fresh_interpreter(code, tmp_path) == []
