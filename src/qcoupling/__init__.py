@@ -19,9 +19,9 @@ from .coupling import (cg_contraction_residual, qhankel_factorization_residual,
                        yang_baxter_unitarity_defect)
 from .multivariate import (MultiBesselParams, ThreeNJParams, cg_expansion_residual, hat,
                            multi_be_stated_form_residual, multi_cg, multi_qbessel,
-                           multi_orthogonality_residual, multivariate_be_cross_check, threenj_R,
-                           threenj_S, threenj_corollary_gap, verify_S_composition,
-                           verify_multivariate_BE)
+                           multi_orthogonality_residual, multivariate_be_cross_check,
+                           s_lemma_residual, threenj_R, threenj_S, threenj_corollary_gap,
+                           verify_S_composition, verify_multivariate_BE)
 from .askey_wilson import AWParams, LimitSchedule, MultiAWParams, aw_poly, limit_check, multi_aw
 from .verifier import CampaignPlan, CaseResult, eval_single, run_campaign
 

@@ -22,7 +22,7 @@ import mpmath as mp
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 from .qcore import (QContext, _phi_fixed, at_working_precision, lost_digits, qpoch_finite,
                     qpoch_infinite, series_prec)
-from .multivariate import MultiBesselParams, multi_qbessel
+from .multivariate import MultiBesselParams, _bessel_walk, multi_qbessel
 
 __all__ = [
     "AWParams",
@@ -199,17 +199,10 @@ def _limit_pieces(s: LimitSchedule, ctx: QContext, m: int):
 
 def _limit_target(s: LimitSchedule, ctx: QContext) -> mp.mpf:
     """Prefactored multivariate q-Bessel value the schedule converges to."""
-    q = ctx.q
-    d = s.d
-    nu = s.nu
-    Lam = (nu[0],) + s.lambda_vector()
-    x_full = tuple(s.x) + (nu[d + 1],)
-    tgt = qpoch_infinite(q, ctx).value ** d \
-        * multi_qbessel(MultiBesselParams(nu, s.x, s.lambda_vector()), ctx)
-    for j in range(1, d + 1):
-        order = nu[j] - x_full[j] - Lam[j - 1]
-        expo = s.x[j - 1] - x_full[j] + Lam[j] - Lam[j - 1]
-        tgt *= q ** (-mp.mpf(expo) * order / 2)
+    p = MultiBesselParams(s.nu, s.x, s.lambda_vector())
+    tgt = qpoch_infinite(ctx.q, ctx).value ** s.d * multi_qbessel(p, ctx)
+    for f in _bessel_walk(p.nu, p.x, p.lam):
+        tgt *= ctx.q ** (-mp.mpf(f.label) * f.order / 2)
     return tgt
 
 
@@ -224,14 +217,10 @@ def limit_check(s: LimitSchedule, ctx: QContext) -> List[LimitPoint]:
     digits its sum loses, not by m.  Points where the normalizer
     degenerates are skipped and reported, not silently dropped.
     """
-    d = s.d
-    Lam = (s.nu[0],) + s.lambda_vector()
-    x_full = tuple(s.x) + (s.nu[d + 1],)
-    for j in range(1, d + 1):
-        if s.nu[j] - x_full[j] - Lam[j - 1] < 0:
+    for j, f in enumerate(_bessel_walk(s.nu, s.x, s.lambda_vector()), 1):
+        if f.order < 0:
             raise DomainError(
-                "schedule leaves the convergence domain: factor order "
-                f"{s.nu[j] - x_full[j] - Lam[j - 1]} < 0 at j={j}")
+                f"schedule leaves the convergence domain: factor order {f.order} < 0 at j={j}")
     out: List[LimitPoint] = []
     guard_per_m = int(mp.ceil(16 * mp.log(1 / ctx.q, 10) / mp.log(2, 10)))
     with ctx.workdps(30):

@@ -65,8 +65,8 @@ def _plan_entries(doc) -> list:
     if isinstance(doc, dict) and "plans" in doc and len(doc) > 1:
         raise PlanInvalid(f"unknown document keys {sorted(set(doc) - {'plans'}, key=str)}")
     entries = doc.get("plans", [doc]) if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise PlanInvalid("a plan document is an object, a list, or {\"plans\": [...]}")
+    if not isinstance(entries, list) or not entries:
+        raise PlanInvalid("a plan document is an object, a non-empty list, or {\"plans\": [...]}")
     return entries
 
 

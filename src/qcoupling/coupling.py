@@ -5,10 +5,9 @@ q-Bessel value in base q^2.  This module provides the closed forms, the
 bilateral-sum residuals for the backcoupling, Biedenharn-Elliott and hexagon
 identities, the lattice Hankel-type transform with q-Bessel kernel, and the
 truncated Yang-Baxter operator built from the recoupling weights.  Every
-one-variable identity sum, here and in ``verifier``, is one ``lattice_sum``
-of J values and recoupling weights (``weight_pair``) at labels affine in the
-summation index; a product that is not a sum is the exact product of table
-pairs, rounded once by ``qcore.rounded``.
+sum or product of J values and recoupling weights (``weight_pair``) in the
+library is a ``SumSpec``, frozen data of factors at orders and labels
+affine in the summation point, read by its one evaluator ``lattice_sum``.
 
 Verification status at the shipped tolerances: Biedenharn-Elliott holds;
 orthogonality, translation invariance and duality of the closed form hold;
@@ -27,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_float
 
-from .errors import InsufficientWindow
+from .errors import DomainError, InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
                     bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
 from .qfunctions import qbessel_lattice
@@ -41,6 +41,10 @@ __all__ = [
     "sixj_closed",
     "recoupling_R",
     "weight_pair",
+    "Affine",
+    "Factor",
+    "SumSpec",
+    "variables",
     "lattice_sum",
     "verify_backcoupling",
     "backcoupling_forms_gap",
@@ -120,29 +124,184 @@ def _J(order: int, y: int, ctx: QContext) -> Tuple[int, int]:
     return mantissa(qbessel_lattice(order, y, ctx))
 
 
-def lattice_sum(factors, ctx: QContext, policy: Optional[TruncationPolicy] = None,
-                half: Tuple[int, int] = (0, 0), sign: int = 0) -> SeriesResult:
-    """sum_r (-1)^sign q^{(h0 + h1 r)/2} prod read(o0 + o1 r, y0 + y1 r, fctx)
-    over the integers, as one ``bilateral_sum`` in ctx, for half = (h0, h1).
+class Affine(NamedTuple):
+    """const + sum_i a_i x_i on Z^d, its coefficients the nonzero pairs (i, a_i)
+    in increasing i.  Forms add, subtract and scale by ints (no tuple
+    concatenation), so a label walk written on ints runs on forms."""
 
-    Each factor is a tuple (read, fctx, o0, o1, y0, y1): ``read`` is ``_J``
-    (the lattice value J_order(q^y) in fctx's base) or ``weight_pair`` (the
-    recoupling weight of fctx's q), at an order and a lattice label affine
-    in r.  A term is the exact product of the power of q^{1/2} (not read at
-    half = (0, 0)) and the factors' pairs, multiplied in place as a
-    hand-written term would, so the order of the factors does not change a bit.
-    """
-    h0, h1 = half
+    const: int
+    coeffs: Tuple[Tuple[int, int], ...] = ()
 
-    def term(r):
-        m, e = qpower(h0 + h1 * r, ctx) if h0 or h1 else (1, 0)
-        for read, fctx, o0, o1, y0, y1 in factors:
-            fm, fe = read(o0 + o1 * r, y0 + y1 * r, fctx)
+    def __add__(self, other):
+        if isinstance(other, int):
+            return Affine(self.const + other, self.coeffs)
+        merged = dict(self.coeffs)
+        for i, a in other.coeffs:
+            merged[i] = merged.get(i, 0) + a
+        return Affine(self.const + other.const, tuple(sorted(p for p in merged.items() if p[1])))
+
+    def __mul__(self, k: int):
+        return Affine(self.const * k, tuple((i, a * k) for i, a in self.coeffs) if k else ())
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def variables(d: int) -> Tuple[Affine, ...]:
+    """The coordinates x_0, ..., x_{d-1} of Z^d as forms."""
+    return tuple(Affine(0, ((i, 1),)) for i in range(d))
+
+
+# A read at an int or ``Affine`` order and label: "J" of J_order(q^label),
+# "weight" of ``weight_pair(order, label)``, of the base q^base (1 or 2).
+Factor = namedtuple("Factor", "table order label base", defaults=(1,))
+# sum over x in Z^dim of (-1)^sign(x) q^{half(x)/2} prod factors(x), half and
+# sign ints or forms; at dim = 0 the product.  Context-free, frozen data.
+SumSpec = namedtuple("SumSpec", "dim factors half sign", defaults=(0, 0))
+
+
+def _spec_term(spec: SumSpec, ctx: QContext):
+    """term(x), the exact pair of spec's term at the point x (a tuple), from
+    ``qcore.qpower`` (not read where half is 0), ``_J`` and ``weight_pair``."""
+    reads = []
+    for table, o, y, base in spec.factors:
+        if table not in ("J", "weight") or base not in (1, 2):
+            raise DomainError(f"no table {table!r} of base q^{base}")
+        reads.append((_J if table == "J" else weight_pair, ctx if base == 1 else ctx.base_squared(),
+                      *(o if isinstance(o, Affine) else (o, ())),
+                      *(y if isinstance(y, Affine) else (y, ()))))
+    half, sign = spec.half, spec.sign
+    (h0, hc), (s0, sc) = (half if isinstance(half, Affine) else (half, ()),
+                          sign if isinstance(sign, Affine) else (sign, ()))
+    if spec.dim == 1:  # each coefficient one scalar, as a hand-written term reads it
+        line = [(read, fctx, o, oc[0][1] if oc else 0, y, yc[0][1] if yc else 0)
+                for read, fctx, o, oc, y, yc in reads]
+        h1, s1 = hc[0][1] if hc else 0, sc[0][1] if sc else 0
+
+        def term(x):
+            r = x[0]
+            m, e = qpower(h0 + h1 * r, ctx) if h0 or h1 else (1, 0)
+            for read, fctx, o0, o1, y0, y1 in line:
+                fm, fe = read(o0 + o1 * r, y0 + y1 * r, fctx)
+                m *= fm
+                e += fe
+            return (-m if (s0 + s1 * r) & 1 else m), e
+
+        return term
+
+    def term(x):
+        m, e = 1, 0
+        if h0 or hc:
+            h = h0
+            for i, a in hc:
+                h += a * x[i]
+            m, e = qpower(h, ctx)
+        for read, fctx, o, oc, y, yc in reads:
+            for i, a in oc:
+                o += a * x[i]
+            for i, a in yc:
+                y += a * x[i]
+            fm, fe = read(o, y, fctx)
             m *= fm
             e += fe
-        return (-m if sign & 1 else m), e
+        s = s0
+        for i, a in sc:
+            s += a * x[i]
+        return (-m if s & 1 else m), e
 
-    return bilateral_sum(term, policy, ctx)
+    return term
+
+
+def lattice_sum(spec: SumSpec, ctx: QContext, policy: Optional[TruncationPolicy] = None):
+    """spec in ctx: at dim = 0 its product rounded once (``qcore.rounded``),
+    above the SeriesResult of one ``bilateral_sum`` (dim = 1) or of
+    ``_nested_vector_sum``.  Terms are exact, so no factor order moves a bit."""
+    term = _spec_term(spec, ctx)
+    if spec.dim == 0:
+        return rounded(term(()), ctx)
+    if spec.dim == 1:
+        return bilateral_sum(lambda r: term((r,)), policy, ctx)
+    return _nested_vector_sum(term, spec.dim, policy, ctx)
+
+
+def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
+                       inner=None) -> SeriesResult:
+    """Sum term(tvec) over tvec in Z^dim, one bilateral level per coordinate.
+
+    term(tvec) returns an exact pair (m, e) for m 2^e; (0, 0) is zero.  The
+    first coordinate is innermost.  When ``inner`` is given, each nonzero
+    term is multiplied by ``inner(tvec).value``, where ``inner`` returns the
+    SeriesResult of a further nested sum; its mpf value enters as its
+    integer mantissa and exponent.
+
+    Each level is one ``qcore.bilateral_sum`` over its exact terms: its
+    window, stop rule and estimate are that engine's, and it adds the terms
+    on integers at a scale set by its own largest term, so no mpf arithmetic
+    is done per term.
+
+    Each level combines its own bilateral sum with every inner result it
+    used (its coordinate sub-sums, or the ``inner`` results): the estimates
+    and the term counts add, and ``converged`` is the AND of them all.  The
+    estimates add unweighted, so the per-term path stays one multiplication;
+    this takes the weights an inner result is multiplied by to be at most of
+    order one.  They are q-Bessel products (orthogonality) and S chain
+    coefficients (S-composition); none exceeds 1 in modulus on criterion
+    5's grids, nor on the k = 2 S-composition instance the tests run.
+    """
+    used = []  # inner SeriesResults, one per index that used one
+    if dim > 1:
+        def level(t):
+            sub = _nested_vector_sum(lambda rest: term(rest + (t,)), dim - 1, policy, ctx,
+                                     None if inner is None else lambda rest: inner(rest + (t,)))
+            used.append(sub)
+            return mantissa(sub.value)
+    elif inner is None:
+        def level(t):
+            return term((t,))
+    else:
+        def level(t):
+            tvec = (t,)
+            m, e = term(tvec)
+            if not m:
+                return m, e
+            r = inner(tvec)
+            used.append(r)
+            im, ie = mantissa(r.value)
+            return m * im, e + ie
+
+    own = bilateral_sum(level, policy, ctx)
+    if not used:
+        return own
+    return SeriesResult(own.value, own.est_error + _rounded_sum([r.est_error for r in used]),
+                        own.terms_used + sum(r.terms_used for r in used),
+                        own.converged and all(r.converged for r in used))
+
+
+def _rounded_sum(values) -> mp.mpf:
+    """Sum of the mpf values, exact on their mantissas (in units of the
+    lowest exponent so far) and rounded once to the current precision, as
+    ``mp.fsum`` rounds it."""
+    total, low = 0, None
+    for v in values:
+        sign, m, e, _ = v._mpf_
+        if not m:
+            continue
+        if sign:
+            m = -m
+        if low is None:
+            total, low = m, e
+        elif e >= low:
+            total += m << (e - low)
+        else:
+            total, low = (total << (low - e)) + m, e
+    if low is None:
+        return mp.mpf(0)
+    return mp.make_mpf(from_man_exp(total, low, mp.mp.prec, round_nearest))
 
 
 @at_working_precision
@@ -162,8 +321,9 @@ def verify_backcoupling(x: int, n1: int, n2: int, n3: int, p1: int, p2: int,
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
     lhs = qbessel_lattice(r123, p1 + p2, ctx)
-    rhs = lattice_sum([(_J, ctx, r132, 0, p1, 1), (_J, ctx, r312, 0, p2, 1)], ctx, policy,
-                      half=(0, 2))
+    (p,) = variables(1)
+    rhs = lattice_sum(SumSpec(1, (Factor("J", r132, p1 + p), Factor("J", r312, p2 + p)),
+                              half=2 * p), ctx, policy)
     return rhs.residual(lhs)
 
 
@@ -179,8 +339,10 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
     x, n1, n2, n3, p1p, p2p = _integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
     lhsR = recoupling_R(x, n1, n2, n3, p1p, p2p, ctx)
     # sum_p R(x, n1, n3, n2; p1p, p) R(x, n3, n1, n2; p, p2p), as printed
-    rhsR = lattice_sum([(weight_pair, ctx, x - n1 + n3 - n2, 0, p1p - n1 - n2, 1),
-                        (weight_pair, ctx, x - n3 + n1 - n2, 0, p2p - n3 - n2, 1)], ctx, policy)
+    (p,) = variables(1)
+    rhsR = lattice_sum(SumSpec(1, (Factor("weight", x - n1 + n3 - n2, p1p - n1 - n2 + p),
+                                   Factor("weight", x - n3 + n1 - n2, p2p - n3 - n2 + p))),
+                       ctx, policy)
     res_R = abs(lhsR - rhsR.value)
     # J-form with p1 = p1p-n1, p2 = p2p-n3 in base q^2, scaled by the common prefactor
     e = p1p + p2p - n1 - n3
@@ -201,21 +363,23 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
     """
     P, Q, R, nu, mu1, mu2 = _integer_labels("P Q R nu mu1 mu2", P, Q, R, nu, mu1, mu2)
     lhs = rounded(exact_product(_J(nu + mu1, P - Q, ctx), _J(nu + mu2, Q - R, ctx)), ctx)
-    rhs = lattice_sum([(_J, ctx, mu2 - mu1 + P - Q, 0, -mu1, 1),
-                       (_J, ctx, mu1 - mu2 + Q - R, 0, -mu2, 1),
-                       (_J, ctx, nu, 1, P - R, 0)], ctx, policy,
-                      half=(-mu1 - mu2, 2), sign=mu1 + mu2)
+    (mu,) = variables(1)
+    rhs = lattice_sum(SumSpec(1, (Factor("J", mu2 - mu1 + P - Q, mu - mu1),
+                                  Factor("J", mu1 - mu2 + Q - R, mu - mu2),
+                                  Factor("J", nu + mu, P - R)),
+                              half=-mu1 - mu2 + 2 * mu, sign=mu1 + mu2), ctx, policy)
     return rhs.residual(lhs)
 
 
 def _hexagon_side(x: int, n1: int, n2: int, n3: int, n4: int,
-                  p1: int, p2: int, p3: int, p4: int, ctx: QContext) -> list:
-    """``lattice_sum`` factors of the hexagon's left side, weight form:
-    R(x, p1, n3, n4; p2, r) R(r, n2, n1, n3; p3, p1) R(x, p3, n2, n4; p4, r).
+                  p1: int, p2: int, p3: int, p4: int) -> SumSpec:
+    """The hexagon's left side, weight form:
+    sum_r R(x, p1, n3, n4; p2, r) R(r, n2, n1, n3; p3, p1) R(x, p3, n2, n4; p4, r).
     The right side is this side under (n1, n2, p1, p3) <-> (n4, n3, p2, p4)."""
-    return [(weight_pair, ctx, x - p1 + n3 - n4, 0, p2 - p1 - n4, 1),
-            (weight_pair, ctx, n1 - n2 - n3, 1, p3 + p1 - n2 - n3, 0),
-            (weight_pair, ctx, x - p3 + n2 - n4, 0, p4 - p3 - n4, 1)]
+    (r,) = variables(1)
+    return SumSpec(1, (Factor("weight", x - p1 + n3 - n4, p2 - p1 - n4 + r),
+                       Factor("weight", n1 - n2 - n3 + r, p3 + p1 - n2 - n3),
+                       Factor("weight", x - p3 + n2 - n4, p4 - p3 - n4 + r)))
 
 
 @at_working_precision
@@ -230,22 +394,22 @@ def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
     """
     x, n1, n2, n3, n4, p1, p2, p3, p4 = _integer_labels(
         "x n1 n2 n3 n4 p1 p2 p3 p4", x, n1, n2, n3, n4, p1, p2, p3, p4)
-    lhs = lattice_sum(_hexagon_side(x, n1, n2, n3, n4, p1, p2, p3, p4, ctx), ctx, policy)
-    rhs = lattice_sum(_hexagon_side(x, n4, n3, n2, n1, p2, p1, p4, p3, ctx), ctx, policy)
+    lhs = lattice_sum(_hexagon_side(x, n1, n2, n3, n4, p1, p2, p3, p4), ctx, policy)
+    rhs = lattice_sum(_hexagon_side(x, n4, n3, n2, n1, p2, p1, p4, p3), ctx, policy)
     est = lhs.est_error + rhs.est_error
     return SeriesResult(abs(lhs.value - rhs.value), est,
                         lhs.terms_used + rhs.terms_used, lhs.converged and rhs.converged)
 
 
 def _hexagon_j_display(x: int, n1: int, n2: int, n3: int, n4: int,
-                       p1: int, p2: int, p3: int, p4: int, ctx: QContext):
-    """(factors, half, sign) of ``lattice_sum`` for the left side of the
-    hexagon's stated J display, with q -> q^2 so both forms share a base."""
-    ctx2 = ctx.base_squared()
-    return ([(_J, ctx2, n1 - n2 - n3, 1, p1 + p3 - n2 - n3, 0),
-             (_J, ctx2, x - p1 + n3 - n4, 0, p2 - p1 - n4, 1),
-             (_J, ctx2, x - p3 + n2 - n4, 0, p4 - p3 - n4, 1)],
-            (2 * (p2 + p4) - 4 * n4, 4), p2 + p4)
+                       p1: int, p2: int, p3: int, p4: int) -> SumSpec:
+    """The left side of the hexagon's stated J display, with q -> q^2 so both
+    forms share a base: its J values are of base q^2."""
+    (r,) = variables(1)
+    return SumSpec(1, (Factor("J", n1 - n2 - n3 + r, p1 + p3 - n2 - n3, 2),
+                       Factor("J", x - p1 + n3 - n4, p2 - p1 - n4 + r, 2),
+                       Factor("J", x - p3 + n2 - n4, p4 - p3 - n4 + r, 2)),
+                   half=2 * (p2 + p4) - 4 * n4 + 4 * r, sign=p2 + p4)
 
 
 @at_working_precision
@@ -268,9 +432,8 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
         "x n1 n2 n3 n4 p1 p2 p3 p4", x, n1, n2, n3, n4, p1, p2, p3, p4)
 
     def gap(*labels):
-        factors, half, sign = _hexagon_j_display(x, *labels, ctx)
-        j_side = lattice_sum(factors, ctx, policy, half=half, sign=sign).value
-        weights = lattice_sum(_hexagon_side(x, *labels, ctx), ctx, policy).value
+        j_side = lattice_sum(_hexagon_j_display(x, *labels), ctx, policy).value
+        weights = lattice_sum(_hexagon_side(x, *labels), ctx, policy).value
         return abs(j_side - rounded(exact_product(_minus_q_power(n2 + n3, ctx),
                                                   mantissa(weights)), ctx))
 
@@ -399,6 +562,9 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
         total = c0 + c1 + c2
         mid = v + w - total  # the sector of R13's input is total - m
         k23, k12 = kernels[u + v - c1 - c2], kernels[u + w - c0 - c1]
+        # probes: (m, K13 K23) per row leg r2 and (m, K13 K12) per row leg r0, in
+        # summation order; the m range depends on the row through that leg only
+        lefts, rights = {}, {}
         for r0, r1, r2 in interior.get(total, ()):
             a12, a23 = kernels[u + w - r0 - r1], kernels[u + v - r1 - r2]
             # R12 R13 R23: c -> (c0, m, c1+c2-m) -> (r0+r1-m, m, r2) -> r
@@ -408,8 +574,9 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
                 for m in ms:
                     left += a12[r1 - m] * kernels[mid + m][r2 - c1 - c2 + m] * k23[c1 - m]
             else:
-                for m in reversed(ms):
-                    left += a12[r1 - m] * (kernels[mid + m][r2 - c1 - c2 + m] * k23[c1 - m])
+                for m, p in lefts.get(r2) or lefts.setdefault(r2, [
+                        (m, kernels[mid + m][r2 - c1 - c2 + m] * k23[c1 - m]) for m in reversed(ms)]):
+                    left += a12[r1 - m] * p
             # R23 R13 R12: c -> (c0+c1-m, m, c2) -> (r0, m, total-r0-m) -> r
             ms = range(max(lo, c0 + c1 - hi, total - r0 - hi), min(hi, c0 + c1 - lo, total - r0 - lo) + 1)
             right = 0.0
@@ -417,8 +584,9 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
                 for m in reversed(ms):
                     right += a23[m - r1] * kernels[mid + m][c0 + c1 - r0 - m] * k12[m - c1]
             else:
-                for m in ms:
-                    right += a23[m - r1] * (kernels[mid + m][c0 + c1 - r0 - m] * k12[m - c1])
+                for m, p in rights.get(r0) or rights.setdefault(r0, [
+                        (m, kernels[mid + m][c0 + c1 - r0 - m] * k12[m - c1]) for m in ms]):
+                    right += a23[m - r1] * p
             defect = max(defect, abs(left - right))
     return defect
 

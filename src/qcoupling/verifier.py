@@ -83,9 +83,9 @@ def _eval_wall_consistency(n, x, a, ctx, policy):
 
 
 def _eval_hankel(nu, m, n, ctx, policy):
-    J = coupling._J
-    s = coupling.lattice_sum([(J, ctx, nu, 0, m, 1), (J, ctx, nu, 0, n, 1)], ctx, policy,
-                             half=(0, 2))
+    (x,) = coupling.variables(1)
+    factors = (coupling.Factor("J", nu, m + x), coupling.Factor("J", nu, n + x))
+    s = coupling.lattice_sum(coupling.SumSpec(1, factors, half=2 * x), ctx, policy)
     target = qcore._exact(*qcore.qpower(-2 * n, ctx)) if m == n else mp.mpf(0)
     return s.residual(target)
 
@@ -97,9 +97,9 @@ def _eval_sixj_oracle(x, p1, r1, p2, r2, dim, ctx, policy):
 
 def _eval_sixj_orthogonality(r, p2, p3, ctx, policy):
     # sixj_closed(p1, r, p, r) is the recoupling weight at order r and e = p1 - p
-    weight = coupling.weight_pair
-    s = coupling.lattice_sum([(weight, ctx, r, 0, -p2, 1), (weight, ctx, r, 0, -p3, 1)],
-                             ctx, policy)
+    (p1,) = coupling.variables(1)
+    factors = (coupling.Factor("weight", r, p1 - p2), coupling.Factor("weight", r, p1 - p3))
+    s = coupling.lattice_sum(coupling.SumSpec(1, factors), ctx, policy)
     return s.residual(1 if p2 == p3 else 0)
 
 
@@ -134,18 +134,6 @@ def _eval_threenj_product(x, n, r, s, k1, ctx, policy):
 
 def _eval_threenj_corollary(x, n, r, s, ctx, policy):
     return multivariate.threenj_corollary_gap(multivariate.ThreeNJParams(x, n, r, s), ctx)
-
-
-def _eval_s_lemma(x, n, s, s2, ctx, policy):
-    # chain coefficients are a unitary change of basis: sum_r S_{r,s} S_{r,s'} = delta
-    multivariate.ThreeNJParams(x, n, s, s2)  # DomainError unless len(n) = len(s) + 2 = len(s2) + 2
-
-    def term(rvec):
-        labels = multivariate._S_labels(x, n, rvec, s) + multivariate._S_labels(x, n, rvec, s2)
-        return qcore.exact_product(*[coupling.weight_pair(o, e, ctx) for o, e in labels])
-
-    return multivariate._nested_vector_sum(term, len(s), policy, ctx).residual(
-        1 if s == s2 else 0)
 
 
 def _eval_multi_be(x, n, r, s, ctx, policy):
@@ -280,7 +268,7 @@ IDENTITIES: Dict[str, Identity] = {i.name: i for i in [
     Identity("threenj-corollary", "tree recoupling chain equals prefactored multivariate q-Bessel",
              _eval_threenj_corollary, _labels("x", vectors="n r s")),
     Identity("s-lemma", "unitarity of the left-hanging chain coefficients",
-             _eval_s_lemma, _labels("x", vectors="n s s2")),
+             _library(multivariate, "s_lemma_residual"), _labels("x", vectors="n s s2")),
     Identity("multi-be", "multivariate pentagon expansion, chain reference form",
              _eval_multi_be, _labels("x", vectors="n r s")),
     Identity("s-composition", "iterated chain-transition composition (stated form; known not to close)",
@@ -338,10 +326,12 @@ class CampaignPlan:
         try:
             ident = doc["identity"]
             grid = doc.get("grid", {})
-            qs = tuple(doc.get("q", [0.5]))
+            qs = doc.get("q", [0.5])
             precision = _int(doc.get("precision", 30))
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanInvalid(f"malformed plan entry: {exc}")
+        if not isinstance(qs, (list, tuple)) or not qs:
+            raise PlanInvalid(f"q must be a non-empty list of bases, got {qs!r}")
         unknown = set(doc) - {"identity", "grid", "q", "tolerance", "precision", "policy"}
         if unknown:
             raise PlanInvalid(f"unknown plan keys {sorted(unknown, key=str)}")
@@ -352,7 +342,7 @@ class CampaignPlan:
             _context(qv, precision)
         if not isinstance(grid, dict):
             raise PlanInvalid("grid must be an object of label -> values")
-        return CampaignPlan(ident, grid, qs, tol, precision, _policy_from(doc.get("policy")))
+        return CampaignPlan(ident, grid, tuple(qs), tol, precision, _policy_from(doc.get("policy")))
 
     def expand(self) -> List[dict]:
         """Deterministic grid expansion: sorted labels, row-major order."""

@@ -2,8 +2,9 @@
 
 Every builder that sums J values or recoupling weights at labels affine in
 the summation index gives, bit for bit, what its hand-written term closure
-gave (``tests/lattice_oracles.py``); and on the sublattice of item 12 the
-hexagon's two transcribed forms both equal a pentagon product of two J
+gave (``tests/lattice_oracles.py``); ``lattice_sum`` reads a spec's
+factors, power and sign at d = 0, 1 and 2; and on the sublattice of item 12
+the hexagon's two transcribed forms both equal a pentagon product of two J
 values.
 """
 
@@ -14,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import lattice_oracles as old
 from qcoupling import QContext, TruncationPolicy, coupling, verifier
-from qcoupling.coupling import (_J, _hexagon_j_display, _hexagon_side, _minus_q_power,
-                                lattice_sum)
+from qcoupling.coupling import (Factor, SumSpec, _J, _hexagon_j_display, _hexagon_side,
+                                _minus_q_power, lattice_sum, variables)
+from qcoupling.errors import DomainError
 from qcoupling.qcore import bilateral_sum, exact_product, mantissa, qpower, rounded
 
 CTXS = {q: QContext(q) for q in ("0.3", "0.5", "0.8")}
@@ -63,14 +65,24 @@ def test_lattice_sum_builders_match_their_term_closures_bit_for_bit(name, q):
 
 
 def test_lattice_sum_reads_sign_power_and_affine_labels(ctx05):
-    # one term, on a one-point fixed window, is the exact signed product
+    # on a one-point fixed window the sum is the engine's sum of one term, the
+    # exact signed product, at d = 1 and d = 2; at d = 0 it is rounded once
     ctx = ctx05
+    x, y = variables(2)
     fixed = TruncationPolicy(bilateral_window=(2, 2), adaptive=False)
-    got = lattice_sum([(_J, ctx, 1, 2, -3, 1), (coupling.weight_pair, ctx, 0, -1, 4, 0)], ctx,
-                      fixed, half=(3, -1), sign=5)
-    m, e = exact_product(qpower(1, ctx), _J(5, -1, ctx), coupling.weight_pair(-2, 4, ctx))
-    assert got == bilateral_sum(lambda r: (-m, e), fixed, ctx)
-    assert got.terms_used == 1 and got.value != 0
+    m, e = exact_product(qpower(5, ctx), _J(5, -1, ctx.base_squared()),
+                         coupling.weight_pair(2, 2, ctx))
+    factors = (Factor("J", 2 * x + 1, x - 3, 2), Factor("weight", 4 - y, 2 * y - x))
+    got = lattice_sum(SumSpec(2, factors, half=x + y + 1, sign=y + 3), ctx, fixed)
+    assert got == coupling._nested_vector_sum(lambda t: (-m, e), 2, fixed, ctx)
+    assert got.terms_used == 2 and got.value != 0
+    line = SumSpec(1, (Factor("J", 2 * x + 1, x - 3, 2), Factor("weight", 2, 4 - x)),
+                   half=2 * x + 1, sign=x + 3)
+    assert lattice_sum(line, ctx, fixed) == bilateral_sum(lambda r: (-m, e), fixed, ctx)
+    product = SumSpec(0, (Factor("J", 5, -1, 2), Factor("weight", 2, 2)), half=5, sign=5)
+    assert lattice_sum(product, ctx) == rounded((-m, e), ctx)
+    with pytest.raises(DomainError):
+        lattice_sum(SumSpec(0, (Factor("J", 0, 0, 3),)), ctx)
 
 
 def _pentagon_product(x, n1, n2, n3, n4, p1, p2, p4, ctx):
@@ -98,9 +110,8 @@ def test_hexagon_sides_are_pentagon_products_on_the_sublattice(labels, q):
     x, n1, n2, n3, n4, p1, p2, p4 = labels
     p3, target = _pentagon_product(x, n1, n2, n3, n4, p1, p2, p4, ctx)
     full = (x, n1, n2, n3, n4, p1, p2, p3, p4)
-    factors, half, sign = _hexagon_j_display(*full, ctx)
-    j_side = lattice_sum(factors, ctx, None, half=half, sign=sign)
-    weights = lattice_sum(_hexagon_side(*full, ctx), ctx, None)
+    j_side = lattice_sum(_hexagon_j_display(*full), ctx, None)
+    weights = lattice_sum(_hexagon_side(*full), ctx, None)
     restored = rounded(exact_product(_minus_q_power(n2 + n3, ctx), mantissa(weights.value)), ctx)
     assert j_side.converged and weights.converged
     assert abs(j_side.value - target) < 1e-24

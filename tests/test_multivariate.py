@@ -15,7 +15,7 @@ from qcoupling import (MultiBesselParams, QContext, ThreeNJParams, TruncatedFock
                        verify_multivariate_BE)
 from qcoupling.coupling import _yb_sector_kernel
 from qcoupling.errors import DomainError
-from qcoupling.multivariate import _R_labels, _S_labels, _factor_labels, drop_first
+from qcoupling.multivariate import _R_walk, _S_walk, _bessel_walk, drop_first
 from qcoupling.qcore import at_working_precision
 
 CTXS = {"0.3": QContext("0.3"), "0.5": QContext("0.5"), "0.7": QContext("0.7")}
@@ -309,18 +309,18 @@ def _old_weight(order, e, ctx):
 
 
 @at_working_precision
-def _old_chain(labels, ctx):
+def _old_chain(walk, ctx):
     val = mp.mpf(1)
-    for order, e in labels:
-        val *= _old_weight(order, e, ctx)
+    for f in walk:
+        val *= _old_weight(f.order, f.label, ctx)
     return val
 
 
 @at_working_precision
 def _old_multi_qbessel(p, ctx):
     val = mp.mpf(1)
-    for order, expo in _factor_labels(p.nu, p.x, p.lam):
-        val *= qbessel_lattice(order, expo, ctx)
+    for f in _bessel_walk(p.nu, p.x, p.lam):
+        val *= qbessel_lattice(f.order, f.label, ctx)
     return val
 
 
@@ -345,8 +345,8 @@ def test_exact_chains_match_the_mpf_products(labels, q):
     x, n, r, s = labels
     ctx = CTXS[q]
     p = ThreeNJParams(x, n, r, s)
-    _assert_relative(threenj_R(p, ctx), _old_chain(_R_labels(x, n, r, s), ctx), ctx)
-    _assert_relative(threenj_S(p, ctx), _old_chain(_S_labels(x, n, r, s), ctx), ctx)
+    _assert_relative(threenj_R(p, ctx), _old_chain(_R_walk(x, n, r, s), ctx), ctx)
+    _assert_relative(threenj_S(p, ctx), _old_chain(_S_walk(x, n, r, s), ctx), ctx)
     mb = MultiBesselParams(n, r, s)
     _assert_relative(multi_qbessel(mb, ctx), _old_multi_qbessel(mb, ctx), ctx)
 

@@ -214,8 +214,7 @@ def _chain_residuals(kind, x, n, r, s, ctx, policy):
     if kind == "cg-expansion":
         return [cg_expansion_residual(x, r, n, ctx, policy).value]
     if kind == "s-lemma":
-        with ctx.workdps(10):  # the precision eval_single gives it
-            return [verifier._eval_s_lemma(x, n, r, s, ctx, policy).value]
+        return [multivariate.s_lemma_residual(x, n, r, s, ctx, policy).value]
     p = ThreeNJParams(x, n, r, s)
     return [verify_multivariate_BE(p, ctx, policy).value,
             multi_be_stated_form_residual(p, ctx, policy).value]
@@ -293,7 +292,7 @@ def test_estimate_fold_rounds_as_fsum(dps):
                     mp.make_mpf(from_man_exp(rng.getrandbits(rng.randint(1, 300)) | 1,
                                              rng.randint(-700, 40)))
                     for _ in range(rng.randint(0, 8))]
-            assert multivariate._rounded_sum(ests)._mpf_ == mp.fsum(ests)._mpf_
+            assert coupling._rounded_sum(ests)._mpf_ == mp.fsum(ests)._mpf_
 
 
 @pytest.mark.parametrize("shift", [0, -600])
@@ -345,8 +344,7 @@ def test_hoisted_factors_never_cross_bases_or_precisions(precision):
     nu, lam, lamp = (0, 1, 0, 1), (1, -1), (1, -1)
     for q in ("0.3", "0.5", "0.3"):
         ctx = QContext(q, precision)
-        with ctx.workdps(10):
-            got = verifier._eval_s_lemma(*chain, ctx, pol).value
+        got = multivariate.s_lemma_residual(*chain, ctx, pol).value
         [(old, scale)] = _old_chain_residuals("s-lemma", *chain, ctx, pol)
         _assert_close(got, old, scale, ctx)
         got = multi_orthogonality_residual(nu, lam, lamp, ctx, pol).value

@@ -462,6 +462,14 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
     # a q the context table cannot hash
     ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
       "q": [[0.5]]}, 2),
+    # an empty q list, an empty document and an empty plan list ran no case and
+    # exited 0; a q string was read character by character ("invalid q '0'")
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "q": []}, 2),
+    ({"identity": "hankel-orthogonality", "grid": {"nu": [0], "m": [0], "n": [0]},
+      "q": "0.5"}, 2),
+    ("[]", 2),
+    ({"plans": []}, 2),
 ], ids=["q-not-a-number", "policy-window-reversed", "eval-missing-label", "label-not-int",
         "eval-unknown-label", "grid-unknown-label", "eval-split-out-of-range",
         "grid-split-out-of-range", "split-not-int", "policy-tail-ratio-2",
@@ -471,7 +479,8 @@ def test_cli_verify_failing_plan_exit_one(tmp_path, capsys):
         "tolerance-bool", "tolerance-negative", "policy-tail-tol-nan",
         "policy-tail-tol-infinity", "policy-tail-tol-overflow", "policy-tail-tol-bool",
         "policy-max-terms-bool", "policy-window-bool", "eval-tol-nan", "eval-tol-inf",
-        "label-bool", "range-bool", "precision-bool", "q-unhashable"])
+        "label-bool", "range-bool", "precision-bool", "q-unhashable", "q-empty", "q-string",
+        "document-empty", "document-no-plans"])
 def test_cli_malformed_input_exit_codes(argv_or_plan, expected, tmp_path, capsys):
     # malformed plans and labels end in an exit code and a one-line message,
     # never a traceback; a label that fails its cast is a failed case.  A plan
