@@ -166,8 +166,7 @@ SumSpec = namedtuple("SumSpec", "dim factors half sign", defaults=(0, 0))
 
 
 def _spec_term(spec: SumSpec, ctx: QContext):
-    """term(x), the exact pair of spec's term at the point x (a tuple), from
-    ``qcore.qpower`` (not read where half is 0), ``_J`` and ``weight_pair``."""
+    """term(*x): spec's exact term at the point x (no q power read at half 0)."""
     reads = []
     for table, o, y, base in spec.factors:
         if table not in ("J", "weight") or base not in (1, 2):
@@ -178,13 +177,15 @@ def _spec_term(spec: SumSpec, ctx: QContext):
     half, sign = spec.half, spec.sign
     (h0, hc), (s0, sc) = (half if isinstance(half, Affine) else (half, ()),
                           sign if isinstance(sign, Affine) else (sign, ()))
-    if spec.dim == 1:  # each coefficient one scalar, as a hand-written term reads it
+    if any(not 0 <= i < spec.dim for cs in (hc, sc, *[r[3] for r in reads], *[r[5] for r in reads])
+           for i, _ in cs):
+        raise DomainError(f"a form reads a coordinate outside Z^{spec.dim}")
+    if spec.dim == 1:  # the point one int, each coefficient one scalar
         line = [(read, fctx, o, oc[0][1] if oc else 0, y, yc[0][1] if yc else 0)
                 for read, fctx, o, oc, y, yc in reads]
         h1, s1 = hc[0][1] if hc else 0, sc[0][1] if sc else 0
 
-        def term(x):
-            r = x[0]
+        def term(r):
             m, e = qpower(h0 + h1 * r, ctx) if h0 or h1 else (1, 0)
             for read, fctx, o0, o1, y0, y1 in line:
                 fm, fe = read(o0 + o1 * r, y0 + y1 * r, fctx)
@@ -194,7 +195,7 @@ def _spec_term(spec: SumSpec, ctx: QContext):
 
         return term
 
-    def term(x):
+    def term(*x):
         m, e = 1, 0
         if h0 or hc:
             h = h0
@@ -218,24 +219,23 @@ def _spec_term(spec: SumSpec, ctx: QContext):
 
 
 def lattice_sum(spec: SumSpec, ctx: QContext, policy: Optional[TruncationPolicy] = None):
-    """spec in ctx: at dim = 0 its product rounded once (``qcore.rounded``),
-    above the SeriesResult of one ``bilateral_sum`` (dim = 1) or of
-    ``_nested_vector_sum``.  Terms are exact, so no factor order moves a bit."""
+    """spec in ctx: at dim = 0 its product rounded once, above the SeriesResult of
+    one ``bilateral_sum`` (dim = 1) or ``_nested_vector_sum``; terms are exact."""
     term = _spec_term(spec, ctx)
     if spec.dim == 0:
-        return rounded(term(()), ctx)
+        return rounded(term(), ctx)
     if spec.dim == 1:
-        return bilateral_sum(lambda r: term((r,)), policy, ctx)
+        return bilateral_sum(term, policy, ctx)
     return _nested_vector_sum(term, spec.dim, policy, ctx)
 
 
 def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
                        inner=None) -> SeriesResult:
-    """Sum term(tvec) over tvec in Z^dim, one bilateral level per coordinate.
+    """Sum term(*tvec) over tvec in Z^dim, one bilateral level per coordinate.
 
-    term(tvec) returns an exact pair (m, e) for m 2^e; (0, 0) is zero.  The
+    term(*tvec) returns an exact pair (m, e) for m 2^e; (0, 0) is zero.  The
     first coordinate is innermost.  When ``inner`` is given, each nonzero
-    term is multiplied by ``inner(tvec).value``, where ``inner`` returns the
+    term is multiplied by ``inner(*tvec).value``, where ``inner`` returns the
     SeriesResult of a further nested sum; its mpf value enters as its
     integer mantissa and exponent.
 
@@ -256,20 +256,18 @@ def _nested_vector_sum(term, dim: int, policy: TruncationPolicy, ctx: QContext,
     used = []  # inner SeriesResults, one per index that used one
     if dim > 1:
         def level(t):
-            sub = _nested_vector_sum(lambda rest: term(rest + (t,)), dim - 1, policy, ctx,
-                                     None if inner is None else lambda rest: inner(rest + (t,)))
+            sub = _nested_vector_sum(lambda *rest: term(*rest, t), dim - 1, policy, ctx,
+                                     None if inner is None else lambda *rest: inner(*rest, t))
             used.append(sub)
             return mantissa(sub.value)
     elif inner is None:
-        def level(t):
-            return term((t,))
+        level = term
     else:
         def level(t):
-            tvec = (t,)
-            m, e = term(tvec)
+            m, e = term(t)
             if not m:
                 return m, e
-            r = inner(tvec)
+            r = inner(t)
             used.append(r)
             im, ie = mantissa(r.value)
             return m * im, e + ie
@@ -562,8 +560,7 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
         total = c0 + c1 + c2
         mid = v + w - total  # the sector of R13's input is total - m
         k23, k12 = kernels[u + v - c1 - c2], kernels[u + w - c0 - c1]
-        # probes: (m, K13 K23) per row leg r2 and (m, K13 K12) per row leg r0, in
-        # summation order; the m range depends on the row through that leg only
+        # probes: (m, K13 K23) per row leg r2, (m, K13 K12) per row leg r0, in sum order
         lefts, rights = {}, {}
         for r0, r1, r2 in interior.get(total, ()):
             a12, a23 = kernels[u + w - r0 - r1], kernels[u + v - r1 - r2]

@@ -194,18 +194,18 @@ def multi_orthogonality_residual(nu: Sequence[int], lam: Sequence[int], lam2: Se
     (xj,) = variables(1)
     q_x1 = 2 * xj
 
-    def level(j, tv):
-        # (x_{j+1},) -> sum over x_j of factor_j(lam) * factor_j(lam2) * (q^{x_1} or level j-1)
-        hit = tables[j].get(tv)
+    def level(j, xj1):
+        # x_{j+1} -> sum over x_j of factor_j(lam) * factor_j(lam2) * (q^{x_1} or level j-1)
+        hit = tables[j].get(xj1)
         if hit is None:
-            spec = SumSpec(1, _bessel_walk((lam_full[j - 1], nu[j], tv[0]), (xj,), lam_full[j:j + 1])
-                           + _bessel_walk((lamp_full[j - 1], nu[j], tv[0]), (xj,), lamp_full[j:j + 1]),
+            spec = SumSpec(1, _bessel_walk((lam_full[j - 1], nu[j], xj1), (xj,), lam_full[j:j + 1])
+                           + _bessel_walk((lamp_full[j - 1], nu[j], xj1), (xj,), lamp_full[j:j + 1]),
                            half=q_x1 if j == 1 else 0)
-            hit = tables[j][tv] = _nested_vector_sum(_spec_term(spec, ctx), 1, policy, ctx,
-                                                     None if j == 1 else partial(level, j - 1))
+            hit = tables[j][xj1] = _nested_vector_sum(_spec_term(spec, ctx), 1, policy, ctx,
+                                                      None if j == 1 else partial(level, j - 1))
         return hit
 
-    total = level(d, (nu[d + 1],))
+    total = level(d, nu[d + 1])
     exponent = nu[d + 1] + nu[0] - lam[d - 1]
     target = _exact(*qpower(2 * exponent, ctx)) if lam == lamp else mp.mpf(0)
     return total.residual(target)
@@ -349,7 +349,7 @@ def verify_S_composition(x: int, n: Sequence[int], r: Sequence[int], s: Sequence
         if l == k:
             walk += _S_walk(x, rotation(k + 1), t, s)
         return _nested_vector_sum(_spec_term(SumSpec(k, walk), ctx), k, policy, ctx,
-                                  None if l == k else lambda tvec: level(l + 1, tvec))
+                                  None if l == k else lambda *tvec: level(l + 1, tvec))
 
     return level(1, r).residual(threenj_S(p, ctx))
 
@@ -387,11 +387,11 @@ def cg_expansion_residual(x: int, r: Sequence[int], n: Sequence[int], ctx: QCont
     lhs = mp.mpf(multi_cg(x, r, n, ctx))
     weights = _spec_term(SumSpec(k, _R_walk(x, n, r, variables(k))), ctx)
 
-    def term(svec):
+    def term(*svec):
         c = multi_cg(x, hat(svec), hat(n), ctx)
         if c == 0.0:
             return 0, 0
-        m, e = weights(svec)
+        m, e = weights(*svec)
         num, den = c.as_integer_ratio()  # den = 2^(bit_length - 1)
         return m * num, e + 1 - den.bit_length()
 

@@ -4,7 +4,8 @@ Each function below is a multivariate product or nested sum as it was
 written before every J/weight sum became a ``coupling.SumSpec``: the label
 walks ``R_labels``, ``S_labels`` and ``factor_labels`` returning (order,
 label) pairs, the exact products over them, and each nested builder's own
-``term(tvec)`` closure summed by ``_nested_vector_sum``, reading the same
+``term(tvec)`` closure summed by ``_nested_vector_sum`` (through ``_point``,
+as the engine passes the coordinates as arguments), reading the same
 process tables (``_J``, ``weight_pair``, ``qpower``).  They are the oracles
 of ``tests/test_sum_specs.py``, which asserts that the library's spec
 builders give the same value, estimate, term count and convergence flag,
@@ -19,6 +20,11 @@ from qcoupling.coupling import _J, _minus_q_power, _nested_vector_sum, weight_pa
 from qcoupling.multivariate import MultiBesselParams, ThreeNJParams, drop_first, hat, multi_cg
 from qcoupling.qcore import (TruncationPolicy, _exact, at_working_precision, exact_product,
                              qpower, rounded)
+
+
+def _point(fn):
+    # fn on the point as one tuple, as the closures below were written
+    return lambda *tvec: fn(tvec)
 
 
 def factor_labels(nu, x, lam):
@@ -110,7 +116,8 @@ def multi_orthogonality(nu, lam, lam2, ctx, policy=None):
                     qm, qe = qpower(2 * xj, ctx)
                     return am * bm * qm, ae + be + qe
 
-                hit = table[tv] = _nested_vector_sum(term, 1, policy, ctx, inner)
+                hit = table[tv] = _nested_vector_sum(_point(term), 1, policy, ctx,
+                                                     inner and _point(inner))
             return hit
 
         return at
@@ -126,7 +133,7 @@ def s_lemma(x, n, s, s2, ctx, policy):
     def term(rvec):
         return weight_product(S_labels(x, n, rvec, s) + S_labels(x, n, rvec, s2), ctx)
 
-    return _nested_vector_sum(term, len(s), policy, ctx).residual(1 if s == s2 else 0)
+    return _nested_vector_sum(_point(term), len(s), policy, ctx).residual(1 if s == s2 else 0)
 
 
 @at_working_precision
@@ -138,7 +145,7 @@ def multi_be(p, ctx, policy=None):
         return weight_product(S_labels(p.x, p.n, tvec + (p.r[0],), p.s)
                               + R_labels(p.r[0], nprime, rprime, tvec), ctx)
 
-    return _nested_vector_sum(term, p.k - 1, policy, ctx).residual(threenj_R(p, ctx))
+    return _nested_vector_sum(_point(term), p.k - 1, policy, ctx).residual(threenj_R(p, ctx))
 
 
 @at_working_precision
@@ -160,7 +167,7 @@ def multi_be_stated_form(p, ctx, policy=None):
         am, ae = qpower(expo, ctx)
         return (-m if expo & 1 else m) * am, e + ae
 
-    return _nested_vector_sum(term, k - 1, policy, ctx).residual(lhs)
+    return _nested_vector_sum(_point(term), k - 1, policy, ctx).residual(lhs)
 
 
 @at_working_precision
@@ -183,8 +190,8 @@ def s_composition(x, n, r, s, ctx, policy=None):
                 labels += S_labels(x, last, tvec, s)
             return weight_product(labels, ctx)
 
-        return _nested_vector_sum(term, k, policy, ctx,
-                                  None if l == k else lambda tvec: level(l + 1, tvec))
+        return _nested_vector_sum(_point(term), k, policy, ctx,
+                                  None if l == k else _point(lambda tvec: level(l + 1, tvec)))
 
     return level(1, r).residual(lhs)
 
@@ -204,4 +211,4 @@ def cg_expansion(x, r, n, ctx, policy=None):
         num, den = c.as_integer_ratio()
         return m * num, e + 1 - den.bit_length()
 
-    return _nested_vector_sum(term, k, policy, ctx).residual(lhs)
+    return _nested_vector_sum(_point(term), k, policy, ctx).residual(lhs)

@@ -74,15 +74,18 @@ def test_lattice_sum_reads_sign_power_and_affine_labels(ctx05):
                          coupling.weight_pair(2, 2, ctx))
     factors = (Factor("J", 2 * x + 1, x - 3, 2), Factor("weight", 4 - y, 2 * y - x))
     got = lattice_sum(SumSpec(2, factors, half=x + y + 1, sign=y + 3), ctx, fixed)
-    assert got == coupling._nested_vector_sum(lambda t: (-m, e), 2, fixed, ctx)
+    assert got == coupling._nested_vector_sum(lambda *t: (-m, e), 2, fixed, ctx)
     assert got.terms_used == 2 and got.value != 0
     line = SumSpec(1, (Factor("J", 2 * x + 1, x - 3, 2), Factor("weight", 2, 4 - x)),
                    half=2 * x + 1, sign=x + 3)
     assert lattice_sum(line, ctx, fixed) == bilateral_sum(lambda r: (-m, e), fixed, ctx)
     product = SumSpec(0, (Factor("J", 5, -1, 2), Factor("weight", 2, 2)), half=5, sign=5)
     assert lattice_sum(product, ctx) == rounded((-m, e), ctx)
-    with pytest.raises(DomainError):
-        lattice_sum(SumSpec(0, (Factor("J", 0, 0, 3),)), ctx)
+    # a table or base that does not exist, and a form on a coordinate outside Z^dim
+    for bad in (SumSpec(0, (Factor("J", 0, 0, 3),)), SumSpec(0, (Factor("weigth", 0, 0),)),
+                SumSpec(1, (Factor("J", 0, x + y),)), SumSpec(1, (), half=y)):
+        with pytest.raises(DomainError):
+            lattice_sum(bad, ctx, fixed)
 
 
 def _pentagon_product(x, n1, n2, n3, n4, p1, p2, p4, ctx):

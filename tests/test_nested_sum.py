@@ -251,16 +251,16 @@ def test_engine_chain_sums_match_old_recursion(case, window):
 def test_engine_combines_every_level_it_used(ctx05):
     pol = TruncationPolicy(bilateral_window=(-3, 3), adaptive=False, tail_tol=1.0)
 
-    def term(tvec):
+    def term(t):
         # 2^(-10 |t|) as an exact (m, e) pair, zero at t = 0
-        return (0, 0) if tvec == (0,) else (1, -10 * abs(tvec[0]))
+        return (0, 0) if t == 0 else (1, -10 * abs(t))
 
-    def term2(tvec):
-        (am, ae), (bm, be) = term(tvec[:1]), term(tvec[1:])
+    def term2(t0, t1):
+        (am, ae), (bm, be) = term(t0), term(t1)
         return am * bm, ae + be
 
-    def inner(tvec):
-        return SeriesResult(mp.mpf(2), mp.mpf(1) / 8, 5, tvec != (1,))
+    def inner(t):
+        return SeriesResult(mp.mpf(2), mp.mpf(1) / 8, 5, t != 1)
 
     own = multivariate._nested_vector_sum(term, 1, pol, ctx05)
     res = multivariate._nested_vector_sum(term, 1, pol, ctx05, inner)
@@ -273,7 +273,7 @@ def test_engine_combines_every_level_it_used(ctx05):
     assert not res.converged
     # a coordinate level adds its sub-sums' estimates and counts
     grid = multivariate._nested_vector_sum(term2, 2, pol, ctx05)
-    subs = [multivariate._nested_vector_sum(lambda tv: term2(tv + (t,)), 1, pol, ctx05)
+    subs = [multivariate._nested_vector_sum(lambda t0: term2(t0, t), 1, pol, ctx05)
             for t in range(-3, 4)]
     outer = bilateral_sum(lambda t: mantissa(subs[t + 3].value), pol, ctx05)
     assert grid.value == outer.value and grid.converged and grid.terms_used == 7 + 7 * 7
@@ -317,9 +317,9 @@ def test_engine_sums_exact_terms_exactly_on_the_bilateral_window(ctx05, shift):
     pol = TruncationPolicy(bilateral_window=(-2, 2), tail_tol=90 * 2.0 ** (shift - 47))
     read, read_ref = [], []
 
-    def term(tvec):
-        read.append(tvec[0])
-        return value(tvec[0])
+    def term(t):
+        read.append(t)
+        return value(t)
 
     def ref(t):
         read_ref.append(t)
