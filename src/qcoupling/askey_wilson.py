@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 from .qcore import (QContext, _phi_fixed, at_working_precision, lost_digits, qpoch_finite,
@@ -89,9 +90,12 @@ def aw_poly(p: AWParams, ctx: QContext) -> mp.mpf:
             # mpf parameters enter as given, whatever precision they carry
             x, a, b, c, d = (mp.convert(v) for v in (p.x, p.a, p.b, p.c, p.d))
             prec = series_prec()
+            qu = to_fixed(q._mpf_, prec)
             total, largest, _, _ = _phi_fixed(
-                [q ** -n, a * b * c * d * q ** (n - 1), a * x, a / x], [a * b, a * c, a * d],
-                q, ctx, prec, None, nterm=n, fold=True)
+                [to_fixed(v._mpf_, prec) for v in (q ** -n, a * b * c * d * q ** (n - 1), a * x,
+                                                   a / x)],
+                [to_fixed(v._mpf_, prec) for v in (a * b, a * c, a * d)],
+                qu, qu, prec, None, nterm=n, fold=True)
             total = mp.mpf((total, -prec))
             lost = lost_digits(max(mp.mpf((largest, -prec)), 1), total)
             out = total / a ** n

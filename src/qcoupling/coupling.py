@@ -218,12 +218,44 @@ def _spec_term(spec: SumSpec, ctx: QContext):
     return term
 
 
+def _spec_product(spec: SumSpec, ctx: QContext):
+    """spec's exact product at dim = 0, read straight from its factors after
+    ``_spec_term``'s checks: a table or base that does not exist, or a form
+    with any coordinate, raises DomainError before any read."""
+    half, sign = spec.half, spec.sign
+    forms = isinstance(half, Affine) or isinstance(sign, Affine)
+    for table, o, y, base in spec.factors:
+        if table not in ("J", "weight") or base not in (1, 2):
+            raise DomainError(f"no table {table!r} of base q^{base}")
+        forms = forms or isinstance(o, Affine) or isinstance(y, Affine)
+    if forms:
+        if any(isinstance(v, Affine) and v.coeffs
+               for v in (half, sign, *(v for f in spec.factors for v in f[1:3]))):
+            raise DomainError("a form reads a coordinate outside Z^0")
+        half, sign = _constant(half), _constant(sign)
+    m, e = qpower(half, ctx) if half else (1, 0)
+    for table, o, y, base in spec.factors:
+        if forms:
+            o, y = _constant(o), _constant(y)
+        fm, fe = (_J if table == "J" else weight_pair)(o, y, ctx if base == 1
+                                                        else ctx.base_squared())
+        m *= fm
+        e += fe
+    return (-m if sign & 1 else m), e
+
+
+def _constant(v):
+    """A label as given, or a constant form as its int."""
+    return v.const if isinstance(v, Affine) else v
+
+
 def lattice_sum(spec: SumSpec, ctx: QContext, policy: Optional[TruncationPolicy] = None):
-    """spec in ctx: at dim = 0 its product rounded once, above the SeriesResult of
-    one ``bilateral_sum`` (dim = 1) or ``_nested_vector_sum``; terms are exact."""
-    term = _spec_term(spec, ctx)
+    """spec in ctx: at dim = 0 its product (``_spec_product``) rounded once,
+    above the SeriesResult of one ``bilateral_sum`` (dim = 1) or
+    ``_nested_vector_sum`` over the terms of ``_spec_term``; terms are exact."""
     if spec.dim == 0:
-        return rounded(term(), ctx)
+        return rounded(_spec_product(spec, ctx), ctx)
+    term = _spec_term(spec, ctx)
     if spec.dim == 1:
         return bilateral_sum(term, policy, ctx)
     return _nested_vector_sum(term, spec.dim, policy, ctx)

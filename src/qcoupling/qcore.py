@@ -7,7 +7,11 @@ convention, and the one engine for truncated sums over all integers,
 Every value is carried at the precision of its QContext and every public
 value is an ``mpmath.mpf``.  The q-Pochhammer symbols run on mpmath reals;
 every basic hypergeometric series (``rphis``, the J series, the Askey-Wilson
-sum) on integers in one fixed-point loop, ``_phi_fixed``.  ``bilateral_sum``
+sum) on integers in one fixed-point loop, ``_phi_fixed``, which takes its q,
+z and parameters already in units of 2^-prec.  The lattice J series reads
+those units, with (q;q)_k and q^{k/2}, from a process table of integers
+(``q_units``: one ``QUnits`` per base, precision and bits, grown on
+demand), so it makes no mpf before its final rounding.  ``bilateral_sum``
 adds its terms on Python integers: a term
 is an exact pair (m, e) for m 2^e (``mantissa`` turns an mpf into one), and
 a window's terms are added in units lying ``_level_bits`` (the working
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, repr_dps, round_nearest, to_fixed
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, mpf_pow_int, repr_dps,
+                          round_nearest, to_fixed)
 
 from .errors import DomainError, NonConvergent, PoleInLowerParameter
 
@@ -47,6 +52,8 @@ __all__ = [
     "exact_product",
     "rounded",
     "qpower",
+    "QUnits",
+    "q_units",
 ]
 
 
@@ -302,7 +309,10 @@ def _rphis(upper: Sequence, lower: Sequence, ctx: QContext, z,
     prec = series_prec() + (max(0, -mp.mag(z)) if z else 0)
     if len(upper) > len(lower) + 1 and nterm:
         prec += (len(upper) - len(lower) - 1) * nterm * (1 - mp.mag(ctx.q))
-    total, largest, thr, terms = _phi_fixed(upper, lower, z, ctx, prec, policy, nterm)
+    total, largest, thr, terms = _phi_fixed([to_fixed(a._mpf_, prec) for a in upper],
+                                            [to_fixed(b._mpf_, prec) for b in lower],
+                                            to_fixed(z._mpf_, prec), to_fixed(ctx.q._mpf_, prec),
+                                            prec, policy, nterm)
     est = 2 * mp.mpf((thr, -prec)) / (1 - ctx.q)  # 0 for a terminating sum
     return (SeriesResult(mp.mpf((total, -prec)), est, terms, bool(est <= policy.tail_tol)),
             mp.mpf((largest, -prec)))
@@ -322,35 +332,38 @@ def lost_digits(largest: mp.mpf, total: mp.mpf) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _stop_units(tail_tol: float, dps: int, work_prec: int, prec: int) -> Tuple[int, int]:
+def _stop_units(tail_tol: float, dps: int, work_prec: Optional[int], prec: int) -> Tuple[int, int]:
     """tail_tol, at least one unit so that terms underflowing to 0 count as
-    small, and 10^(5-dps) formed at work_prec bits, in units of 2^-prec."""
-    with mp.workprec(work_prec):
-        return (max(to_fixed(mp.mpf(tail_tol)._mpf_, prec), 1),
-                to_fixed((mp.mpf(10) ** (5 - dps))._mpf_, prec))
+    small, and 10^(5-dps) rounded to nearest at work_prec bits (those of dps
+    digits when None), in units of 2^-prec; formed on raw mpmath values, as
+    mpf(tail_tol) and mpf(10) ** (5 - dps) would be at that precision, with
+    no mpf made."""
+    work_prec = work_prec or dps_to_prec(dps)
+    return (max(to_fixed(from_float(tail_tol, work_prec, round_nearest), prec), 1),
+            to_fixed(mpf_pow_int(from_int(10), 5 - dps, work_prec, round_nearest), prec))
 
 
-def _phi_fixed(upper: Sequence[mp.mpf], lower: Sequence[mp.mpf], z: mp.mpf, ctx: QContext,
-               prec: int, policy: Optional[TruncationPolicy], nterm: Optional[int] = None,
-               fold: bool = False):
+def _phi_fixed(upper: Sequence[int], lower: Sequence[int], z: int, q: int, prec: int,
+               policy: Optional[TruncationPolicy], nterm: Optional[int] = None,
+               fold: bool = False, dps: Optional[int] = None):
     """The one series loop: r_phi_s(upper; lower; q, z) on Python integers.
 
-    The mpf arguments are cut to units of 2^-prec (prec >= ``series_prec()``),
-    which also hold the running q^k, a q^k, b q^k and z q^{ek}, e = 1 + s - r
+    Every argument comes in units of 2^-prec (prec >= ``series_prec()``):
+    the parameters, z and q, already cut to those units by the caller.  The
+    running q^k, a q^k, b q^k and z q^{ek} stay in them, e = 1 + s - r
     counting every parameter (e < 0 divides by q^{-ek}).  Zero parameters drop
     out; a term costs a few integer products and one floor division.  The sum
     ends at k = nterm if given, else after three terms below thr =
-    min(tail_tol, largest 10^-(dps-5)).  fold returns a terminating sum times
+    min(tail_tol, largest 10^-(dps-5)), dps the mpmath precision unless
+    given.  fold returns a terminating sum times
     (b_1..b_s; q)_nterm, each (b; q)_k folded into the tail (b q^k; q)_{nterm-k}:
     finite where (b; q)_nterm vanishes.  Returns the sum, its largest term and
     the last thr (0 when terminating) in units of 2^-prec, and the term count.
     """
     one = 1 << prec
-    q = to_fixed(ctx.q._mpf_, prec)
-    z = to_fixed(z._mpf_, prec)
     extra = 1 + len(lower) - len(upper)
-    ups = [to_fixed(a._mpf_, prec) for a in upper if a]
-    lows = [to_fixed(b._mpf_, prec) for b in lower if b]
+    ups = [a for a in upper if a]
+    lows = [b for b in lower if b]
     tails = None
     if fold:  # tails[k] = (b q^k; q)_{nterm-k}, a backward running product
         runs = [lows]
@@ -368,8 +381,12 @@ def _phi_fixed(upper: Sequence[mp.mpf], lower: Sequence[mp.mpf], z: mp.mpf, ctx:
     qk = term = one
     total = one if tails is None else tails[0]
     largest = abs(total)
-    tol, eps = _stop_units(policy.tail_tol, mp.mp.dps, mp.mp.prec, prec) if nterm is None \
-        else (0, 0)
+    if nterm is not None:
+        tol = eps = 0
+    elif dps is None:
+        tol, eps = _stop_units(policy.tail_tol, mp.mp.dps, mp.mp.prec, prec)
+    else:
+        tol, eps = _stop_units(policy.tail_tol, dps, None, prec)
     thr = min(tol, eps)
     k = small = 0
     while k != nterm:
@@ -456,6 +473,82 @@ def qpower(k: int, ctx: QContext) -> Tuple[int, int]:
         with ctx.workdps(10):
             hit = _POWERS[key] = mantissa(ctx.q ** (mp.mpf(k) / 2))
     return hit
+
+
+_UNITS: dict = {}
+
+
+class QUnits:
+    """q^k, (q;q)_k and q^{k/2} for one exact base q in units of 2^-bits.
+
+    ``powers[k]`` is floor(q^k 2^bits), k >= 0, cut from the exact integer
+    power of q's mantissa; ``pochs[k]`` is (q;q)_k as a pair (m, e) for m
+    2^e, m cut to ``bits`` bits after each factor 2^bits - powers[j], so the
+    product keeps its relative accuracy however small it gets.  ``upto``
+    grows both lists on demand.  ``half_power`` multiplies pairs of q^{2^j}
+    or sqrt(q)^{2^j}, each squared once from the last and cut to bits + 32
+    bits; ``q_units`` keeps one instance per base, precision and bits.
+    """
+
+    __slots__ = ("man", "exp", "bits", "top", "powers", "pochs", "squares")
+
+    def __init__(self, q: mp.mpf, bits: int):
+        self.man, self.exp = mantissa(q)
+        self.bits = bits
+        self.top = 1  # man^k for the last k in powers
+        self.powers = [1 << bits]
+        self.pochs = [(1, 0)]
+        # q^{2^j} and sqrt(q)^{2^j}: sqrt(q) by isqrt of the mantissa shifted to an even exponent
+        cap = bits + 32
+        t = max(2 * cap - self.man.bit_length(), 0)
+        t += (self.exp - t) & 1
+        self.squares = ([_cut(self.man, self.exp, cap)],
+                        [(math.isqrt(self.man << t), (self.exp - t) // 2)])
+
+    def upto(self, k: int) -> "QUnits":
+        """Both lists through index k; returns self."""
+        bits, one, powers, pochs = self.bits, 1 << self.bits, self.powers, self.pochs
+        while len(powers) <= k:
+            self.top *= self.man
+            shift = self.exp * len(powers) + bits
+            p = self.top << shift if shift >= 0 else self.top >> -shift
+            powers.append(p)
+            m, e = pochs[-1]
+            pochs.append(_cut(m * (one - p), e - bits, bits))
+        return self
+
+    def half_power(self, k: int) -> Tuple[int, int]:
+        """q^{k/2}, k >= 0, as a pair (m, e): an integer power of q for even
+        k, of sqrt(q) for odd k, from the squares; the mantissa is cut to
+        bits + 32 bits after each product, so for k < 2^24 the relative
+        error stays below 2^-bits."""
+        cap = self.bits + 32
+        squares = self.squares[k & 1]
+        if not k & 1:
+            k >>= 1
+        m, e, j = 1, 0, 0
+        while k:
+            if j == len(squares):
+                sm, se = squares[-1]
+                squares.append(_cut(sm * sm, se + se, cap))
+            if k & 1:
+                sm, se = squares[j]
+                m, e = _cut(m * sm, e + se, cap)
+            k >>= 1
+            j += 1
+        return m, e
+
+
+def _cut(m: int, e: int, bits: int) -> Tuple[int, int]:
+    """The pair (m, e) with m floored to at most ``bits`` bits."""
+    cut = m.bit_length() - bits
+    return (m >> cut, e + cut) if cut > 0 else (m, e)
+
+
+def q_units(ctx: QContext, bits: int, k: int) -> QUnits:
+    """The ``QUnits`` of ctx's base at ``bits``, grown through index k, from
+    one process table keyed as ``cached`` keys, on the label bits."""
+    return cached(_UNITS, ctx, (bits,), lambda: QUnits(ctx.q, bits)).upto(k)
 
 
 def _level_bits(ctx: QContext) -> int:

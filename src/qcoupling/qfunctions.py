@@ -4,21 +4,23 @@ Wall polynomials (plain, and orthonormalized columns in the degree), the
 third Jackson q-Bessel function for every integer order, and the
 generating-function residual checks that tie the two families together.
 Every series here is ``qcore.rphis`` or, for q-Bessel, the 1phi1 case of
-its fixed-point kernel; the orthonormal Wall columns are a recurrence.
+its fixed-point kernel; the orthonormal Wall columns are a recurrence.  On
+the lattice the q-Bessel series is integer arithmetic from its units
+(``qcore.q_units``) to its one rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import mpmath as mp
-from mpmath.libmp import mpf_pow_int, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pow_int, round_nearest, to_fixed
 
 from .errors import DomainError, NonConvergent
 from .qcore import (QContext, SeriesResult, TruncationPolicy, _as_qpower, _phi_fixed, _rphis,
-                    exact_product, integer_label, lost_digits, mantissa, qpoch_finite,
+                    exact_product, integer_label, lost_digits, mantissa, q_units, qpoch_finite,
                     qpoch_infinite, qpower, rounded, rphis, series_prec, tail_estimate,
                     tail_threshold)
 
@@ -192,9 +194,11 @@ def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     maps (nu, y) to its orbit's canonical pair 0 <= n <= m (``_canonical``),
     reads or sums J_n(q^m) through this same table, and multiplies it
     exactly by the factor (-q^{1/2})^e (``_reflect``).  So only
-    canonical pairs reach the series, each once per (q, precision), and
-    always at an argument q^m <= 1, never in the deep cancellation of a
-    large argument.  The miss also reads nu and y through
+    canonical pairs reach the series, each once per (q, precision) through
+    one ``qbessel`` call, and always at an argument q^m <= 1, never in the
+    deep cancellation of a large argument.  That series
+    (``_lattice_series``) runs on integers and rounds once, making no mpf
+    arithmetic on the way.  The miss also reads nu and y through
     ``qcore.integer_label``, so a numpy integer is stored under its int and
     a label such as 0.5 or True raises DomainError.  The warm path checks
     nothing, so a label equal to a stored one still finds its entry, since
@@ -259,21 +263,25 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
             policy: Optional[TruncationPolicy]) -> mp.mpf:
     """J_nu(x) = x^{nu/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q x), nu >= 0.
 
-    x is q^lattice_y when lattice_y is given.  The 1phi1 and (q;q)_nu come
-    from ``_phi11`` in integer fixed point; since term 0 is 1, its absolute
-    error is no larger, relative to the largest term, than mpf rounding
-    would leave.  Only x^{nu/2} and the final products are mpf operations.
-    For large arguments (y < 0) the terms grow to about q^{-(y+1)^2/2}
-    before the quadratic factor takes over, so guard digits of that size
-    are added and re-widened until two evaluations agree.  For y >= 0 the
-    terms still grow like 1/(q;q)_k^2 when q is near 1, so a sum that
-    cancels more digits than its guard spares is re-summed with a guard
-    sized to that cancellation.  NonConvergent if eight rounds never settle.
+    x is q^lattice_y when lattice_y is given, and the value is
+    ``_lattice_series``'s, on integers.  Off the lattice the 1phi1 and
+    (q;q)_nu come from ``_phi11`` in integer fixed point; since term 0 is 1,
+    its absolute error is no larger, relative to the largest term, than mpf
+    rounding would leave.  Only x^{nu/2} and the final products are mpf
+    operations.  For large arguments (y = log_q x < 0) the terms grow to
+    about q^{-(y+1)^2/2} before the quadratic factor takes over, so guard
+    digits of that size are added and re-widened until two evaluations
+    agree.  For y >= 0 the terms still grow like 1/(q;q)_k^2 when q is near
+    1, so a sum that cancels more digits than its guard spares is re-summed
+    with a guard sized to that cancellation.  NonConvergent if eight rounds
+    never settle.
     """
+    policy = policy or _POLICY
+    if lattice_y is not None:
+        return _lattice_series(nu, lattice_y, ctx, policy)
     q = ctx.q
-    policy = policy or TruncationPolicy()
     with ctx.workdps(10):
-        y = mp.mpf(lattice_y) if lattice_y is not None else mp.log(x) / mp.log(q)
+        y = mp.log(x) / mp.log(q)
     guard = 10
     if y < 0:
         # alternating-series cancellation: terms peak near q^{-(y+1)^2/2} and
@@ -283,11 +291,8 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
     prev = None
     for _ in range(8):
         with ctx.workdps(guard):
-            # the lattice argument is re-raised at full precision each round;
-            # a low-precision argument would poison the cancellation
-            xw = q ** lattice_y if lattice_y is not None else x
-            total, largest, poch = _phi11(nu, q * xw, ctx, policy)
-            val = xw ** (mp.mpf(nu) / 2) / poch * total
+            total, largest, poch = _phi11(nu, q * x, ctx, policy)
+            val = x ** (mp.mpf(nu) / 2) / poch * total
             if y >= 0:
                 lost = lost_digits(largest, total)
                 if lost <= guard - 5:
@@ -308,15 +313,97 @@ def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
         return +val
 
 
+_POLICY = TruncationPolicy()
+_LOG10_2 = math.log10(2)
+
+
+def _lattice_series(nu: int, y: int, ctx: QContext, policy: TruncationPolicy) -> mp.mpf:
+    """J_nu(q^y) = q^{nu y/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q^{y+1}), on integers.
+
+    ``_series``'s rounds, guards and stop rules, with no mpf made before the
+    one rounding.  A round at dps digits sums the 1phi1 in
+    ``qcore._phi_fixed`` in units of 2^-bits, bits those of dps plus 40: 20
+    more than ``series_prec``, since near q = 1 the floored powers in the
+    factors 1 - q^k compound along the terms (at q = 0.98 and working
+    precision 15, 20 bits left errors of 2e-19, past the final rounding).
+    z = q^{y+1}, q^{nu+1}, (q;q)_nu and q^{nu y/2} come from the base's
+    ``qcore.q_units`` at those bits; z divides a power of 2 by the exact
+    power of q's mantissa when y + 1 < 0.  The prefactor times the sum over
+    (q;q)_nu is one quotient (``_quotient``), rounded once to the working
+    precision plus five digits, the precision of every J value.  Digits
+    lost are read from the bit lengths of the largest term and the sum.
+    """
+    wp = ctx.working_precision
+    out = dps_to_prec(wp + 5)
+    guard = 10
+    if y < 0:
+        man, exp = mantissa(ctx.q)
+        guard += math.ceil(((1 - y) ** 2 / 2 - y * nu / 2)
+                           * -(math.log10(man) + exp * _LOG10_2))
+    prev = None
+    for _ in range(8):
+        dps = wp + guard
+        bits = dps_to_prec(dps) + 40  # ``series_prec`` at dps digits, plus 20
+        units = q_units(ctx, bits, max(nu, y) + 1)
+        powers = units.powers
+        z = powers[y + 1] if y >= 0 else \
+            (1 << bits - units.exp * (-y - 1)) // units.man ** (-y - 1)
+        total, largest, _, _ = _phi_fixed((0,), (powers[nu + 1],), z, powers[1], bits, policy,
+                                          dps=dps)
+        pm, pe = units.pochs[nu]
+        hm, he = units.half_power(abs(nu * y))
+        if y >= 0:
+            val = _quotient(total * hm, pm, he - pe - bits, out)
+            lost = math.ceil((largest.bit_length() - abs(total).bit_length() + 1) * _LOG10_2) \
+                if total else dps
+            if lost <= guard - 5:
+                break
+            guard = lost + 10
+        else:
+            val = _quotient(total, pm * hm, -he - pe - bits, out)
+            if prev is not None and _settled(val, prev, wp):
+                break
+            prev = val
+            guard = guard * 3 // 2 + 30
+    else:
+        raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
+    return mp.make_mpf(from_man_exp(*val, out, round_nearest))
+
+
+def _quotient(num: int, den: int, e: int, prec: int) -> Tuple[int, int]:
+    """(num / den) 2^e, den > 0, as a pair (m, k) that rounds at prec bits
+    as the exact quotient does: m holds at least prec + 2 bits of it, its
+    last bit set when the division leaves a remainder."""
+    if not num:
+        return 0, 0
+    shift = max(prec + 3 + den.bit_length() - abs(num).bit_length(), 0)
+    quo, rem = divmod(abs(num) << shift, den)
+    quo |= rem != 0
+    return (-quo if num < 0 else quo), e - shift
+
+
+def _settled(val: Tuple[int, int], prev: Tuple[int, int], wp: int) -> bool:
+    """|val - prev| <= 10^-wp max(|val|, 10^(-6 wp)) for pairs (m, e),
+    compared exactly: ``_series``'s agreement test of two rounds."""
+    (vm, ve), (pm, pe) = val, prev
+    low = min(ve, pe)
+    diff = abs((vm << ve - low) - (pm << pe - low)) * 10 ** (7 * wp)  # times 2^low
+    for m, e in ((abs(vm) * 10 ** (6 * wp), ve), (1, 0)):
+        top = min(low, e)
+        if diff << low - top <= m << e - top:
+            return True
+    return False
+
+
 def _phi11(nu: int, z, ctx: QContext, policy: TruncationPolicy):
     """(1phi1(0; q^{nu+1}; q, z), its largest term, (q;q)_nu) as mpf values:
     the 1phi1 case of ``qcore._phi_fixed``, and the product of its factors
     1 - q^{k+1} kept as a mantissa of prec bits and a binary exponent."""
     prec = series_prec()
     one = 1 << prec
-    total, largest, _, _ = _phi_fixed([0], [mp.make_mpf(mpf_pow_int(ctx.q._mpf_, nu + 1, prec))],
-                                      mp.mpf(z), ctx, prec, policy)
     q = to_fixed(ctx.q._mpf_, prec)
+    b = to_fixed(mpf_pow_int(ctx.q._mpf_, nu + 1, prec), prec)
+    total, largest, _, _ = _phi_fixed((0,), (b,), to_fixed(mp.mpf(z)._mpf_, prec), q, prec, policy)
     man, exp, qk = 1, -nu * prec, one
     for _ in range(nu):
         qk = qk * q >> prec

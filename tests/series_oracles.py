@@ -4,14 +4,16 @@
 its largest term as well; ``mpf_aw_poly`` the mpf Askey-Wilson merged sum
 with its guard-digit rounds; ``phi11_fixed`` (``phi11_units`` for its integers)
 the integer 1phi1 loop that summed the J series before it became the
-kernel's 1phi1 case.
+kernel's 1phi1 case; ``mpf_lattice_series`` the lattice J series on that
+loop with its mpf powers, prefactor and quotient, which
+``qfunctions._lattice_series`` replaced.
 """
 
 import mpmath as mp
 from mpmath.libmp import mpf_pow_int, to_fixed
 
 from qcoupling.errors import NonConvergent, PoleInLowerParameter
-from qcoupling.qcore import SeriesResult, TruncationPolicy, _as_qpower, qpoch_finite
+from qcoupling.qcore import SeriesResult, TruncationPolicy, _as_qpower, lost_digits, qpoch_finite
 
 
 def mpf_rphis(upper, lower, ctx, z, policy=None):
@@ -170,3 +172,42 @@ def _times(man, exp, factor, prec):
     man *= factor
     shift = max(man.bit_length() - prec, 0)
     return man >> shift, exp - prec + shift
+
+
+def mpf_lattice_series(nu, y, ctx, policy=None):
+    """J_nu(q^y), nu >= 0, as ``qfunctions._series`` summed it on the lattice:
+    q^y re-raised at each round's precision, the 1phi1 and (q;q)_nu from
+    ``phi11_fixed`` as mpf values, and x^{nu/2} / (q;q)_nu * 1phi1 formed in
+    mpf, with the same guard rounds and stop rules."""
+    q = ctx.q
+    policy = policy or TruncationPolicy()
+    with ctx.workdps(10):
+        y_ = mp.mpf(y)
+    guard = 10
+    if y_ < 0:
+        guard += int(mp.ceil(((abs(y_) + 1) ** 2 / 2 + abs(y_) * abs(nu) / 2)
+                             * mp.log(1 / q, 10)))
+    prev = None
+    for _ in range(8):
+        with ctx.workdps(guard):
+            xw = q ** y
+            total, largest, poch = phi11_fixed(nu, q * xw, ctx, policy)
+            val = xw ** (mp.mpf(nu) / 2) / poch * total
+            if y_ >= 0:
+                lost = lost_digits(largest, total)
+                if lost <= guard - 5:
+                    break
+                wider = lost + 10
+            else:
+                if prev is not None:
+                    tol = mp.mpf(10) ** (-ctx.working_precision) \
+                        * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
+                    if abs(val - prev) <= tol:
+                        break
+                wider = int(guard * 3 // 2) + 30
+        prev = val
+        guard = wider
+    else:
+        raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
+    with ctx.workdps(5):
+        return +val

@@ -81,11 +81,29 @@ def test_lattice_sum_reads_sign_power_and_affine_labels(ctx05):
     assert lattice_sum(line, ctx, fixed) == bilateral_sum(lambda r: (-m, e), fixed, ctx)
     product = SumSpec(0, (Factor("J", 5, -1, 2), Factor("weight", 2, 2)), half=5, sign=5)
     assert lattice_sum(product, ctx) == rounded((-m, e), ctx)
+    forms = SumSpec(0, (Factor("J", x - x + 5, y - y - 1, 2), Factor("weight", 2, 2)),
+                    half=x * 0 + 5, sign=5)
+    assert lattice_sum(forms, ctx) == rounded((-m, e), ctx)
     # a table or base that does not exist, and a form on a coordinate outside Z^dim
     for bad in (SumSpec(0, (Factor("J", 0, 0, 3),)), SumSpec(0, (Factor("weigth", 0, 0),)),
+                SumSpec(0, (Factor("J", 0, x),)), SumSpec(0, (), sign=y),
                 SumSpec(1, (Factor("J", 0, x + y),)), SumSpec(1, (), half=y)):
         with pytest.raises(DomainError):
             lattice_sum(bad, ctx, fixed)
+
+
+def test_lattice_sum_product_is_the_term_closure_at_the_one_point():
+    # a d = 0 product is read straight from its factors, not compiled: it is
+    # the compiled term at the point (), rounded once, bit for bit
+    rng = random.Random(3)
+    for ctx in CTXS.values():
+        for _ in range(40):
+            factors = tuple(Factor(rng.choice(("J", "weight")), rng.randint(-4, 4),
+                                   rng.randint(-4, 4), rng.choice((1, 2)))
+                            for _ in range(rng.randint(0, 4)))
+            spec = SumSpec(0, factors, half=rng.randint(-5, 5), sign=rng.randint(0, 3))
+            want = rounded(coupling._spec_term(spec, ctx)(), ctx)
+            assert lattice_sum(spec, ctx)._mpf_ == want._mpf_, spec
 
 
 def _pentagon_product(x, n1, n2, n3, n4, p1, p2, p4, ctx):

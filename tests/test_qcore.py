@@ -81,6 +81,8 @@ _CACHE_USERS = {
                             lambda ctx: multi_orthogonality_residual(
                                 (0, 1, 0), (1,), (1,), ctx).value),
     "q-power": (qcore, "_POWERS", lambda ctx: [qcore.qpower(k, ctx) for k in (-3, 1, 4)]),
+    "q-units": (qcore, "_UNITS", lambda ctx: [(u.powers, u.pochs, u.half_power(7))
+                                              for u in [qcore.q_units(ctx, 160, 12)]]),
     "weight": (coupling, "_WEIGHTS",
                lambda ctx: [coupling.weight_pair(1, e, ctx) for e in (-2, 3)]),
 }
@@ -118,6 +120,24 @@ def test_qpower_is_a_power_of_the_square_root(ctx03, k):
     with mp.workdps(80):
         exact = mp.sqrt(ctx03.q) ** k
         assert abs(mp.ldexp(m, e) - exact) <= exact * mp.mpf(10) ** -(ctx03.working_precision + 9)
+
+
+@pytest.mark.parametrize("q", ["0.3", 0.7, "0.98"])
+def test_q_units_are_floored_powers_and_accurate_products(q):
+    # powers[k] = floor(q^k 2^bits) exactly; (q;q)_k and q^{k/2}, odd k
+    # included, to their stated relative error
+    ctx, bits = QContext(q), 150
+    units = qcore.q_units(ctx, bits, 30)
+    with mp.workprec(30 * ctx.q._mpf_[3] + bits + 64):
+        qq = ctx.q
+        for k in range(31):
+            assert units.powers[k] == int(mp.floor(qq ** k * mp.mpf(2) ** bits))
+            m, e = units.pochs[k]
+            assert abs(mp.ldexp(m, e) / mp.qp(qq, qq, k) - 1) \
+                <= k * (2 + 1 / (1 - qq)) * mp.mpf(2) ** -bits
+        for k in (0, 1, 2, 7, 40, 801, 1600):
+            m, e = units.half_power(k)
+            assert abs(mp.ldexp(m, e) / mp.sqrt(qq) ** k - 1) <= mp.mpf(2) ** -bits
 
 
 def test_truncation_policy_validation():

@@ -1,16 +1,18 @@
 """The fixed-point series kernel (``qcore._phi_fixed``) against the mpf loops
 it replaced (``series_oracles``): the general ``rphis`` on terminating and
-open series, the Askey-Wilson merged sum, and the J series bit for bit."""
+open series, the Askey-Wilson merged sum, and the J series bit for bit, off
+the lattice and, on integers end to end, on it."""
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath.libmp import mpf_pow_int
+from mpmath.libmp import mpf_pow_int, to_fixed
 
 from qcoupling import AWParams, QContext, TruncationPolicy, aw_poly, qbessel, rphis
 from qcoupling import qcore, qfunctions
 from qcoupling.errors import NonConvergent
-from series_oracles import mpf_aw_poly, mpf_rphis, phi11_fixed, phi11_units
+from series_oracles import (mpf_aw_poly, mpf_lattice_series, mpf_rphis, phi11_fixed,
+                            phi11_units)
 
 
 def _against_oracle(upper, lower, ctx, z, dps, extra=0):
@@ -120,24 +122,84 @@ def test_askey_wilson_sum_is_one_kernel_pass_at_generic_parameters(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(q=st.floats(0.05, 0.97), wp=st.sampled_from([20, 30, 50]),
-       nu=st.integers(0, 40), y=st.integers(0, 60),
-       x=st.one_of(st.none(), st.floats(0.01, 20)))
-def test_j_series_is_bit_identical_to_the_integer_1phi1_loop(q, wp, nu, y, x):
-    # the 1phi1 case of the kernel does the integer operations of the loop it
-    # replaced, in the same order, so every J value keeps every bit
+@given(q=st.floats(0.05, 0.97), wp=st.sampled_from([20, 30, 50]), nu=st.integers(0, 40),
+       x=st.floats(0.01, 20))
+def test_j_series_is_bit_identical_to_the_integer_1phi1_loop(q, wp, nu, x):
+    # off the lattice the 1phi1 case of the kernel does the integer operations
+    # of the loop it replaced, in the same order, so every J value keeps every
+    # bit; the lattice series is checked against its own oracle below
     ctx = QContext(q, wp)
-
-    def j():
-        if x is None:
-            return qfunctions._series(nu, None, y, ctx, None)
-        return qbessel(nu, x, ctx)
-
-    got = j()
+    got = qbessel(nu, x, ctx)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qfunctions, "_phi11", phi11_fixed)
-        want = j()
+        want = qbessel(nu, x, ctx)
     assert got._mpf_ == want._mpf_
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(0.05, 0.97), wp=st.sampled_from([20, 30, 50]),
+       nu=st.integers(0, 40), y=st.integers(0, 60))
+def test_lattice_j_series_is_bit_identical_to_the_mpf_series(q, wp, nu, y):
+    # the integer lattice series against the mpf one it replaced: its sharper
+    # powers, prefactor and single rounding change no bit of these values
+    ctx = QContext(q, wp)
+    assert qfunctions._series(nu, None, y, ctx, None)._mpf_ == mpf_lattice_series(nu, y, ctx)._mpf_
+
+
+@pytest.mark.parametrize("qs", ["0.3", "0.5", "0.7"])
+def test_lattice_j_series_keeps_every_canonical_pair_of_the_campaign_bases(qs):
+    # the canonical pairs n <= m <= 40 at the campaign bases q and q^2
+    # (0.09, 0.25, 0.49, formed as the recoupling weights form them)
+    for ctx in (QContext(qs), QContext(qs).base_squared()):
+        for n in range(41):
+            for m in range(n, 41):
+                got = qfunctions._series(n, None, m, ctx, None)
+                assert got._mpf_ == mpf_lattice_series(n, m, ctx)._mpf_, (ctx.q, n, m)
+
+
+def test_lattice_j_series_near_one_is_at_least_as_close_as_the_mpf_series():
+    # at q = 0.98 and working precision 15 the mpf series' error, up to
+    # 2e-19, passes the final rounding at 20 digits: where the two differ,
+    # the integer series must be the closer to the mpmath reference
+    # J_n(q^m) = q^{nm/2} / (q;q)_n * 1phi1(0; q^{n+1}; q, q^{m+1})
+    ctx = QContext(0.98, 15)
+    q = ctx.q
+    differ = 0
+    for n in range(41):
+        for m in range(n, 41):
+            got = qfunctions._series(n, None, m, ctx, None)
+            old = mpf_lattice_series(n, m, ctx)
+            if got._mpf_ == old._mpf_:
+                continue
+            differ += 1
+            with mp.workdps(250):
+                ref = q ** (mp.mpf(n * m) / 2) / mp.qp(q, q, n) \
+                    * mp.qhyper([0], [q ** (n + 1)], q, q ** (m + 1))
+                assert abs(got - ref) <= abs(old - ref), (n, m)
+    assert differ
+
+
+def test_a_cold_canonical_miss_makes_no_mpf_arithmetic(monkeypatch):
+    # a J table miss at a canonical pair calls qbessel once and forms the
+    # value on integers, from an empty unit table: no mpf operator and no
+    # precision context runs before the one final rounding
+    ctx = QContext("0.3")
+    assert ctx.q_key  # printed once per context, before the spies
+    monkeypatch.setattr(qfunctions, "_J_CACHE", {})
+    monkeypatch.setattr(qcore, "_UNITS", {})
+    calls, ops = [], []
+    qbessel_ = qfunctions.qbessel
+    monkeypatch.setattr(qfunctions, "qbessel", lambda *a, **k: calls.append(a) or qbessel_(*a, **k))
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                     "__abs__"):
+            patch.setattr(type(ctx.q), name, lambda *a, name=name: ops.append(name))
+        for name in ("workdps", "workprec"):
+            patch.setattr(mp, name, lambda *a, name=name: ops.append(name))
+        got = qfunctions.qbessel_lattice(3, 7, ctx)
+    assert len(calls) == 1 and ops == []
+    assert got._mpf_ == mpf_lattice_series(3, 7, ctx)._mpf_
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,8 +213,9 @@ def test_j_1phi1_case_is_the_integer_loop(q, dps, nu, z, tail_tol):
     with mp.workdps(dps):
         z = mp.mpf(z)
         prec = qcore.series_prec()
-        b = mp.make_mpf(mpf_pow_int(ctx.q._mpf_, nu + 1, prec))
-        total, largest, _, _ = qcore._phi_fixed([0], [b], z, ctx, prec, policy)
+        b = mpf_pow_int(ctx.q._mpf_, nu + 1, prec)
+        total, largest, _, _ = qcore._phi_fixed([0], [to_fixed(b, prec)], to_fixed(z._mpf_, prec),
+                                                to_fixed(ctx.q._mpf_, prec), prec, policy)
         want = phi11_units(nu, z, ctx, policy)
         poch = qfunctions._phi11(nu, z, ctx, policy)[2]
         assert (total, largest) == want[:2]
