@@ -8,8 +8,8 @@ Every value is carried at the precision of its QContext and every public
 value is an ``mpmath.mpf``.  The q-Pochhammer symbols run on mpmath reals;
 every basic hypergeometric series (``rphis``, the J series, the Askey-Wilson
 sum) on integers in one fixed-point loop, ``_phi_fixed``, which takes its q,
-z and parameters already in units of 2^-prec.  The lattice J series reads
-those units, with (q;q)_k and q^{k/2}, from a process table of integers
+z and parameters already in units of 2^-prec.  The J series reads those
+units, with (q;q)_k and q^{k/2}, from a process table of integers
 (``q_units``: one ``QUnits`` per base, precision and bits, grown on
 demand), so it makes no mpf before its final rounding.  ``bilateral_sum``
 adds its terms on Python integers: a term
@@ -498,12 +498,9 @@ class QUnits:
         self.top = 1  # man^k for the last k in powers
         self.powers = [1 << bits]
         self.pochs = [(1, 0)]
-        # q^{2^j} and sqrt(q)^{2^j}: sqrt(q) by isqrt of the mantissa shifted to an even exponent
+        # q^{2^j} and sqrt(q)^{2^j}
         cap = bits + 32
-        t = max(2 * cap - self.man.bit_length(), 0)
-        t += (self.exp - t) & 1
-        self.squares = ([_cut(self.man, self.exp, cap)],
-                        [(math.isqrt(self.man << t), (self.exp - t) // 2)])
+        self.squares = ([_cut(self.man, self.exp, cap)], [_sqrt_pair(self.man, self.exp, cap)])
 
     def upto(self, k: int) -> "QUnits":
         """Both lists through index k; returns self."""
@@ -543,6 +540,14 @@ def _cut(m: int, e: int, bits: int) -> Tuple[int, int]:
     """The pair (m, e) with m floored to at most ``bits`` bits."""
     cut = m.bit_length() - bits
     return (m >> cut, e + cut) if cut > 0 else (m, e)
+
+
+def _sqrt_pair(m: int, e: int, cap: int) -> Tuple[int, int]:
+    """sqrt(m 2^e), m > 0, as a pair (r, k): r is the isqrt of m shifted to
+    2 cap bits and an even exponent, so cap bits of the root, floored."""
+    t = 2 * cap - m.bit_length()
+    t += (e - t) & 1
+    return math.isqrt(m << t if t >= 0 else m >> -t), (e - t) // 2
 
 
 def q_units(ctx: QContext, bits: int, k: int) -> QUnits:

@@ -4,9 +4,9 @@ Wall polynomials (plain, and orthonormalized columns in the degree), the
 third Jackson q-Bessel function for every integer order, and the
 generating-function residual checks that tie the two families together.
 Every series here is ``qcore.rphis`` or, for q-Bessel, the 1phi1 case of
-its fixed-point kernel; the orthonormal Wall columns are a recurrence.  On
-the lattice the q-Bessel series is integer arithmetic from its units
-(``qcore.q_units``) to its one rounding.
+its fixed-point kernel; the orthonormal Wall columns are a recurrence.  The
+q-Bessel series, ``_series``, is one integer computation from its units
+(``qcore.q_units``) to its one rounding, on the lattice and off it.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pow_int, round_nearest, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, NonConvergent
 from .qcore import (QContext, SeriesResult, TruncationPolicy, _as_qpower, _phi_fixed, _rphis,
-                    exact_product, integer_label, lost_digits, mantissa, q_units, qpoch_finite,
-                    qpoch_infinite, qpower, rounded, rphis, series_prec, tail_estimate,
+                    _sqrt_pair, exact_product, integer_label, lost_digits, mantissa, q_units,
+                    qpoch_finite, qpoch_infinite, qpower, rounded, rphis, tail_estimate,
                     tail_threshold)
 
 __all__ = [
@@ -196,9 +196,9 @@ def qbessel_lattice(nu: int, y: int, ctx: QContext) -> mp.mpf:
     exactly by the factor (-q^{1/2})^e (``_reflect``).  So only
     canonical pairs reach the series, each once per (q, precision) through
     one ``qbessel`` call, and always at an argument q^m <= 1, never in the
-    deep cancellation of a large argument.  That series
-    (``_lattice_series``) runs on integers and rounds once, making no mpf
-    arithmetic on the way.  The miss also reads nu and y through
+    deep cancellation of a large argument.  That series (``_series``)
+    runs on integers and rounds once, making no mpf arithmetic on the way.
+    The miss also reads nu and y through
     ``qcore.integer_label``, so a numpy integer is stored under its int and
     a label such as 0.5 or True raises DomainError.  The warm path checks
     nothing, so a label equal to a stored one still finds its entry, since
@@ -230,25 +230,27 @@ def _reflect(val: mp.mpf, e: int, ctx: QContext) -> mp.mpf:
 
 def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
             _lattice_y: Optional[int] = None) -> mp.mpf:
-    """Third Jackson q-Bessel function J_nu(x; q), integer order, x >= 0.
+    """Third Jackson q-Bessel function J_nu(x; q), integer order, finite x >= 0.
 
     The value is the series of ``_series``.  A negative order goes through
-    the reflection J_{-n}(x) = (-1)^n q^{n/2} J_n(x q^n) once, with the
-    prefactor multiplied exactly (``_reflect``) and the value rounded, like
-    every other, to the working precision plus five digits.  ``_lattice_y``
-    gives the argument as q^y instead of x; ``qbessel_lattice`` passes only
+    the reflection J_{-n}(x) = (-1)^n q^{n/2} J_n(x q^n) once, with x q^n
+    formed at the working precision plus ten digits, the prefactor
+    multiplied exactly (``_reflect``) and the value rounded, like every
+    other, to the working precision plus five digits.  ``_lattice_y`` gives
+    the argument as q^y instead of x; ``qbessel_lattice`` passes only
     canonical pairs 0 <= nu <= y there.  The order is read through
-    ``qcore.integer_label``: 1.5 or True raises DomainError.
+    ``qcore.integer_label``: 1.5 or True raises DomainError, and so does an
+    x that is negative, nan or infinite.
     """
     nu = integer_label(nu, "order")
     if _lattice_y is not None:
-        return _series(nu, None, _lattice_y, ctx, policy)
+        return _series(nu, _lattice_y, ctx, policy)
     q = ctx.q
     # the argument is read at the working precision, never the caller's
     with ctx.workdps(10):
         x = mp.mpf(x)
-    if x < 0:
-        raise DomainError("qbessel needs x >= 0")
+    if not mp.isfinite(x) or x < 0:
+        raise DomainError(f"qbessel needs a finite x >= 0, got x = {x}")
     if x == 0:
         return mp.mpf(1) if nu == 0 else mp.mpf(0)
     if nu < 0:
@@ -256,111 +258,86 @@ def qbessel(nu, x, ctx: QContext, policy: Optional[TruncationPolicy] = None,
         with ctx.workdps(10):
             xn = x * q ** n
         return _reflect(qbessel(n, xn, ctx, policy), n, ctx)
-    return _series(nu, x, None, ctx, policy)
-
-
-def _series(nu: int, x, lattice_y: Optional[int], ctx: QContext,
-            policy: Optional[TruncationPolicy]) -> mp.mpf:
-    """J_nu(x) = x^{nu/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q x), nu >= 0.
-
-    x is q^lattice_y when lattice_y is given, and the value is
-    ``_lattice_series``'s, on integers.  Off the lattice the 1phi1 and
-    (q;q)_nu come from ``_phi11`` in integer fixed point; since term 0 is 1,
-    its absolute error is no larger, relative to the largest term, than mpf
-    rounding would leave.  Only x^{nu/2} and the final products are mpf
-    operations.  For large arguments (y = log_q x < 0) the terms grow to
-    about q^{-(y+1)^2/2} before the quadratic factor takes over, so guard
-    digits of that size are added and re-widened until two evaluations
-    agree.  For y >= 0 the terms still grow like 1/(q;q)_k^2 when q is near
-    1, so a sum that cancels more digits than its guard spares is re-summed
-    with a guard sized to that cancellation.  NonConvergent if eight rounds
-    never settle.
-    """
-    policy = policy or _POLICY
-    if lattice_y is not None:
-        return _lattice_series(nu, lattice_y, ctx, policy)
-    q = ctx.q
-    with ctx.workdps(10):
-        y = mp.log(x) / mp.log(q)
-    guard = 10
-    if y < 0:
-        # alternating-series cancellation: terms peak near q^{-(y+1)^2/2} and
-        # the value itself decays like a q-power quadratic in y
-        guard += int(mp.ceil(((abs(y) + 1) ** 2 / 2 + abs(y) * abs(nu) / 2)
-                             * mp.log(1 / q, 10)))
-    prev = None
-    for _ in range(8):
-        with ctx.workdps(guard):
-            total, largest, poch = _phi11(nu, q * x, ctx, policy)
-            val = x ** (mp.mpf(nu) / 2) / poch * total
-            if y >= 0:
-                lost = lost_digits(largest, total)
-                if lost <= guard - 5:
-                    break
-                wider = lost + 10
-            else:
-                if prev is not None:
-                    tol = mp.mpf(10) ** (-ctx.working_precision) \
-                        * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
-                    if abs(val - prev) <= tol:
-                        break
-                wider = int(guard * 3 // 2) + 30
-        prev = val
-        guard = wider
-    else:
-        raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
-    with ctx.workdps(5):
-        return +val
+    return _series(nu, x, ctx, policy)
 
 
 _POLICY = TruncationPolicy()
 _LOG10_2 = math.log10(2)
 
 
-def _lattice_series(nu: int, y: int, ctx: QContext, policy: TruncationPolicy) -> mp.mpf:
-    """J_nu(q^y) = q^{nu y/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q^{y+1}), on integers.
+def _series(nu: int, arg, ctx: QContext, policy: Optional[TruncationPolicy]) -> mp.mpf:
+    """J_nu(x) = x^{nu/2} / (q;q)_nu * 1phi1(0; q^{nu+1}; q, q x), nu >= 0, on integers.
 
-    ``_series``'s rounds, guards and stop rules, with no mpf made before the
-    one rounding.  A round at dps digits sums the 1phi1 in
-    ``qcore._phi_fixed`` in units of 2^-bits, bits those of dps plus 40: 20
-    more than ``series_prec``, since near q = 1 the floored powers in the
-    factors 1 - q^k compound along the terms (at q = 0.98 and working
-    precision 15, 20 bits left errors of 2e-19, past the final rounding).
-    z = q^{y+1}, q^{nu+1}, (q;q)_nu and q^{nu y/2} come from the base's
-    ``qcore.q_units`` at those bits; z divides a power of 2 by the exact
-    power of q's mantissa when y + 1 < 0.  The prefactor times the sum over
-    (q;q)_nu is one quotient (``_quotient``), rounded once to the working
-    precision plus five digits, the precision of every J value.  Digits
-    lost are read from the bit lengths of the largest term and the sum.
+    arg is the lattice label y (an int, x = q^y) or the argument x (an mpf
+    > 0).  A round at dps digits sums the 1phi1 in ``qcore._phi_fixed`` in
+    units of 2^-bits, bits those of dps plus 40: 20 more than
+    ``series_prec``, since near q = 1 the floored powers in the factors
+    1 - q^k compound along the terms (at q = 0.98 and working precision 15,
+    20 bits left errors of 2e-19, past the final rounding).  q^{nu+1} and
+    (q;q)_nu come from the base's ``qcore.q_units`` at those bits.  On the
+    lattice so do z = q^{y+1} (a power of 2 divided by the exact power of
+    q's mantissa when y + 1 < 0) and q^{nu y/2}; off it z is the exact
+    product of the mantissas of q and x cut to the units, and x^{nu/2} is
+    exact for even nu and, for odd nu, the square root of the exact x^nu
+    kept to bits + 32 bits (``qcore._sqrt_pair``).  The prefactor times the
+    sum over (q;q)_nu is one quotient (``_quotient``), rounded once to the
+    working precision plus five digits, the precision of every J value; no
+    mpf is made before that rounding.
+
+    Term 0 is 1, so the sum's absolute error is no larger, relative to its
+    largest term, than mpf rounding would leave.  For large arguments (y =
+    log_q x < 0) the terms grow to about q^{-(y+1)^2/2} before the quadratic
+    factor takes over, so guard digits of that size are added and
+    re-widened until two rounds agree (``_settled``).  For y >= 0 the terms
+    still grow like 1/(q;q)_k^2 when q is near 1, so a sum that cancels more
+    digits than its guard spares, read from the bit lengths of the largest
+    term and the sum, is re-summed with a guard sized to that cancellation.
+    NonConvergent if eight rounds never settle.
     """
+    policy = policy or _POLICY
     wp = ctx.working_precision
     out = dps_to_prec(wp + 5)
+    man, exp = mantissa(ctx.q)
+    log_q = math.log10(man) + exp * _LOG10_2
+    lattice = isinstance(arg, int)
+    if lattice:
+        y, large = arg, arg < 0
+    else:
+        xm, xe = mantissa(arg)
+        y, large = (math.log10(xm) + xe * _LOG10_2) / log_q, arg > 1
     guard = 10
-    if y < 0:
-        man, exp = mantissa(ctx.q)
-        guard += math.ceil(((1 - y) ** 2 / 2 - y * nu / 2)
-                           * -(math.log10(man) + exp * _LOG10_2))
+    if large:
+        a = abs(y)
+        guard += math.ceil(((1 + a) ** 2 / 2 + a * nu / 2) * -log_q)
     prev = None
     for _ in range(8):
         dps = wp + guard
         bits = dps_to_prec(dps) + 40  # ``series_prec`` at dps digits, plus 20
-        units = q_units(ctx, bits, max(nu, y) + 1)
-        powers = units.powers
-        z = powers[y + 1] if y >= 0 else \
-            (1 << bits - units.exp * (-y - 1)) // units.man ** (-y - 1)
-        total, largest, _, _ = _phi_fixed((0,), (powers[nu + 1],), z, powers[1], bits, policy,
-                                          dps=dps)
+        if lattice:
+            units = q_units(ctx, bits, max(nu, y) + 1)
+            z = units.powers[y + 1] if y >= 0 else \
+                (1 << bits - units.exp * (-y - 1)) // units.man ** (-y - 1)
+            hm, he = units.half_power(abs(nu * y))
+        else:
+            units = q_units(ctx, bits, nu + 1)
+            shift = xe + exp + bits
+            z = xm * man << shift if shift >= 0 else xm * man >> -shift
+            hm, he = _sqrt_pair(xm ** nu, xe * nu, bits + 32) if nu & 1 else \
+                (xm ** (nu // 2), xe * (nu // 2))
+        total, largest, _, _ = _phi_fixed((0,), (units.powers[nu + 1],), z, units.powers[1], bits,
+                                          policy, dps=dps)
         pm, pe = units.pochs[nu]
-        hm, he = units.half_power(abs(nu * y))
-        if y >= 0:
+        if lattice and large:  # q^{nu y/2} = 1 / q^{-nu y/2} divides
+            val = _quotient(total, pm * hm, -he - pe - bits, out)
+        else:
             val = _quotient(total * hm, pm, he - pe - bits, out)
+        if not large:
             lost = math.ceil((largest.bit_length() - abs(total).bit_length() + 1) * _LOG10_2) \
                 if total else dps
             if lost <= guard - 5:
                 break
             guard = lost + 10
         else:
-            val = _quotient(total, pm * hm, -he - pe - bits, out)
             if prev is not None and _settled(val, prev, wp):
                 break
             prev = val
@@ -393,26 +370,6 @@ def _settled(val: Tuple[int, int], prev: Tuple[int, int], wp: int) -> bool:
         if diff << low - top <= m << e - top:
             return True
     return False
-
-
-def _phi11(nu: int, z, ctx: QContext, policy: TruncationPolicy):
-    """(1phi1(0; q^{nu+1}; q, z), its largest term, (q;q)_nu) as mpf values:
-    the 1phi1 case of ``qcore._phi_fixed``, and the product of its factors
-    1 - q^{k+1} kept as a mantissa of prec bits and a binary exponent."""
-    prec = series_prec()
-    one = 1 << prec
-    q = to_fixed(ctx.q._mpf_, prec)
-    b = to_fixed(mpf_pow_int(ctx.q._mpf_, nu + 1, prec), prec)
-    total, largest, _, _ = _phi_fixed((0,), (b,), to_fixed(mp.mpf(z)._mpf_, prec), q, prec, policy)
-    man, exp, qk = 1, -nu * prec, one
-    for _ in range(nu):
-        qk = qk * q >> prec
-        man *= one - qk
-        shift = man.bit_length() - prec
-        if shift > 0:
-            man >>= shift
-            exp += shift
-    return mp.mpf((total, -prec)), mp.mpf((largest, -prec)), mp.mpf((man, exp))
 
 
 def _shifted_j_sum(nu: int, x, z, ctx: QContext, policy: TruncationPolicy,

@@ -5,8 +5,9 @@ its largest term as well; ``mpf_aw_poly`` the mpf Askey-Wilson merged sum
 with its guard-digit rounds; ``phi11_fixed`` (``phi11_units`` for its integers)
 the integer 1phi1 loop that summed the J series before it became the
 kernel's 1phi1 case; ``mpf_lattice_series`` the lattice J series on that
-loop with its mpf powers, prefactor and quotient, which
-``qfunctions._lattice_series`` replaced.
+loop with its mpf powers, prefactor and quotient, and ``mpf_series`` the
+off-lattice J series on it with its mpf round loop, which the integer
+``qfunctions._series`` replaced.
 """
 
 import mpmath as mp
@@ -194,6 +195,46 @@ def mpf_lattice_series(nu, y, ctx, policy=None):
             total, largest, poch = phi11_fixed(nu, q * xw, ctx, policy)
             val = xw ** (mp.mpf(nu) / 2) / poch * total
             if y_ >= 0:
+                lost = lost_digits(largest, total)
+                if lost <= guard - 5:
+                    break
+                wider = lost + 10
+            else:
+                if prev is not None:
+                    tol = mp.mpf(10) ** (-ctx.working_precision) \
+                        * max(abs(val), mp.mpf(10) ** (-6 * ctx.working_precision))
+                    if abs(val - prev) <= tol:
+                        break
+                wider = int(guard * 3 // 2) + 30
+        prev = val
+        guard = wider
+    else:
+        raise NonConvergent(f"J_{nu} series: eight precision rounds never settled")
+    with ctx.workdps(5):
+        return +val
+
+
+def mpf_series(nu, x, ctx, policy=None):
+    """J_nu(x), nu >= 0 and x > 0 an mpf, as ``qfunctions._series`` summed it
+    off the lattice: the 1phi1 and (q;q)_nu from ``phi11_fixed`` at each
+    round's precision, x^{nu/2} / (q;q)_nu * 1phi1 formed in mpf, with the
+    same guard rounds and stop rules."""
+    policy = policy or TruncationPolicy()
+    q = ctx.q
+    with ctx.workdps(10):
+        y = mp.log(x) / mp.log(q)
+    guard = 10
+    if y < 0:
+        # alternating-series cancellation: terms peak near q^{-(y+1)^2/2} and
+        # the value itself decays like a q-power quadratic in y
+        guard += int(mp.ceil(((abs(y) + 1) ** 2 / 2 + abs(y) * abs(nu) / 2)
+                             * mp.log(1 / q, 10)))
+    prev = None
+    for _ in range(8):
+        with ctx.workdps(guard):
+            total, largest, poch = phi11_fixed(nu, q * x, ctx, policy)
+            val = x ** (mp.mpf(nu) / 2) / poch * total
+            if y >= 0:
                 lost = lost_digits(largest, total)
                 if lost <= guard - 5:
                     break

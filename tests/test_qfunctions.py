@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoupling import (QContext, TruncationPolicy, WallParams, genfun_check, qbessel,
-                       qbessel_lattice, qpoch_finite, qpoch_infinite, wall_genfun_check,
-                       wall_orthonormal_run, wall_poly, wall_poly_alt)
+from qcoupling import (QContext, TruncationPolicy, WallParams, eval_single, genfun_check,
+                       qbessel, qbessel_lattice, qpoch_finite, qpoch_infinite,
+                       wall_genfun_check, wall_orthonormal_run, wall_poly, wall_poly_alt)
 from qcoupling import qfunctions
 from qcoupling.qcore import cached
 from qcoupling.errors import DomainError, NonConvergent
@@ -262,15 +262,56 @@ def test_qbessel_series_rounds_that_never_agree_raise(ctx05, monkeypatch):
     # a deep off-lattice argument re-widens the series until two rounds agree;
     # when none do, the value is flagged instead of returned
     calls = []
+    kernel = qfunctions._phi_fixed
 
     def drifting(*args, **kwargs):
         calls.append(1)
-        return mp.mpf(len(calls)), mp.mpf(len(calls)), mp.mpf(1)
+        total, largest, thr, terms = kernel(*args, **kwargs)
+        return total * len(calls), largest * len(calls), thr, terms
 
-    monkeypatch.setattr(qfunctions, "_phi11", drifting)
+    monkeypatch.setattr(qfunctions, "_phi_fixed", drifting)
     with pytest.raises(NonConvergent):
         qbessel(1, 7, ctx05)
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_qbessel_non_finite_argument_is_a_domain_error(ctx05, monkeypatch, x):
+    # refused before any series (a call to the series, swapped out here,
+    # would raise TypeError): nan used to run eight rounds into
+    # NonConvergent, inf to fail converting to an integer; a genfun case
+    # reports the same DomainError
+    monkeypatch.setattr(qfunctions, "_series", None)
+    with pytest.raises(DomainError, match="finite"):
+        qbessel(1, x, ctx05)
+    result = eval_single("genfun", {"nu": 1, "x": x, "t": 0.25}, 0.5)
+    assert not result.passed and result.error.startswith("DomainError: qbessel needs a finite x")
+
+
+def test_qbessel_off_lattice_near_one_is_within_its_rounding():
+    # at q = 0.98 and working precision 15 the values are rounded at 20
+    # digits; a 1phi1 summed only 20 bits past the round's precision was off
+    # by 1.05e-19 at J_9(q^12).  Reference: x^{n/2} / (q;q)_n *
+    # 1phi1(0; q^{n+1}; q, q x) from mpmath's qhyper and qp
+    ctx = QContext(0.98, 15)
+    q = ctx.q
+
+    def error(n, x, dps):
+        got = qbessel(n, x, ctx)
+        with mp.workdps(dps):
+            ref = x ** (mp.mpf(n) / 2) / mp.qp(q, q, n) \
+                * mp.qhyper([0], [q ** (n + 1)], q, q * x)
+            return abs(got - ref) / abs(ref)
+
+    with mp.workdps(60):
+        x = q ** 12
+    assert error(9, x, 300) <= 1e-21
+    for n in range(0, 41, 3):
+        for m in range(0, 41, 3):
+            with mp.workdps(60):
+                x = q ** m
+            # 100 digits give the same errors as 300 here, in half the time
+            assert error(n, x, 100) <= 1e-19, (n, m)
 
 
 def test_qbessel_series_max_terms_raise(ctx05):
@@ -325,7 +366,7 @@ def test_qbessel_kernel_matches_rphis(q, wp, n, m, x):
     ctx = QContext(q, wp)
     n, m = min(n, m), max(n, m)
     if x is None:
-        got = qfunctions._series(n, None, m, ctx, None)
+        got = qfunctions._series(n, m, ctx, None)
         with ctx.workdps(10):
             x = ctx.q ** m
     else:
@@ -339,9 +380,9 @@ def _series_oracle(nu, y, ctx):
     """J_nu(q^y) from the series alone, negative orders by the reflection."""
     n = abs(nu)
     if nu >= 0:
-        return qfunctions._series(n, None, y, ctx, None)
+        return qfunctions._series(n, y, ctx, None)
     with mp.workdps(ctx.working_precision + 20):
-        return (-1) ** n * mp.sqrt(ctx.q) ** n * qfunctions._series(n, None, y + n, ctx, None)
+        return (-1) ** n * mp.sqrt(ctx.q) ** n * qfunctions._series(n, y + n, ctx, None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,8 +406,8 @@ def test_qbessel_series_swap_symmetry(qs):
     tol = mp.mpf(10) ** (2 - ctx.working_precision)
     for n in range(13):
         for m in range(n + 1, 13):
-            a = qfunctions._series(n, None, m, ctx, None)
-            b = qfunctions._series(m, None, n, ctx, None)
+            a = qfunctions._series(n, m, ctx, None)
+            b = qfunctions._series(m, n, ctx, None)
             assert abs(a - b) <= tol * abs(a)
 
 
@@ -392,7 +433,7 @@ def test_qbessel_lattice_sums_each_orbit_once(monkeypatch):
     calls = []
     series = qfunctions._series
     monkeypatch.setattr(qfunctions, "_series",
-                        lambda *a: calls.append(a[:3]) or series(*a))
+                        lambda *a: calls.append(a[:2]) or series(*a))
     ctx = QContext("0.5")
     qfunctions._J_CACHE.clear()
     for n in range(11):
@@ -400,7 +441,7 @@ def test_qbessel_lattice_sums_each_orbit_once(monkeypatch):
             qbessel_lattice(n, m, ctx)
     qfunctions._J_CACHE.clear()
     assert len(calls) == 66
-    assert all(0 <= nu <= y for nu, _, y in calls)
+    assert all(0 <= nu <= y for nu, y in calls)
 
 
 def test_qbessel_lattice_fill_order_does_not_matter():
