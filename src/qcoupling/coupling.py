@@ -34,7 +34,8 @@ from mpmath.libmp import from_man_exp, round_nearest, to_float
 
 from .errors import DomainError, InsufficientWindow
 from .qcore import (at_working_precision, cached, QContext, SeriesResult, TruncationPolicy,
-                    bilateral_sum, exact_product, integer_label, mantissa, qpower, rounded)
+                    bilateral_sum, exact_product, integer_label, integer_labels, mantissa, qpower,
+                    rounded)
 from .qfunctions import qbessel_lattice
 
 __all__ = [
@@ -66,7 +67,7 @@ def sixj_closed(p1: int, r1: int, p2: int, r2: int, ctx: QContext) -> mp.mpf:
     argument.  It is the tree-move weight at n1 = n2 = n3 = 0: a base-q^2
     q-Bessel value at the lattice point p1-p2.
     """
-    p1, r1, p2, r2 = _integer_labels("p1 r1 p2 r2", p1, r1, p2, r2)
+    p1, r1, p2, r2 = integer_labels("p1 r1 p2 r2", p1, r1, p2, r2)
     if r1 != r2:
         return mp.mpf(0)
     return recoupling_R(r1, 0, 0, 0, p1, -p2, ctx)
@@ -80,7 +81,7 @@ def recoupling_R(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int,
     x-n1+n2-n3; equals sixj_closed under p1p = n1+p1, p2p = n3-p2.
     ``weight_pair`` rounded once.
     """
-    x, n1, n2, n3, p1p, p2p = _integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
+    x, n1, n2, n3, p1p, p2p = integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
     return rounded(weight_pair(x - n1 + n2 - n3, p1p + p2p - n1 - n3, ctx), ctx)
 
 
@@ -107,16 +108,6 @@ def weight_pair(order: int, e: int, ctx: QContext) -> Tuple[int, int]:
         hit = _WEIGHTS[order, e, ctx.q_key, ctx.working_precision] = exact_product(
             _minus_q_power(e, ctx), _J(order, e, ctx.base_squared()))
     return hit
-
-
-def _integer_labels(names: str, *values) -> Tuple[int, ...]:
-    """values read through ``integer_label``, each under its name in ``names``,
-    so no residual does arithmetic on a label such as True or 1.5.  Values
-    that are all ints, as nearly every call's are, come back as they are."""
-    for value in values:
-        if type(value) is not int:
-            return tuple(map(integer_label, values, names.split()))
-    return values
 
 
 def _J(order: int, y: int, ctx: QContext) -> Tuple[int, int]:
@@ -346,7 +337,7 @@ def verify_backcoupling(x: int, n1: int, n2: int, n3: int, p1: int, p2: int,
     J_{r123}(q^{s+2}) = q^{-1} J_{r123}(q^s) for every s.  J stays bounded as
     s -> +inf, so J would vanish on the lattice, which orthogonality rules out.
     """
-    x, n1, n2, n3, p1, p2 = _integer_labels("x n1 n2 n3 p1 p2", x, n1, n2, n3, p1, p2)
+    x, n1, n2, n3, p1, p2 = integer_labels("x n1 n2 n3 p1 p2", x, n1, n2, n3, p1, p2)
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
@@ -366,7 +357,7 @@ def backcoupling_forms_gap(x: int, n1: int, n2: int, n3: int, p1p: int, p2p: int
     each other; this returns |R-form residual - |(-q)^e| * J-form residual|,
     which is ~0 even though both residuals are large.
     """
-    x, n1, n2, n3, p1p, p2p = _integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
+    x, n1, n2, n3, p1p, p2p = integer_labels("x n1 n2 n3 p1p p2p", x, n1, n2, n3, p1p, p2p)
     lhsR = recoupling_R(x, n1, n2, n3, p1p, p2p, ctx)
     # sum_p R(x, n1, n3, n2; p1p, p) R(x, n3, n1, n2; p, p2p), as printed
     (p,) = variables(1)
@@ -391,7 +382,7 @@ def verify_biedenharn_elliott(P: int, Q: int, R: int, nu: int, mu1: int, mu2: in
     A = (-1)^{mu1+mu2} q^{mu-(mu1+mu2)/2} J_{mu2-mu1+P-Q}(q^{mu-mu1})
         * J_{mu1-mu2+Q-R}(q^{mu-mu2}).
     """
-    P, Q, R, nu, mu1, mu2 = _integer_labels("P Q R nu mu1 mu2", P, Q, R, nu, mu1, mu2)
+    P, Q, R, nu, mu1, mu2 = integer_labels("P Q R nu mu1 mu2", P, Q, R, nu, mu1, mu2)
     lhs = rounded(exact_product(_J(nu + mu1, P - Q, ctx), _J(nu + mu2, Q - R, ctx)), ctx)
     (mu,) = variables(1)
     rhs = lattice_sum(SumSpec(1, (Factor("J", mu2 - mu1 + P - Q, mu - mu1),
@@ -422,7 +413,7 @@ def verify_hexagon(x: int, n1: int, n2: int, n3: int, n4: int,
     Like the backcoupling, the identity fails as stated except at symmetric
     fixed points; the residual is faithful.
     """
-    x, n1, n2, n3, n4, p1, p2, p3, p4 = _integer_labels(
+    x, n1, n2, n3, n4, p1, p2, p3, p4 = integer_labels(
         "x n1 n2 n3 n4 p1 p2 p3 p4", x, n1, n2, n3, n4, p1, p2, p3, p4)
     lhs = lattice_sum(_hexagon_side(x, n1, n2, n3, n4, p1, p2, p3, p4), ctx, policy)
     rhs = lattice_sum(_hexagon_side(x, n4, n3, n2, n1, p2, p1, p4, p3), ctx, policy)
@@ -458,7 +449,7 @@ def hexagon_j_form_residual(x: int, n1: int, n2: int, n3: int, n4: int,
     and the weights (``_hexagon_side``) are each transcribed as printed, not
     derived from each other; only that swap is shared.
     """
-    x, n1, n2, n3, n4, p1, p2, p3, p4 = _integer_labels(
+    x, n1, n2, n3, n4, p1, p2, p3, p4 = integer_labels(
         "x n1 n2 n3 n4 p1 p2 p3 p4", x, n1, n2, n3, n4, p1, p2, p3, p4)
 
     def gap(*labels):
@@ -532,7 +523,7 @@ def yang_baxter_unitarity_defect(u: int, v: int, window: Tuple[int, int],
     are the interior coordinates of the truncation.
     """
     lo, hi = window
-    u, v, lo, hi = _integer_labels("u v lo hi", u, v, lo, hi)
+    u, v, lo, hi = integer_labels("u v lo hi", u, v, lo, hi)
     sectors = _yb_complete_columns(u, v, (lo, hi), ctx)
     if not any(sectors.values()):
         raise InsufficientWindow("no complete columns inside the window")
@@ -570,7 +561,7 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     the J evaluations dearer.
     """
     lo, hi = window
-    u, v, w, lo, hi = _integer_labels("u v w lo hi", u, v, w, lo, hi)
+    u, v, w, lo, hi = integer_labels("u v w lo hi", u, v, w, lo, hi)
     if hi - lo + 1 < 2 * _YB_MARGIN + 3:
         raise InsufficientWindow("window too small for the interior margin")
     interior = {}
@@ -582,7 +573,7 @@ def yang_baxter_residual(u: int, v: int, w: int, window: Tuple[int, int],
     else:
         columns = []
         for t0, t1, t2 in probe:
-            columns.append(_integer_labels("t0 t1 t2", t0, t1, t2))
+            columns.append(integer_labels("t0 t1 t2", t0, t1, t2))
             if not all(lo <= t <= hi for t in columns[-1]):
                 raise InsufficientWindow(f"probe point {(t0, t1, t2)} outside the window")
 
@@ -655,7 +646,7 @@ def qhankel_factorization_residual(x: int, n1: int, n2: int, n3: int,
     States the remarked transform factorization faithfully; it fails along
     with the backcoupling identity it is equivalent to.
     """
-    x, n1, n2, n3 = _integer_labels("x n1 n2 n3", x, n1, n2, n3)
+    x, n1, n2, n3 = integer_labels("x n1 n2 n3", x, n1, n2, n3)
     r123 = x - n1 + n2 - n3
     r132 = x - n1 + n3 - n2
     r312 = x - n3 + n1 - n2
@@ -680,7 +671,7 @@ def cg_contraction_residual(x: int, n: int, m: int, k: int, p1: int, ctx: QConte
     """
     from .representation import cg_coefficient
 
-    x, n, m, k, p1 = _integer_labels("x n m k p1", x, n, m, k, p1)
+    x, n, m, k, p1 = integer_labels("x n m k p1", x, n, m, k, p1)
     r = x - (n - m + k)
     lhs = cg_coefficient(x, n + p1, n, ctx) * cg_coefficient(n + p1, m, k, ctx)
 

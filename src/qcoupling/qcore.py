@@ -192,6 +192,16 @@ def integer_label(value, name: str) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def integer_labels(names: str, *values) -> Tuple[int, ...]:
+    """values read through ``integer_label``, each under its name in ``names``,
+    so no function does arithmetic on a label such as True or 1.5.  Values
+    that are all ints, as nearly every call's are, come back as they are."""
+    for value in values:
+        if type(value) is not int:
+            return tuple(map(integer_label, values, names.split()))
+    return values
+
+
 def cached(table: dict, ctx: QContext, labels: tuple, compute: Callable[[], object]):
     """table's value at labels for the base and precision of ctx.
 

@@ -1,47 +1,39 @@
-"""Truncated matrix model of the deformed SU(2) function algebra.
+"""Truncated representation of the deformed SU(2) function algebra.
 
-Generator matrices on a truncated Fock space, tensor-product actions through
-the coproduct, the coupled eigenvectors of the positivized diagonal generator,
-the associated Clebsch-Gordan coefficients, and the inner-product oracle for
-recoupling (6j) coefficients.
+The generators as band maps on a truncated Fock space, their three-fold
+action through the coproduct, the coupled eigenvectors of the positivized
+diagonal generator, the associated Clebsch-Gordan coefficients, and the
+inner-product oracle for recoupling (6j) coefficients.
 
-Generator matrices are float64 numpy arrays and three-fold actions are scipy
-sparse Kronecker products of them; coupled vectors are sparse dicts keyed by
-basis multi-indices.  Coefficient accuracy is ~1e-12, far inside the
-1e-8 oracle tolerances.
-
-Only ``pi0_matrix``, ``check_defining_relations``, ``CoupledVector.dense``
-and ``threefold_operator`` need numpy (the last also scipy.sparse), and each
-imports it when called.  The Clebsch-Gordan columns, the coupled vectors and
-``sixj_oracle`` run on floats and dicts, so importing this module, or the
-package, loads neither.
+Each generator moves a basis index by at most one (``generator_band``), so
+no action is built as a matrix: ``threefold_action`` maps the entries of a
+sparse dict keyed by basis multi-indices, at a cost proportional to the
+vector's support, and ``check_defining_relations`` reads the relations off
+the bands.  Everything runs on Python floats and dicts; coefficient
+accuracy is ~1e-12, far inside the 1e-8 oracle tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
+from typing import Dict, List, Tuple
 
 from .errors import DomainError, InsufficientTruncation
-from .qcore import cached, QContext
+from .qcore import cached, integer_label, integer_labels, QContext
 from .qfunctions import wall_orthonormal_run
-
-if TYPE_CHECKING:
-    import numpy as np
-    from scipy import sparse
 
 __all__ = [
     "TruncatedFock",
     "CoupledVector",
-    "pi0_matrix",
+    "generator_band",
     "check_defining_relations",
     "cg_coefficient",
     "coupled_vector",
     "sixj_oracle",
     "coproduct_terms",
     "threefold_terms",
-    "threefold_operator",
+    "threefold_action",
 ]
 
 
@@ -52,6 +44,9 @@ class TruncatedFock:
     dim: int
 
     def __post_init__(self):
+        # integer_labels' fast path for one label: an int is kept as it is
+        if type(self.dim) is not int:
+            object.__setattr__(self, "dim", integer_label(self.dim, "dim"))
         if self.dim < 2:
             raise DomainError("TruncatedFock needs dim >= 2")
 
@@ -65,60 +60,53 @@ _COPRODUCT = {
 }
 
 
-def pi0_matrix(tag: str, fock: TruncatedFock, ctx: QContext) -> np.ndarray:
-    """Matrix of a generator in the standard representation (phase label 0).
+def generator_band(tag: str, fock: TruncatedFock, ctx: QContext) -> Tuple[int, List[float]]:
+    """A generator in the standard representation (phase label 0) as a band
+    map (shift, weights): e_n -> weights[n] e_{n + shift}.
 
     alpha lowers with weight sqrt(1-q^{2n}), delta raises with
     sqrt(1-q^{2n+2}) (dropped at the cut), beta and gamma are diagonal with
-    entries -q^{n+1} and q^n.
+    entries -q^{n+1} and q^n.  A weight is 0.0 where the image leaves the
+    truncation: at n = 0 for alpha, at n = dim - 1 for delta.
     """
-    import numpy as np
-
     N = fock.dim
     q = float(ctx.q)
-    m = np.zeros((N, N))
     if tag == "alpha":
-        for n in range(1, N):
-            m[n - 1, n] = math.sqrt(1 - q ** (2 * n))
-    elif tag == "delta":
-        for n in range(N - 1):
-            m[n + 1, n] = math.sqrt(1 - q ** (2 * n + 2))
-    elif tag == "beta":
-        for n in range(N):
-            m[n, n] = -q ** (n + 1)
-    elif tag == "gamma":
-        for n in range(N):
-            m[n, n] = q ** n
-    else:
-        raise DomainError(f"unknown generator tag {tag!r}")
-    return m
+        return -1, [0.0] + [math.sqrt(1 - q ** (2 * n)) for n in range(1, N)]
+    if tag == "delta":
+        return 1, [math.sqrt(1 - q ** (2 * n + 2)) for n in range(N - 1)] + [0.0]
+    if tag == "beta":
+        return 0, [-q ** (n + 1) for n in range(N)]
+    if tag == "gamma":
+        return 0, [q ** n for n in range(N)]
+    raise DomainError(f"unknown generator tag {tag!r}")
 
 
 def check_defining_relations(fock: TruncatedFock, ctx: QContext) -> float:
-    """Max interior residual of the six algebra relations as matrices.
+    """Max interior residual of the seven algebra relations.
 
     Interior means rows/columns 0..dim-2: the boundary row of the raising
-    relation is a truncation artifact, not algebra content.
+    relation is a truncation artifact, not algebra content.  Each relation
+    shifts a basis index by one amount in all its terms, so its column n
+    holds one entry, in row n - 1, n + 1 or n; it is formed in the order of
+    the matrix expression (al be - q be al, ..., de al - be ga / q - 1).
     """
-    import numpy as np
-
     if fock.dim < 4:
         raise DomainError("relation check needs dim >= 4")
     q = float(ctx.q)
-    g = {t: pi0_matrix(t, fock, ctx) for t in ("alpha", "beta", "gamma", "delta")}
-    al, be, ga, de = g["alpha"], g["beta"], g["gamma"], g["delta"]
-    I = np.eye(fock.dim)
-    rels = [
-        al @ be - q * be @ al,
-        al @ ga - q * ga @ al,
-        be @ de - q * de @ be,
-        ga @ de - q * de @ ga,
-        be @ ga - ga @ be,
-        al @ de - q * be @ ga - I,
-        de @ al - be @ ga / q - I,
-    ]
+    a, b, g, d = (generator_band(t, fock, ctx)[1] for t in ("alpha", "beta", "gamma", "delta"))
     cut = fock.dim - 1
-    return max(float(np.abs(r[:cut, :cut]).max()) for r in rels)
+    lowering, raising, diagonal = range(1, cut), range(cut - 1), range(cut)
+    rels = [
+        [a[n] * b[n] - q * b[n - 1] * a[n] for n in lowering],
+        [a[n] * g[n] - q * g[n - 1] * a[n] for n in lowering],
+        [b[n + 1] * d[n] - q * d[n] * b[n] for n in raising],
+        [g[n + 1] * d[n] - q * d[n] * g[n] for n in raising],
+        [b[n] * g[n] - g[n] * b[n] for n in diagonal],
+        [a[n + 1] * d[n] - q * b[n] * g[n] - 1 for n in diagonal],
+        [(d[n - 1] * a[n] if n else 0.0) - b[n] * g[n] / q - 1 for n in diagonal],
+    ]
+    return max(abs(v) for r in rels for v in r)
 
 
 _CG_COLUMNS: Dict[tuple, list] = {}
@@ -180,16 +168,6 @@ class CoupledVector:
             a, b = b, a
         return sum(c * b[k] for k, c in a.items() if k in b)
 
-    def dense(self, fock: TruncatedFock) -> np.ndarray:
-        """Coefficients as a flat array over the row-major basis multi-index."""
-        import numpy as np
-
-        shape = (fock.dim,) * (2 if self.scheme in ("12", "21") else 3)
-        out = np.zeros(shape)
-        for key, c in self.coeffs.items():
-            out[key] = c
-        return out.ravel()
-
 
 def coupled_vector(scheme: str, x: int, p: int, r: int,
                    fock: TruncatedFock, ctx: QContext) -> CoupledVector:
@@ -197,7 +175,10 @@ def coupled_vector(scheme: str, x: int, p: int, r: int,
 
     Schemes: "12" and "21" on two factors (r ignored), "1(23)" and "(12)3"
     on three.  Conventions: any negative basis index contributes nothing.
+    The labels are read through ``qcore.integer_labels``: 0.5 or True
+    raises DomainError.
     """
+    x, p, r = integer_labels("x p r", x, p, r)
     if x < 0:
         raise DomainError("coupled_vector needs x >= 0")
     N = fock.dim
@@ -254,20 +235,29 @@ def threefold_terms(tag: str):
     return out
 
 
-def threefold_operator(tag: str, fock: TruncatedFock, ctx: QContext) -> sparse.csr_matrix:
-    """Three-fold coupled action of a generator as a sparse matrix.
+def threefold_action(tag: str, vector: dict, fock: TruncatedFock,
+                     ctx: QContext) -> dict:
+    """Three-fold coupled action of a generator on a dict vector.
 
-    Sum over the (1 x coproduct)(coproduct) terms of Kronecker products of
-    the single-factor matrices, acting on the flattened basis index
-    (i * dim + j) * dim + k.  The action is multiplicative, so the coupled
-    gamma*gamma-adjoint operator whose eigenvectors ``coupled_vector``
-    returns is -q^{-1} T(gamma) T(beta).
+    ``vector`` maps basis triples (i, j, k) to coefficients, as
+    ``CoupledVector.coeffs`` does; the result is a dict of the same kind.
+    Each (1 x coproduct)(coproduct) term (a, b, c) sends e_i x e_j x e_k to
+    the product of the three factors' ``generator_band`` weights times
+    e_{i'} x e_{j'} x e_{k'}; a term whose weight is 0.0 adds nothing.  The
+    action is multiplicative, so the coupled gamma*gamma-adjoint operator
+    whose eigenvectors ``coupled_vector`` returns is -q^{-1} T(gamma) T(beta),
+    applied as two actions.
     """
-    from scipy import sparse
-
-    mats = {t: sparse.csr_matrix(pi0_matrix(t, fock, ctx)) for t in _COPRODUCT}
-    return sum(sparse.kron(mats[a], sparse.kron(mats[b], mats[c]), format="csr")
-               for a, b, c in threefold_terms(tag))
+    bands = {t: generator_band(t, fock, ctx) for t in _COPRODUCT}
+    out: dict = {}
+    for ta, tb, tc in threefold_terms(tag):
+        (sa, wa), (sb, wb), (sc, wc) = bands[ta], bands[tb], bands[tc]
+        for (i, j, k), c in vector.items():
+            w = wa[i] * (wb[j] * wc[k]) * c
+            if w != 0.0:
+                key = (i + sa, j + sb, k + sc)
+                out[key] = out.get(key, 0.0) + w
+    return out
 
 
 _ORACLE_VECTORS: Dict[tuple, tuple] = {}
@@ -303,9 +293,11 @@ def sixj_oracle(x: int, p1: int, r1: int, p2: int, r2: int,
 
     The "1(23)" vector at (x, p1, r1) and the "(12)3" vector at (x, p2, r2)
     are read from ``_oracle_vector``, so a grid builds each once.  The value
-    is ``CoupledVector.inner`` of the two, summed in the same order.
+    is ``CoupledVector.inner`` of the two, summed in the same order.  The
+    labels are read as ``coupled_vector`` reads them.
     """
     norm_floor = 1 - 1e-8
+    x, p1, r1, p2, r2 = integer_labels("x p1 r1 p2 r2", x, p1, r1, p2, r2)
     if x < 0:
         raise DomainError("sixj_oracle needs x >= 0")
     a, na = _oracle_vector("1(23)", x, p1, r1, fock, ctx)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -8,13 +9,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcoupling import (QContext, TruncatedFock, cg_coefficient,
-                       check_defining_relations, coupled_vector, pi0_matrix, qpoch_infinite,
-                       sixj_oracle, wall_orthonormal_run)
+from qcoupling import (QContext, TruncatedFock, cg_coefficient, check_defining_relations,
+                       coupled_vector, generator_band, qpoch_infinite, sixj_oracle,
+                       wall_orthonormal_run)
 from qcoupling.errors import DomainError, InsufficientTruncation
 from qcoupling import representation
-from qcoupling.representation import (_cg_column, coproduct_terms, threefold_operator,
+from qcoupling.representation import (_cg_column, coproduct_terms, threefold_action,
                                      threefold_terms)
+
+from representation_oracles import (dense, matrix_defining_relations, pi0_matrix,
+                                    threefold_operator)
 
 
 def test_fock_validation():
@@ -22,16 +26,67 @@ def test_fock_validation():
         TruncatedFock(1)
 
 
-def test_pi0_matrices(ctx05):
+@pytest.mark.parametrize("dim", [2.5, True, "10", 10.0])
+def test_fock_refuses_a_non_integer_dim(dim):
+    with pytest.raises(DomainError, match="dim must be an integer"):
+        TruncatedFock(dim)
+
+
+def test_fock_reads_a_numpy_dim_as_an_int():
+    fock = TruncatedFock(np.int64(12))
+    assert type(fock.dim) is int and fock == TruncatedFock(12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fock, ctx: sixj_oracle(True, 0, 0, 0, 0, fock, ctx),
+    lambda fock, ctx: sixj_oracle(1.5, 0, 0, 0, 0, fock, ctx),
+    lambda fock, ctx: sixj_oracle(1, 0, 0.5, 0, 0, fock, ctx),
+    lambda fock, ctx: sixj_oracle(1, 0, 0, 0, False, fock, ctx),
+    lambda fock, ctx: coupled_vector("12", 1, 0.5, 0, fock, ctx),
+    lambda fock, ctx: coupled_vector("1(23)", 1.0, 0, 0, fock, ctx),
+    lambda fock, ctx: coupled_vector("(12)3", 1, 0, True, fock, ctx),
+], ids=["oracle-x-true", "oracle-x-1.5", "oracle-r1-0.5", "oracle-r2-false",
+        "pair-p-0.5", "triple-x-1.0", "triple-r-true"])
+def test_representation_refuses_a_non_integer_label(call, ctx05):
+    # True used to be read as 1 (sixj_oracle at x = True gave the x = 1
+    # value), 0.5 built a vector keyed at half-integer indices, and 1.5
+    # raised TypeError from inside the Clebsch-Gordan column
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(TruncatedFock(20), ctx05)
+
+
+def test_representation_reads_numpy_labels_as_ints(ctx05):
+    fock = TruncatedFock(60)
+    labels = (1, 1, -1, 0, -1)
+    as_numpy = [np.int64(v) for v in labels]
+    assert sixj_oracle(*as_numpy, fock, ctx05) == sixj_oracle(*labels, fock, ctx05)
+    v = coupled_vector("1(23)", *as_numpy[:3], fock, ctx05)
+    assert v == coupled_vector("1(23)", *labels[:3], fock, ctx05)
+    assert all(type(i) is int for key in v.coeffs for i in key)
+
+
+def test_generator_bands(ctx05):
     fock = TruncatedFock(3)
-    g = pi0_matrix("gamma", fock, ctx05)
-    assert np.allclose(np.diag(g), [1.0, 0.5, 0.25])
-    a = pi0_matrix("alpha", fock, ctx05)
-    assert np.all(a[:, 0] == 0)  # lowering annihilates the vacuum
-    d = pi0_matrix("delta", fock, ctx05)
-    assert np.all(d[:, 2] == 0)  # raising drops at the cut
+    assert generator_band("gamma", fock, ctx05) == (0, [1.0, 0.5, 0.25])
+    assert generator_band("beta", fock, ctx05) == (0, [-0.5, -0.25, -0.125])
+    shift, a = generator_band("alpha", fock, ctx05)
+    assert shift == -1 and a[0] == 0.0  # lowering annihilates the vacuum
+    shift, d = generator_band("delta", fock, ctx05)
+    assert shift == 1 and d[2] == 0.0  # raising drops at the cut
     with pytest.raises(DomainError):
-        pi0_matrix("sigma", fock, ctx05)
+        generator_band("sigma", fock, ctx05)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 10, 30])
+@pytest.mark.parametrize("tag", ["alpha", "beta", "gamma", "delta"])
+def test_generator_bands_are_the_oracle_matrices(tag, dim, ctx05):
+    fock = TruncatedFock(dim)
+    shift, w = generator_band(tag, fock, ctx05)
+    m = np.zeros((dim, dim))
+    for n in range(dim):
+        if w[n] != 0.0:
+            m[n + shift, n] = w[n]
+    assert np.array_equal(m, pi0_matrix(tag, fock, ctx05))
 
 
 def test_defining_relations_interior(ctx05):
@@ -40,6 +95,17 @@ def test_defining_relations_interior(ctx05):
     be = pi0_matrix("beta", fock, ctx05)
     ga = pi0_matrix("gamma", fock, ctx05)
     assert np.abs(be @ ga - ga @ be).max() == 0.0
+    with pytest.raises(DomainError):
+        check_defining_relations(TruncatedFock(3), ctx05)
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5", "0.7", "0.95"])
+@pytest.mark.parametrize("dim", [4, 10, 40])
+def test_defining_relations_match_the_matrix_relations(q, dim):
+    ctx = QContext(q)
+    fock = TruncatedFock(dim)
+    band = check_defining_relations(fock, ctx)
+    assert abs(band - matrix_defining_relations(fock, ctx)) <= 1e-16
 
 
 def test_coassociativity_of_threefold_terms():
@@ -90,7 +156,7 @@ def test_pair_vectors_eigen_and_norm(ctx05):
     q = float(ctx05.q)
     for x in range(0, 5):
         for p in range(-4, 5):
-            vec = coupled_vector("12", x, p, 0, fock, ctx05).dense(fock)
+            vec = dense(coupled_vector("12", x, p, 0, fock, ctx05), fock)
             resid = np.abs((op @ vec - q ** (2 * x) * vec).reshape(N, N)[:N - 1, :N - 1]).max()
             assert resid < 1e-10
     v00 = coupled_vector("12", 0, 0, 0, TruncatedFock(60), ctx05)
@@ -113,20 +179,25 @@ def test_swapped_pair_scheme(ctx05):
 
 
 def _interior_gap(applied, target, weight, fock):
-    """Max |applied - weight * target| over basis triples below the cut."""
-    N = fock.dim
-    gap = (applied - weight * target).reshape(N, N, N)
-    return np.abs(gap[:N - 1, :N - 1, :N - 1]).max()
+    """Max |applied - weight * target| over basis triples below the cut, for
+    two dict vectors keyed by basis triples."""
+    cut = fock.dim - 1
+    return max((abs(applied.get(k, 0.0) - weight * target.get(k, 0.0))
+                for k in applied.keys() | target.keys() if max(k) < cut), default=0.0)
+
+
+def _ggstar(vector, fock, ctx):
+    """-q^{-1} T(gamma) T(beta) applied to a dict vector by band actions."""
+    tb = threefold_action("beta", vector, fock, ctx)
+    return {k: -c / float(ctx.q) for k, c in threefold_action("gamma", tb, fock, ctx).items()}
 
 
 def test_threefold_eigen_residual(ctx05):
     fock = TruncatedFock(60)
     lam = float(ctx05.q) ** 2
-    ggstar = -(threefold_operator("gamma", fock, ctx05)
-               @ threefold_operator("beta", fock, ctx05)) / float(ctx05.q)
     for scheme in ("1(23)", "(12)3"):
-        v = coupled_vector(scheme, 1, 1, 0, fock, ctx05).dense(fock)
-        assert _interior_gap(ggstar @ v, v, lam, fock) < 1e-8
+        v = coupled_vector(scheme, 1, 1, 0, fock, ctx05).coeffs
+        assert _interior_gap(_ggstar(v, fock, ctx05), v, lam, fock) < 1e-8
 
 
 def test_threefold_generator_actions(ctx05):
@@ -134,16 +205,43 @@ def test_threefold_generator_actions(ctx05):
     fock = TruncatedFock(50)
     q = float(ctx05.q)
     x, p, r = 2, 1, -1
-    v = coupled_vector("1(23)", x, p, r, fock, ctx05).dense(fock)
+    v = coupled_vector("1(23)", x, p, r, fock, ctx05).coeffs
 
     def compare(tag, target_labels, weight):
-        target = coupled_vector("1(23)", *target_labels, fock, ctx05).dense(fock)
-        return _interior_gap(threefold_operator(tag, fock, ctx05) @ v, target, weight, fock)
+        target = coupled_vector("1(23)", *target_labels, fock, ctx05).coeffs
+        return _interior_gap(threefold_action(tag, v, fock, ctx05), target, weight, fock)
 
     assert compare("alpha", (x - 1, p, r), math.sqrt(1 - q ** (2 * x))) < 1e-8
     assert compare("delta", (x + 1, p, r), math.sqrt(1 - q ** (2 * x + 2))) < 1e-8
     assert compare("beta", (x, p + 1, r), -q ** (x + 1)) < 1e-8
     assert compare("gamma", (x, p - 1, r), q ** x) < 1e-8
+
+
+# criterion 10's coupled vectors
+_CRITERION_10 = [(scheme, x, p, r) for scheme in ("1(23)", "(12)3")
+                 for x, p, r in [(0, 0, 0), (1, 1, 0), (2, -1, 1)]]
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5", "0.7"])
+def test_threefold_action_matches_the_sparse_operator(q):
+    # the band action, and two band actions in a row, against the sparse
+    # Kronecker operators and their product on criterion 10's vectors
+    ctx = QContext(q)
+    fock = TruncatedFock(60)
+    ops = {t: threefold_operator(t, fock, ctx) for t in ("alpha", "beta", "gamma", "delta")}
+    gb = ops["gamma"] @ ops["beta"]
+    worst = 0.0
+    for labels in _CRITERION_10:
+        v = coupled_vector(*labels, fock, ctx)
+        flat = dense(v, fock)
+        for tag, op in ops.items():
+            got = dense(dataclasses.replace(v, coeffs=threefold_action(tag, v.coeffs, fock, ctx)),
+                        fock)
+            worst = max(worst, float(np.abs(got - op @ flat).max()))
+        tb = threefold_action("beta", v.coeffs, fock, ctx)
+        got = dense(dataclasses.replace(v, coeffs=threefold_action("gamma", tb, fock, ctx)), fock)
+        worst = max(worst, float(np.abs(got - gb @ flat).max()))
+    assert worst <= 1e-15
 
 
 def test_oracle_structural_zero(ctx05):

@@ -661,5 +661,24 @@ _YB = {"u": 0, "v": 0, "w": 0, "lo": -4, "hi": 4}
 def test_fresh_interpreter_loads_no_array_stack(code, tmp_path):
     # no identity runs on numpy or scipy, the Yang-Baxter defect included:
     # the package, the listing, a campaign and a single case never import
-    # them (only representation's matrix helpers do)
+    # them
     assert _fresh_interpreter(code, tmp_path) == []
+
+
+def test_fresh_interpreter_checks_the_representation_without_the_array_stack(tmp_path):
+    # with numpy and scipy blocked (an import of either raises ImportError),
+    # the relation check and one of criterion 10's eigen checks run on the
+    # band maps; the two blocked names are the only array modules listed
+    code = (
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from qcoupling import QContext, TruncatedFock, check_defining_relations, coupled_vector\n"
+        "from qcoupling.representation import threefold_action\n"
+        "ctx = QContext('0.5')\n"
+        "assert check_defining_relations(TruncatedFock(10), ctx) < 1e-13\n"
+        "fock = TruncatedFock(60)\n"
+        "v = coupled_vector('(12)3', 2, -1, 1, fock, ctx).coeffs\n"
+        "w = threefold_action('gamma', threefold_action('beta', v, fock, ctx), fock, ctx)\n"
+        "gap = max(abs(-w.get(k, 0.0) / 0.5 - 0.5 ** 4 * v.get(k, 0.0))\n"
+        "          for k in w.keys() | v.keys() if max(k) < fock.dim - 1)\n"
+        "assert len(v) > 100 and gap < 1e-8, gap")
+    assert _fresh_interpreter(code, tmp_path) == ["numpy", "scipy"]
